@@ -40,7 +40,7 @@ from .evaluate import (
     write_report_csv,
 )
 from .model import Model, ModelConfig
-from .retrieval import RetrievalParams, build_datastore, predict
+from .retrieval import RetrievalParams, build_datastore, predict_batch
 from .training import Hyperparams, TrainExample, grad_check, train
 
 __all__ = ["ConfigError", "main"]
@@ -236,25 +236,26 @@ def _cmd_build_datastore(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _scoring_inputs(args) -> tuple[dict, Model, Datastore | None, Dataset]:
+    """(config, model, optional datastore, dataset) for predict, evaluate and sweep."""
     cfg = _load_config(args.config)
     model = Model.load(args.model)
     store = Datastore.load(args.datastore) if args.datastore else None
-    dataset = load_jsonl(args.data)
+    return cfg, model, store, load_jsonl(args.data)
+
+
+def _cmd_predict(args) -> int:
+    cfg, model, store, dataset = _scoring_inputs(args)
     params = _retrieval_params(cfg, args)
+    batch = predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
     lines = ["id,predicted_label"]
-    for ex in dataset.examples:
-        result = predict(model, store, ex.tokens, params)
-        lines.append(f"{ex.id},{result.label}")
+    lines.extend(f"{ex.id},{label}" for ex, label in zip(dataset.examples, batch.labels))
     _write_lines(lines, args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    model = Model.load(args.model)
-    store = Datastore.load(args.datastore) if args.datastore else None
-    dataset = load_jsonl(args.data)
+    cfg, model, store, dataset = _scoring_inputs(args)
     params = _retrieval_params(cfg, args)
     started = time.perf_counter()
     row = evaluate_config(model, store, dataset.examples, params)
@@ -268,10 +269,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    model = Model.load(args.model)
-    store = Datastore.load(args.datastore) if args.datastore else None
-    dataset = load_jsonl(args.data)
+    cfg, model, store, dataset = _scoring_inputs(args)
     sweep = _sweep_spec(cfg)
     report = run_sweep(model, store, dataset.examples, sweep)
     write_report_csv(report, args.out)

@@ -2,6 +2,7 @@
 
 All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 `validate_distribution` is the single gatekeeper for their invariants.
+`sq_dists` is the one distance kernel; search and `squared_l2` both use it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ __all__ = [
     "argmax_label",
     "as_vector",
     "softmax",
+    "sq_dists",
     "squared_l2",
     "validate_distribution",
 ]
@@ -41,10 +43,22 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from float64 vector `q` to each row of `keys`.
+
+    A row's result is bit-identical whether it is computed alone or in any
+    block of rows, and with the difference taken either way round; a per-row
+    `np.dot` is not. Inputs are not validated; overflow gives inf.
+    """
+    diff = keys - q
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def squared_l2(a, b) -> float:
     """Squared Euclidean distance between two equal-length vectors.
 
-    Symmetric, non-negative, and exactly zero iff a == b elementwise.
+    Symmetric, non-negative, and exactly zero iff a == b elementwise. This is
+    the one-row case of `sq_dists`.
     """
     va = as_vector(a, "a")
     vb = as_vector(b, "b")
@@ -52,16 +66,22 @@ def squared_l2(a, b) -> float:
         raise DimensionMismatchError(
             f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
         )
-    diff = va - vb
-    return float(np.dot(diff, diff))
+    return float(sq_dists(va[None, :], vb)[0])
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) over a 1-d array of logits."""
-    x = as_vector(logits, "logits")
-    shifted = x - x.max()
+    """Numerically stable softmax (max-subtraction) over the last axis.
+
+    `logits` is one 1-d vector, or a 2-d batch with one vector per row.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim != 2:
+        x = as_vector(x, "logits")
+    elif x.shape[1] == 0 or not np.all(np.isfinite(x)):
+        raise ValueError("logits rows must be non-empty and finite")
+    shifted = x - x.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def validate_distribution(probs, num_labels: int | None = None) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Immutable store of (key vector, label) pairs with exact nearest-neighbor search.
 
 Keys are held in float32 (storage precision) and widened to float64 for all
-distance math. Search is exact brute force: distances to every key, then a
-bounded-heap top-k selection (`heapq.nsmallest`) ordered by (distance, index).
+distance math. Search is exact brute force: `core.sq_dists` over blocks of
+`KEY_BLOCK` keys for each chunk of `QUERY_CHUNK` queries, then per query the
+k-th smallest distance by `np.partition` and a (distance, index) sort of every
+key at or below it, which keeps ties exact.
 
 File format (little-endian)::
 
@@ -18,7 +20,6 @@ File format (little-endian)::
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_vector
+from .core import DimensionMismatchError, as_vector, sq_dists
 
 __all__ = [
     "BadMagicError",
@@ -42,6 +43,10 @@ __all__ = [
 MAGIC = b"KNNDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
+# A block's float64 differences stay in cache (1 MiB at dim 32); a chunk bounds
+# the (queries, count) distance matrix of one top-k pass.
+KEY_BLOCK = 4096
+QUERY_CHUNK = 8
 
 
 class DatastoreLoadError(ValueError):
@@ -177,22 +182,43 @@ class Datastore:
         Returns min(k, count) hits sorted by (distance, index). Raises
         RetrievalUnavailableError on an empty store.
         """
+        indices, distances = self.search_batch(np.asarray(query, dtype=np.float64)[None], k)
+        return [
+            NeighborHit(index=int(i), distance=float(d), label=int(self._labels[i]))
+            for i, d in zip(indices[0], distances[0])
+        ]
+
+    def search_batch(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """`search` for each row of a (B, dim) query matrix, as arrays.
+
+        Returns (indices, distances), both of shape (B, min(k, count)); row b
+        holds exactly the hits of `search(queries[b], k)`, in the same order.
+        """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
         if int(k) < 1:
             raise ValueError("k must be at least 1")
-        q = as_vector(query, "query")
-        if q.shape[0] != self.dim:
+        qs = np.asarray(queries, dtype=np.float64)
+        if qs.ndim != 2 or not np.all(np.isfinite(qs)):
+            raise ValueError(f"queries must be a finite (batch, dim) array, got {qs.shape}")
+        if qs.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"query dimension {q.shape[0]} does not match datastore dimension {self.dim}"
+                f"query dimension {qs.shape[1]} does not match datastore dimension {self.dim}"
             )
-        diffs = self._keys64 - q
-        # Per-row np.dot keeps each distance bit-identical to squared_l2().
-        dists = [float(np.dot(row, row)) for row in diffs]
-        top = heapq.nsmallest(int(k), ((d, i) for i, d in enumerate(dists)))
-        return [
-            NeighborHit(index=i, distance=d, label=int(self._labels[i])) for d, i in top
-        ]
+        kk = min(int(k), self.count)
+        indices = np.empty((qs.shape[0], kk), dtype=np.int64)
+        distances = np.empty((qs.shape[0], kk))
+        for lo in range(0, qs.shape[0], QUERY_CHUNK):
+            chunk = qs[lo : lo + QUERY_CHUNK]
+            dists = np.empty((chunk.shape[0], self.count))
+            for start in range(0, self.count, KEY_BLOCK):
+                block = self._keys64[start : start + KEY_BLOCK]
+                for row, q in enumerate(chunk):
+                    dists[row, start : start + block.shape[0]] = sq_dists(block, q)
+            top = _top_k(dists, kk)
+            indices[lo : lo + chunk.shape[0]] = top
+            distances[lo : lo + chunk.shape[0]] = np.take_along_axis(dists, top, axis=1)
+        return indices, distances
 
     def save(self, path) -> None:
         """Write the store in the binary format documented in the module docstring."""
@@ -250,3 +276,17 @@ class Datastore:
             return cls(keys, labels.astype(np.int64), num_labels)
         except ValueError as exc:
             raise DatastoreLoadError(f"invalid stored contents: {exc}") from exc
+
+
+def _top_k(dists: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, by (distance, index).
+
+    Every entry at or below the k-th smallest is a candidate, so a tie across
+    the k-th place is settled by index, not by where `np.partition` put it.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(dists <= kth)
+    order = np.lexsort((cols, dists[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+    return cols[rank < k].reshape(dists.shape[0], k)

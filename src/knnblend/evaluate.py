@@ -1,8 +1,10 @@
 """Accuracy evaluation over (k, temperature, knn_weight) grids, reported as CSV.
 
-The sweep searches each query once at the largest k and reuses prefixes of
-the sorted hit list for smaller k values; because hits are totally ordered by
-(distance, index) this is exactly equivalent to searching per k.
+Both entry points score all examples through one `retrieval.predict_batch`.
+The sweep searches once at the largest k and reuses prefixes of the sorted
+hits for smaller k values; because hits are totally ordered by (distance,
+index) this is exactly equivalent to searching per k. It then votes once per
+(k, temperature) and blends once per knn_weight, each over the whole batch.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import argmax_label
 from .datastore import Datastore
-from .retrieval import RetrievalParams, interpolate, knn_distribution, predict
+from .retrieval import (
+    RetrievalParams,
+    interpolate_batch,
+    knn_distribution_batch,
+    predict_batch,
+)
 from .training import TrainExample
 
 __all__ = [
@@ -114,19 +120,8 @@ def evaluate_config(
     """Accuracy of one configuration by predicting every example."""
     if len(examples) == 0:
         raise ValueError("cannot evaluate on zero examples")
-    n_correct = 0
-    for ex in examples:
-        if predict(model, store, ex.tokens, params).label == ex.label:
-            n_correct += 1
-    n_total = len(examples)
-    return EvalRow(
-        k=int(params.k),
-        temperature=float(params.temperature),
-        knn_weight=float(params.knn_weight),
-        accuracy=n_correct / n_total,
-        n_correct=n_correct,
-        n_total=n_total,
-    )
+    batch = predict_batch(model, store, [ex.tokens for ex in examples], params)
+    return _row(params.k, params.temperature, params.knn_weight, batch.labels, _gold(examples))
 
 
 def run_sweep(
@@ -143,54 +138,46 @@ def run_sweep(
     if len(examples) == 0:
         raise ValueError("cannot evaluate on zero examples")
     started = time.perf_counter()
-    num_labels = model.config.num_labels
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
-
-    encoded = [model.encode(ex.tokens) for ex in examples]
-    classifier_probs = [model.classify(h0) for h0, _ in encoded]
-    gold = np.array([ex.label for ex in examples], dtype=np.int64)
-
-    hit_lists = None
-    if need_search:
-        if store is None:
-            raise ValueError("a datastore is required when the grid includes knn_weight > 0")
-        if store.num_labels != num_labels:
-            raise ValueError(
-                f"datastore has {store.num_labels} labels but the model has {num_labels}"
-            )
-        max_k = max(sweep.k_values)
-        hit_lists = [store.search(r, max_k) for _, r in encoded]
-
+    if need_search and store is None:
+        raise ValueError("a datastore is required when the grid includes knn_weight > 0")
+    # Any positive weight makes predict_batch search; each cell re-votes below.
+    widest = RetrievalParams(k=max(sweep.k_values), temperature=sweep.temperature_values[0],
+                             knn_weight=1.0 if need_search else 0.0)
+    batch = predict_batch(model, store, [ex.tokens for ex in examples], widest)
+    gold = _gold(examples)
+    neighbor_probs = None
     rows = []
-    n_total = len(examples)
     for k in sweep.k_values:
         for temperature in sweep.temperature_values:
-            if hit_lists is not None:
-                neighbor_probs = [
-                    knn_distribution(hits[:k], temperature, num_labels)
-                    for hits in hit_lists
-                ]
-            for weight in sweep.knn_weight_values:
-                n_correct = 0
-                for i in range(n_total):
-                    if weight == 0.0:
-                        final = classifier_probs[i]
-                    else:
-                        final = interpolate(neighbor_probs[i], classifier_probs[i], weight)
-                    if argmax_label(final) == int(gold[i]):
-                        n_correct += 1
-                rows.append(
-                    EvalRow(
-                        k=k,
-                        temperature=temperature,
-                        knn_weight=weight,
-                        accuracy=n_correct / n_total,
-                        n_correct=n_correct,
-                        n_total=n_total,
-                    )
+            if need_search:
+                neighbor_probs = knn_distribution_batch(
+                    store.labels[batch.neighbor_indices[:, :k]],
+                    batch.neighbor_distances[:, :k],
+                    temperature,
+                    store.num_labels,
                 )
+            for weight in sweep.knn_weight_values:
+                final = interpolate_batch(neighbor_probs, batch.classifier_probs, weight)
+                rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)
+
+
+def _gold(examples: Sequence[TrainExample]) -> np.ndarray:
+    return np.array([ex.label for ex in examples], dtype=np.int64)
+
+
+def _row(k, temperature, knn_weight, predicted: np.ndarray, gold: np.ndarray) -> EvalRow:
+    n_correct = int(np.count_nonzero(predicted == gold))
+    return EvalRow(
+        k=int(k),
+        temperature=float(temperature),
+        knn_weight=float(knn_weight),
+        accuracy=n_correct / gold.shape[0],
+        n_correct=n_correct,
+        n_total=gold.shape[0],
+    )
 
 
 def write_report_csv(report: EvalReport, path) -> None:

@@ -230,23 +230,29 @@ class Model:
         r is the retrieval representation: the decouple MLP output when
         decoupling is enabled, otherwise h0 itself.
         """
-        x = pool(tokens, self.config.pooling)
-        if x.shape[0] != self.config.input_dim:
-            raise DimensionMismatchError(
-                f"token dimension {x.shape[0]} does not match input_dim {self.config.input_dim}"
-            )
-        cache = self.features(x[None, :])
-        return cache.h0[0], cache.r[0]
+        h0, r = self.encode_batch([tokens])
+        return h0[0], r[0]
+
+    def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
+        """Pool and encode a sequence of instances in one forward pass;
+        returns (h0, r) with one row per instance (zero rows for none)."""
+        pooled = [pool(tokens, self.config.pooling) for tokens in token_seqs]
+        # np.array, not np.stack: stack makes one view object per instance.
+        x = np.array(pooled) if pooled else np.zeros((0, self.config.input_dim))
+        cache = self.features(x)
+        return cache.h0, cache.r
 
     def classify(self, h0) -> np.ndarray:
-        """Label distribution from h0: softmax(activation(W·h0))."""
-        h = as_vector(h0, "h0")
-        if h.shape[0] != self.config.emb_dim:
+        """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""
+        h = np.asarray(h0, dtype=np.float64)
+        if h.ndim != 2:
+            h = as_vector(h, "h0")
+        if h.shape[-1] != self.config.emb_dim:
             raise DimensionMismatchError(
-                f"h0 has {h.shape[0]} entries, expected emb_dim {self.config.emb_dim}"
+                f"h0 has {h.shape[-1]} entries, expected emb_dim {self.config.emb_dim}"
             )
         act = ACTIVATIONS[self.config.activation].fn
-        return softmax(act(self.head_w @ h))
+        return softmax(act(h @ self.head_w.T))
 
     # -- parameter access ------------------------------------------------
 

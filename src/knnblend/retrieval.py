@@ -3,6 +3,10 @@
 Retrieved neighbors are turned into a label distribution by a softmax over
 temperature-scaled negative distances, aggregated per label. That
 distribution is mixed with the classifier's own output by a fixed weight.
+
+Every prediction takes one scoring path, `predict_batch`: a batched encode,
+`Datastore.search_batch`, then `knn_distribution_batch` and `interpolate_batch`
+over (B, k) arrays; `predict`, `knn_distribution` and `interpolate` wrap it.
 """
 
 from __future__ import annotations
@@ -12,17 +16,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, argmax_label, validate_distribution
+from .core import DimensionMismatchError, validate_distribution
 from .datastore import Datastore, NeighborHit, RetrievalUnavailableError
 
 __all__ = [
+    "BatchPrediction",
+    "NonFiniteDistanceError",
     "Prediction",
     "RetrievalParams",
     "build_datastore",
     "interpolate",
+    "interpolate_batch",
     "knn_distribution",
+    "knn_distribution_batch",
     "predict",
+    "predict_batch",
 ]
+
+
+class NonFiniteDistanceError(ValueError):
+    """A distance, or every distance / temperature, overflowed: the vote is NaN."""
 
 
 @dataclass(frozen=True)
@@ -42,52 +55,73 @@ class RetrievalParams:
             raise ValueError(f"knn_weight must be in [0, 1], got {self.knn_weight}")
 
 
-def knn_distribution(
-    hits: Sequence[NeighborHit], temperature: float, num_labels: int
+def knn_distribution_batch(
+    labels, distances, temperature: float, num_labels: int
 ) -> np.ndarray:
-    """Label distribution from neighbor hits: weight exp(-distance/temperature),
-    summed per label and normalized.
+    """Label distribution per row of (B, k) neighbor labels and distances:
+    weight exp(-distance/temperature), summed per label and normalized.
 
-    The scaled negative distances are max-subtracted before exponentiation so
-    large distances cannot underflow everything to zero at once.
+    Each row is max-subtracted before exponentiation so large distances cannot
+    underflow everything to zero at once.
     """
-    if len(hits) == 0:
-        raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
     if not (float(temperature) > 0.0):
         raise ValueError(f"temperature must be positive, got {temperature}")
     if int(num_labels) < 1:
         raise ValueError("num_labels must be positive")
-    labels = np.array([hit.label for hit in hits], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= num_labels:
+    labels = np.asarray(labels, dtype=np.int64)
+    distances = np.asarray(distances, dtype=np.float64)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_labels):
         raise ValueError("hit label outside [0, num_labels)")
-    distances = np.array([hit.distance for hit in hits], dtype=np.float64)
-    scaled = -distances / float(temperature)
-    weights = np.exp(scaled - scaled.max())
-    probs = np.zeros(int(num_labels), dtype=np.float64)
-    np.add.at(probs, labels, weights)
-    return probs / probs.sum()
+    with np.errstate(over="ignore"):
+        scaled = -distances / float(temperature)
+    peak = scaled.max(axis=1, keepdims=True)
+    if not (np.all(np.isfinite(distances)) and np.all(np.isfinite(peak))):
+        raise NonFiniteDistanceError(
+            f"neighbor distances are not finite at temperature {temperature!r}"
+        )
+    weights = np.exp(scaled - peak)
+    probs = np.zeros((labels.shape[0], int(num_labels)), dtype=np.float64)
+    np.add.at(probs, (np.arange(labels.shape[0])[:, None], labels), weights)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
-def interpolate(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
-    """Entry-wise blend: knn_weight * neighbor + (1 - knn_weight) * classifier.
+def knn_distribution(
+    hits: Sequence[NeighborHit], temperature: float, num_labels: int
+) -> np.ndarray:
+    """Label distribution from neighbor hits; the one-row `knn_distribution_batch`."""
+    if len(hits) == 0:
+        raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
+    labels = np.array([[hit.label for hit in hits]], dtype=np.int64)
+    distances = np.array([[hit.distance for hit in hits]], dtype=np.float64)
+    return knn_distribution_batch(labels, distances, temperature, num_labels)[0]
+
+
+def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
+    """Entry-wise blend of distributions or row-aligned batches of them:
+    knn_weight * neighbor + (1 - knn_weight) * classifier.
 
     The endpoints short-circuit to an exact copy of the corresponding input,
     so a weight of 0 or 1 reproduces that distribution bit for bit.
     """
+    w = float(knn_weight)
+    if not (0.0 <= w <= 1.0):
+        raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
+    if w == 0.0:
+        return classifier_probs.copy()
+    if w == 1.0:
+        return neighbor_probs.copy()
+    return w * neighbor_probs + (1.0 - w) * classifier_probs
+
+
+def interpolate(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
+    """`interpolate_batch` for two validated distributions of equal length."""
     p_knn = validate_distribution(neighbor_probs)
     p_cls = validate_distribution(classifier_probs)
     if p_knn.shape != p_cls.shape:
         raise DimensionMismatchError(
             f"distribution lengths differ: {p_knn.shape[0]} vs {p_cls.shape[0]}"
         )
-    w = float(knn_weight)
-    if not (0.0 <= w <= 1.0):
-        raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
-    if w == 0.0:
-        return p_cls.copy()
-    if w == 1.0:
-        return p_knn.copy()
-    return w * p_knn + (1.0 - w) * p_cls
+    return interpolate_batch(p_knn, p_cls, knn_weight)
 
 
 @dataclass(eq=False)
@@ -104,18 +138,32 @@ class Prediction:
     neighbor_probs: np.ndarray | None
 
 
-def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> Prediction:
-    """Classify one instance, optionally blending in the neighbor vote.
+@dataclass(eq=False)
+class BatchPrediction:
+    """`Prediction`s for a batch, one row per instance, plus each row's hits
+    in (distance, index) order. Neighbor fields are None when knn_weight is 0."""
 
-    The retrieval representation r is the query; with knn_weight == 0 the
-    datastore is never consulted (it may be empty or None).
+    labels: np.ndarray  # (B,)
+    probs: np.ndarray  # (B, num_labels)
+    classifier_probs: np.ndarray  # (B, num_labels)
+    neighbor_probs: np.ndarray | None  # (B, num_labels)
+    neighbor_indices: np.ndarray | None  # (B, min(k, count))
+    neighbor_distances: np.ndarray | None  # (B, min(k, count))
+
+
+def predict_batch(
+    model, store: Datastore | None, token_seqs, params: RetrievalParams
+) -> BatchPrediction:
+    """Classify a sequence of instances, optionally blending in the neighbor vote.
+
+    The retrieval representations r are the queries; with knn_weight == 0 the
+    datastore is never consulted (it may be empty or None). Label ties break
+    to the lowest index.
     """
-    h0, r = model.encode(tokens)
+    h0, r = model.encode_batch(token_seqs)
     p_cls = model.classify(h0)
-    if params.knn_weight == 0.0:
-        p_final = p_cls.copy()
-        p_knn = None
-    else:
+    indices = distances = p_knn = None
+    if params.knn_weight > 0.0:
         if store is None:
             raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
         if store.num_labels != model.config.num_labels:
@@ -123,21 +171,34 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
                 f"datastore has {store.num_labels} labels but the model has "
                 f"{model.config.num_labels}"
             )
-        hits = store.search(r, params.k)
-        p_knn = knn_distribution(hits, params.temperature, model.config.num_labels)
-        p_final = interpolate(p_knn, p_cls, params.knn_weight)
-    return Prediction(
-        label=argmax_label(p_final),
+        indices, distances = store.search_batch(r, params.k)
+        p_knn = knn_distribution_batch(
+            store.labels[indices], distances, params.temperature, store.num_labels
+        )
+    p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
+    return BatchPrediction(
+        labels=np.argmax(p_final, axis=1),
         probs=p_final,
         classifier_probs=p_cls,
         neighbor_probs=p_knn,
+        neighbor_indices=indices,
+        neighbor_distances=distances,
+    )
+
+
+def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> Prediction:
+    """Classify one instance; the one-row `predict_batch`."""
+    batch = predict_batch(model, store, [tokens], params)
+    return Prediction(
+        label=int(batch.labels[0]),
+        probs=batch.probs[0],
+        classifier_probs=batch.classifier_probs[0],
+        neighbor_probs=None if batch.neighbor_probs is None else batch.neighbor_probs[0],
     )
 
 
 def build_datastore(model, dataset) -> Datastore:
     """Encode every example and key the store by its retrieval representation."""
-    from .model import pool  # local import keeps module load order flexible
-
     if dataset.input_dim != model.config.input_dim:
         raise DimensionMismatchError(
             f"dataset input_dim {dataset.input_dim} does not match model "
@@ -148,14 +209,6 @@ def build_datastore(model, dataset) -> Datastore:
             f"dataset has {dataset.num_labels} labels but the model has "
             f"{model.config.num_labels}"
         )
-    examples = dataset.examples
-    if len(examples) == 0:
-        return Datastore(
-            keys=np.zeros((0, model.config.key_dim)),
-            labels=np.zeros(0, dtype=np.int64),
-            num_labels=dataset.num_labels,
-        )
-    pooled = np.stack([pool(ex.tokens, model.config.pooling) for ex in examples])
-    cache = model.features(pooled)
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    return Datastore(keys=cache.r, labels=labels, num_labels=dataset.num_labels)
+    _, r = model.encode_batch([ex.tokens for ex in dataset.examples])
+    labels = np.array([ex.label for ex in dataset.examples], dtype=np.int64)
+    return Datastore(keys=r, labels=labels, num_labels=dataset.num_labels)

@@ -198,18 +198,23 @@ def _forward(model: Model, x: np.ndarray):
 
 
 def _triplet_terms(r: np.ndarray, pairs, margin: float):
-    """Per-example hinge values and the raw margins they came from."""
+    """Per-example hinge values and the raw margins they came from.
+
+    A diverged model's distances may overflow here; that is not warned about,
+    because callers test the resulting loss with `isfinite` and report it.
+    """
     n = r.shape[0]
     values = np.zeros(n, dtype=np.float64)
     margins = np.full(n, np.nan)
-    for i, (pos, neg) in enumerate(pairs):
-        if neg is None:
-            continue
-        diff_p = r[i] - r[pos]
-        diff_n = r[i] - r[neg]
-        m = float(np.dot(diff_p, diff_p)) - float(np.dot(diff_n, diff_n)) + margin
-        margins[i] = m
-        values[i] = max(m, 0.0)
+    with np.errstate(over="ignore"):
+        for i, (pos, neg) in enumerate(pairs):
+            if neg is None:
+                continue
+            diff_p = r[i] - r[pos]
+            diff_n = r[i] - r[neg]
+            m = float(np.dot(diff_p, diff_p)) - float(np.dot(diff_n, diff_n)) + margin
+            margins[i] = m
+            values[i] = max(m, 0.0)
     return values, margins
 
 

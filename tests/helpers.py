@@ -35,6 +35,39 @@ def hits_as_pairs(hits):
     return [(h.distance, h.index) for h in hits]
 
 
+def oracle_cell_labels(ranked, store_labels, classifier_probs, k, temperature,
+                       knn_weight, num_labels):
+    """Per-example oracle for one sweep cell, in pure Python.
+
+    `ranked` holds each example's `full_sort_hits` at the grid's largest k;
+    the first k of them are the cell's neighbors. The vote, blend and argmax
+    use Python floats and `math.exp`, not the library's vectorized path.
+    Returns one (label, gap) per example, where gap is the blended top-1
+    minus top-2 probability; ties go to the lowest label.
+    """
+    out = []
+    for hits, p_cls in zip(ranked, classifier_probs):
+        p_cls = [float(p) for p in p_cls]
+        if knn_weight == 0.0:
+            blended = p_cls
+        else:
+            scaled = [-d / temperature for d, _ in hits[:k]]
+            peak = max(scaled)
+            votes = [0.0] * num_labels
+            for s, (_, i) in zip(scaled, hits[:k]):
+                votes[int(store_labels[i])] += math.exp(s - peak)
+            total = sum(votes)
+            p_knn = [v / total for v in votes]
+            if knn_weight == 1.0:
+                blended = p_knn
+            else:
+                blended = [knn_weight * a + (1.0 - knn_weight) * b
+                           for a, b in zip(p_knn, p_cls)]
+        order = sorted(range(num_labels), key=lambda j: (-blended[j], j))
+        out.append((order[0], blended[order[0]] - blended[order[1]]))
+    return out
+
+
 def mp_softmax(logits, dps=60):
     """Extended-precision softmax, no max-subtraction trick needed."""
     with mpmath.workdps(dps):
