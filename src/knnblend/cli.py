@@ -92,22 +92,15 @@ _MODEL_KEYS = {
     "input_dim", "hidden_dim", "emb_dim", "num_labels", "retrieval_dim",
     "pooling", "activation", "decouple_enabled", "triplet_enabled",
 }
+_RETRIEVAL_KEYS = {"k", "temperature", "knn_weight"}
 _HYPER_KEYS = {
     "triplet_weight", "margin", "learning_rate", "batch_size", "epochs", "seed",
-    "k", "temperature", "knn_weight",
-}
-_SWEEP_KEYS = {"k", "temperature", "knn_weight"}
+} | _RETRIEVAL_KEYS
 
 
 def _synthetic_spec(cfg: dict, seed_override: int | None) -> SyntheticSpec:
     data = _section(cfg, "data", {"synthetic", "train", "test"})
-    section = data.get("synthetic", {})
-    if not isinstance(section, dict):
-        raise ConfigError("data.synthetic must be an object")
-    unknown = set(section) - _SYNTH_KEYS
-    if unknown:
-        raise ConfigError(f"data.synthetic has unknown keys: {', '.join(sorted(unknown))}")
-    kwargs = dict(section)
+    kwargs = dict(_section(data, "synthetic", _SYNTH_KEYS))
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -146,24 +139,19 @@ def _model_config(cfg: dict, dataset: Dataset) -> ModelConfig:
 
 def _hyperparams(cfg: dict, seed_override: int | None) -> Hyperparams:
     section = _section(cfg, "hyper", _HYPER_KEYS)
-    retrieval_kwargs = {
-        key: section[key] for key in ("k", "temperature", "knn_weight") if key in section
-    }
-    kwargs = {k: v for k, v in section.items() if k not in retrieval_kwargs}
+    kwargs = {k: v for k, v in section.items() if k not in _RETRIEVAL_KEYS}
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
-        return Hyperparams(retrieval=RetrievalParams(**retrieval_kwargs), **kwargs)
+        return Hyperparams(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid hyperparameters: {exc}") from exc
 
 
 def _retrieval_params(cfg: dict, args) -> RetrievalParams:
     section = _section(cfg, "hyper", _HYPER_KEYS)
-    kwargs = {
-        key: section[key] for key in ("k", "temperature", "knn_weight") if key in section
-    }
-    for key in ("k", "temperature", "knn_weight"):
+    kwargs = {key: section[key] for key in _RETRIEVAL_KEYS if key in section}
+    for key in _RETRIEVAL_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             kwargs[key] = value
@@ -174,14 +162,8 @@ def _retrieval_params(cfg: dict, args) -> RetrievalParams:
 
 
 def _sweep_spec(cfg: dict) -> SweepSpec:
-    section = _section(cfg, "sweep", _SWEEP_KEYS)
-    kwargs = {}
-    if "k" in section:
-        kwargs["k_values"] = section["k"]
-    if "temperature" in section:
-        kwargs["temperature_values"] = section["temperature"]
-    if "knn_weight" in section:
-        kwargs["knn_weight_values"] = section["knn_weight"]
+    section = _section(cfg, "sweep", _RETRIEVAL_KEYS)
+    kwargs = {f"{key}_values": values for key, values in section.items()}
     try:
         return SweepSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -216,6 +198,9 @@ def _cmd_train(args) -> int:
     train_ds, _ = _datasets(cfg, args.seed)
     model_config = _model_config(cfg, train_ds)
     hyper = _hyperparams(cfg, args.seed)
+    # Training does not read the retrieval keys of the hyper section, but a
+    # config that later scoring commands would reject is rejected here too.
+    _retrieval_params(cfg, args)
     model, log = train(train_ds.examples, hyper, model_config)
     model.save(args.out)
     log_path = args.log if args.log is not None else f"{args.out}.log"

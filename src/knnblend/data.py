@@ -19,16 +19,49 @@ from typing import Sequence
 
 import numpy as np
 
-from .training import TrainExample
-
 __all__ = [
     "Dataset",
     "DatasetFormatError",
     "SyntheticSpec",
+    "TrainExample",
     "generate_synthetic",
     "load_jsonl",
     "write_jsonl",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class TrainExample:
+    """One labeled instance: a token matrix (n_tokens, dim), a label, an id."""
+
+    tokens: np.ndarray
+    label: int
+    id: int
+
+    def __post_init__(self):
+        arr = np.asarray(self.tokens, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr[None, :]
+        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("tokens contain non-finite entries")
+        arr.setflags(write=False)
+        object.__setattr__(self, "tokens", arr)
+        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "id", int(self.id))
+        if self.label < 0:
+            raise ValueError(f"label must be non-negative, got {self.label}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrainExample):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and self.label == other.label
+            and self.tokens.shape == other.tokens.shape
+            and np.array_equal(self.tokens, other.tokens)
+        )
 
 
 class DatasetFormatError(ValueError):
@@ -117,7 +150,7 @@ def _parse_record(obj, line_no: int, label_names: list[str] | None):
     raw = obj["features"] if has_features else obj["tokens"]
     try:
         tokens = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetFormatError(f"line {line_no}: non-numeric feature data") from None
     if has_features:
         if tokens.ndim != 1 or tokens.shape[0] == 0:
@@ -137,7 +170,10 @@ def _parse_record(obj, line_no: int, label_names: list[str] | None):
 
 def load_jsonl(path) -> Dataset:
     """Read a dataset file, reporting schema problems with their line number."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     label_names: list[str] | None = None
     examples: list[TrainExample] = []
     input_dim: int | None = None

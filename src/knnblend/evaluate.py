@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import TrainExample
 from .datastore import Datastore
 from .retrieval import (
     RetrievalParams,
@@ -23,7 +24,6 @@ from .retrieval import (
     knn_distribution_batch,
     predict_batch,
 )
-from .training import TrainExample
 
 __all__ = [
     "CSV_HEADER",

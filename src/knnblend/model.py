@@ -131,10 +131,8 @@ class FeatureCache:
     """Intermediate activations of a batched forward pass (training reuses these)."""
 
     x: np.ndarray  # (B, input_dim) pooled inputs
-    z1: np.ndarray  # (B, hidden) encoder pre-activation
     a1: np.ndarray  # (B, hidden) encoder hidden activation
     h0: np.ndarray  # (B, emb) classification representation
-    g1: np.ndarray | None  # (B, hidden) decouple pre-activation
     d1: np.ndarray | None  # (B, hidden) decouple hidden activation
     r: np.ndarray  # (B, key_dim) retrieval representation (h0 when not decoupled)
 
@@ -212,17 +210,15 @@ class Model:
                 f"pooled input has shape {x.shape}, expected (*, {cfg.input_dim})"
             )
         act = ACTIVATIONS[cfg.activation].fn
-        z1 = x @ self.enc_w1.T + self.enc_b1
-        a1 = act(z1)
+        a1 = act(x @ self.enc_w1.T + self.enc_b1)
         h0 = a1 @ self.enc_w2.T + self.enc_b2
         if cfg.decouple_enabled:
-            g1 = h0 @ self.dec_w1.T + self.dec_b1
-            d1 = act(g1)
+            d1 = act(h0 @ self.dec_w1.T + self.dec_b1)
             r = d1 @ self.dec_w2.T + self.dec_b2
         else:
-            g1 = d1 = None
+            d1 = None
             r = h0
-        return FeatureCache(x=x, z1=z1, a1=a1, h0=h0, g1=g1, d1=d1, r=r)
+        return FeatureCache(x=x, a1=a1, h0=h0, d1=d1, r=r)
 
     def encode(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode one instance; returns (h0, r).
@@ -236,11 +232,14 @@ class Model:
     def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode a sequence of instances in one forward pass;
         returns (h0, r) with one row per instance (zero rows for none)."""
+        cache = self.features(self.pool_batch(token_seqs))
+        return cache.h0, cache.r
+
+    def pool_batch(self, token_seqs) -> np.ndarray:
+        """Pool each instance with the config's mode; (B, input_dim) for B instances."""
         pooled = [pool(tokens, self.config.pooling) for tokens in token_seqs]
         # np.array, not np.stack: stack makes one view object per instance.
-        x = np.array(pooled) if pooled else np.zeros((0, self.config.input_dim))
-        cache = self.features(x)
-        return cache.h0, cache.r
+        return np.array(pooled) if pooled else np.zeros((0, self.config.input_dim))
 
     def classify(self, h0) -> np.ndarray:
         """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""
@@ -301,7 +300,7 @@ class Model:
     def load(cls, path) -> "Model":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelLoadError(f"invalid or truncated model file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ModelFormatError("not a model file (top-level value is not an object)")
@@ -325,7 +324,7 @@ class Model:
                 decouple_enabled=bool(doc["decouple_enabled"]),
                 triplet_enabled=bool(doc["triplet_enabled"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"invalid model metadata: {exc}") from exc
         stored = doc.get("weights")
         if not isinstance(stored, dict):
@@ -335,7 +334,10 @@ class Model:
         for name, shape in expected.items():
             if name not in stored:
                 raise ModelShapeError(f"missing weight {name}")
-            arr = np.asarray(stored[name], dtype=np.float64)
+            try:
+                arr = np.asarray(stored[name], dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ModelShapeError(f"weight {name} is not a numeric array: {exc}") from exc
             if arr.shape != shape:
                 raise ModelShapeError(
                     f"weight {name} has shape {arr.shape}, expected {shape}"
@@ -344,7 +346,10 @@ class Model:
         extra = set(stored) - set(expected)
         if extra:
             raise ModelShapeError(f"unexpected weights {sorted(extra)}")
-        return cls(config=config, **kwargs)
+        try:
+            return cls(config=config, **kwargs)
+        except ValueError as exc:
+            raise ModelLoadError(f"invalid model weights: {exc}") from exc
 
 
 def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

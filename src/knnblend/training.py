@@ -7,8 +7,10 @@ squared-L2 distances between retrieval representations:
 
 Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
-a batch of one skips the hinge term). Gradients are fully analytic and can be
-validated against central finite differences with ``grad_check``.
+a batch of one skips the hinge term), drawn as index arrays over the batch in
+label-sorted order. `train` pools the dataset once and indexes rows per batch.
+One function computes the loss and, on request, its analytic gradients;
+``grad_check`` compares those with central finite differences of the loss.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import squared_l2, validate_distribution
-from .model import ACTIVATIONS, Model, ModelConfig, pool
-from .retrieval import RetrievalParams
+from .data import TrainExample
+from .model import ACTIVATIONS, Model, ModelConfig
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -50,43 +52,9 @@ class TrainingDivergedError(RuntimeError):
     """The optimizer produced a non-finite loss."""
 
 
-@dataclass(frozen=True, eq=False)
-class TrainExample:
-    """One labeled instance: a token matrix (n_tokens, dim), a label, an id."""
-
-    tokens: np.ndarray
-    label: int
-    id: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tokens contain non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr)
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "id", int(self.id))
-        if self.label < 0:
-            raise ValueError(f"label must be non-negative, got {self.label}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrainExample):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.label == other.label
-            and self.tokens.shape == other.tokens.shape
-            and np.array_equal(self.tokens, other.tokens)
-        )
-
-
 @dataclass(frozen=True)
 class Hyperparams:
-    """Optimizer and objective settings; retrieval settings ride along."""
+    """Optimizer and objective settings."""
 
     triplet_weight: float = 0.5
     margin: float = 1.0
@@ -94,7 +62,6 @@ class Hyperparams:
     batch_size: int = 32
     epochs: int = 20
     seed: int = 0
-    retrieval: RetrievalParams = RetrievalParams()
 
     def __post_init__(self):
         if not (0.0 <= float(self.triplet_weight) <= 1.0):
@@ -127,6 +94,31 @@ def triplet_loss(anchor, positive, negative, margin: float) -> float:
     return max(d_ap - d_an + float(margin), 0.0)
 
 
+def _pair_indices(labels: np.ndarray, rng: np.random.Generator):
+    """(pos, neg) index arrays over a batch; neg is -1 where there is none.
+
+    In label-sorted order each candidate set is a span of positions minus one
+    gap (the member itself, or its label's block); one `rng.integers` call
+    draws a uniform rank in every set.
+    """
+    n = labels.shape[0]
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), np.full(1, -1)
+    order = np.argsort(labels, kind="stable")
+    start = np.searchsorted(labels[order], labels, side="left")
+    size = np.searchsorted(labels[order], labels, side="right") - start
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    lonely = size == n  # no different label: every other member is a negative
+    counts = np.concatenate([size - 1, np.where(lonely, n - 1, n - size)])
+    ranks = rng.integers(np.maximum(counts, 1))
+    mate = start + ranks[:n]
+    mate += mate >= place
+    other = ranks[n:]
+    other = np.where(lonely, other + (other >= place), other + size * (other >= start))
+    return order[np.where(size > 1, mate, place)], order[other]
+
+
 def select_pairs(batch: Sequence[TrainExample], rng: np.random.Generator):
     """Pick (positive_index, negative_index) for every batch member.
 
@@ -137,26 +129,8 @@ def select_pairs(batch: Sequence[TrainExample], rng: np.random.Generator):
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    labels = [int(ex.label) for ex in batch]
-    n = len(labels)
-    pairs: list[tuple[int, int | None]] = []
-    for i in range(n):
-        same = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        other_label = [j for j in range(n) if labels[j] != labels[i]]
-        if same:
-            pos = same[int(rng.integers(len(same)))]
-        else:
-            pos = i
-        if other_label:
-            neg: int | None = other_label[int(rng.integers(len(other_label)))]
-        else:
-            anyone_else = [j for j in range(n) if j != i]
-            if anyone_else:
-                neg = anyone_else[int(rng.integers(len(anyone_else)))]
-            else:
-                neg = None
-        pairs.append((pos, neg))
-    return pairs
+    pos, neg = _pair_indices(np.array([ex.label for ex in batch], dtype=np.int64), rng)
+    return [(int(p), int(q) if q >= 0 else None) for p, q in zip(pos, neg)]
 
 
 @dataclass(frozen=True)
@@ -177,45 +151,26 @@ def _term_weights(config: ModelConfig, hyper: Hyperparams) -> tuple[float, float
     return 1.0 - w, w
 
 
-def _pooled_batch(config: ModelConfig, batch: Sequence[TrainExample]) -> np.ndarray:
-    return np.stack([pool(ex.tokens, config.pooling) for ex in batch])
-
-
 def _row_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(model: Model, x: np.ndarray):
-    """Shared forward pass: feature cache, head scores, and probabilities."""
-    cache = model.features(x)
-    act = ACTIVATIONS[model.config.activation].fn
-    head_pre = cache.h0 @ model.head_w.T
-    head_out = act(head_pre)
-    probs = _row_softmax(head_out)
-    return cache, head_out, probs
-
-
-def _triplet_terms(r: np.ndarray, pairs, margin: float):
-    """Per-example hinge values and the raw margins they came from.
+def _hinge(r: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
+    """Anchor rows that have a negative, their differences to the positive
+    and to the negative, and the raw margins d(a,p) - d(a,n) + margin.
 
     A diverged model's distances may overflow here; that is not warned about,
     because callers test the resulting loss with `isfinite` and report it.
     """
-    n = r.shape[0]
-    values = np.zeros(n, dtype=np.float64)
-    margins = np.full(n, np.nan)
-    with np.errstate(over="ignore"):
-        for i, (pos, neg) in enumerate(pairs):
-            if neg is None:
-                continue
-            diff_p = r[i] - r[pos]
-            diff_n = r[i] - r[neg]
-            m = float(np.dot(diff_p, diff_p)) - float(np.dot(diff_n, diff_n)) + margin
-            margins[i] = m
-            values[i] = max(m, 0.0)
-    return values, margins
+    anchors = np.flatnonzero(neg >= 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff_p = r[anchors] - r[pos[anchors]]
+        diff_n = r[anchors] - r[neg[anchors]]
+        raw = (np.einsum("ij,ij->i", diff_p, diff_p)
+               - np.einsum("ij,ij->i", diff_n, diff_n) + margin)
+    return anchors, diff_p, diff_n, raw
 
 
 def _mix_total(ce_weight: float, ce_mean: float, trip_weight: float, trip_mean: float) -> float:
@@ -228,61 +183,37 @@ def _mix_total(ce_weight: float, ce_mean: float, trip_weight: float, trip_mean: 
     return ce_weight * ce_mean + trip_weight * trip_mean
 
 
-def _batch_loss(model: Model, x: np.ndarray, labels: np.ndarray, pairs,
-                hyper: Hyperparams) -> LossTerms:
-    ce_weight, trip_weight = _term_weights(model.config, hyper)
-    cache, _, probs = _forward(model, x)
-    n = x.shape[0]
-    gold = probs[np.arange(n), labels]
-    ce_mean = float(np.mean(-np.log(np.maximum(gold, CE_PROB_FLOOR))))
-    if model.config.triplet_enabled:
-        trip_values, _ = _triplet_terms(cache.r, pairs, float(hyper.margin))
-        trip_mean = float(trip_values.mean())
-    else:
-        trip_mean = 0.0
-    return LossTerms(
-        total=_mix_total(ce_weight, ce_mean, trip_weight, trip_mean),
-        ce=ce_mean,
-        triplet=trip_mean,
-    )
+def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
+          neg: np.ndarray, hyper: Hyperparams, want_grads: bool):
+    """Loss terms of a batch of pooled inputs, plus analytic gradients for
+    every weight array when `want_grads` (otherwise None).
 
-
-def combined_loss(model: Model, batch: Sequence[TrainExample], pairs,
-                  hyper: Hyperparams) -> tuple[float, LossTerms]:
-    """Mixed batch loss; returns (scalar total, per-term breakdown)."""
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    if len(pairs) != len(batch):
-        raise ValueError("pairs must align one-to-one with the batch")
-    x = _pooled_batch(model.config, batch)
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    terms = _batch_loss(model, x, labels, pairs, hyper)
-    return terms.total, terms
-
-
-def _batch_loss_and_grads(model: Model, x: np.ndarray, labels: np.ndarray, pairs,
-                          hyper: Hyperparams):
-    """Forward plus analytic backward; returns (LossTerms, grads dict)."""
+    pos and neg index the batch; a negative of -1 skips that hinge term.
+    """
     cfg = model.config
     ce_weight, trip_weight = _term_weights(cfg, hyper)
-    act_grad = ACTIVATIONS[cfg.activation].grad_from_output
+    act = ACTIVATIONS[cfg.activation]
     n = x.shape[0]
 
-    cache, head_out, probs = _forward(model, x)
+    cache = model.features(x)
+    head_out = act.fn(cache.h0 @ model.head_w.T)
+    probs = _row_softmax(head_out)
     gold = probs[np.arange(n), labels]
     ce_mean = float(np.mean(-np.log(np.maximum(gold, CE_PROB_FLOOR))))
 
     if cfg.triplet_enabled:
-        trip_values, margins = _triplet_terms(cache.r, pairs, float(hyper.margin))
-        trip_mean = float(trip_values.mean())
+        anchors, diff_p, diff_n, raw = _hinge(cache.r, pos, neg, float(hyper.margin))
+        # np.maximum, unlike a comparison, carries a NaN margin into the loss.
+        trip_mean = float(np.maximum(raw, 0.0).sum()) / n
     else:
-        trip_values = margins = None
         trip_mean = 0.0
     terms = LossTerms(
         total=_mix_total(ce_weight, ce_mean, trip_weight, trip_mean),
         ce=ce_mean,
         triplet=trip_mean,
     )
+    if not want_grads:
+        return terms, None
 
     grads = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
     d_h0 = np.zeros_like(cache.h0)
@@ -295,28 +226,26 @@ def _batch_loss_and_grads(model: Model, x: np.ndarray, labels: np.ndarray, pairs
         d_scores[np.arange(n), labels] -= 1.0
         d_scores[gold <= CE_PROB_FLOOR] = 0.0
         d_scores *= ce_weight / n
-        d_head_pre = d_scores * act_grad(head_out)
+        d_head_pre = d_scores * act.grad_from_output(head_out)
         grads["head_w"] += d_head_pre.T @ cache.h0
         d_h0 += d_head_pre @ model.head_w
 
     # Hinge path: only strictly positive margins carry gradient (the kink at
-    # exactly zero uses the inactive branch).
-    if trip_weight != 0.0 and cfg.triplet_enabled:
-        d_r = np.zeros_like(cache.r)
+    # exactly zero uses the inactive branch). np.add.at, unlike a fancy-index
+    # +=, adds every contribution to a row that recurs among the indices.
+    if trip_weight != 0.0:
+        active = raw > 0.0
+        a, dp, dn = anchors[active], diff_p[active], diff_n[active]
         scale = trip_weight / n
-        for i, (pos, neg) in enumerate(pairs):
-            if neg is None or not margins[i] > 0.0:
-                continue
-            diff_p = cache.r[i] - cache.r[pos]
-            diff_n = cache.r[i] - cache.r[neg]
-            d_r[i] += scale * 2.0 * (diff_p - diff_n)
-            d_r[pos] += scale * (-2.0) * diff_p
-            d_r[neg] += scale * 2.0 * diff_n
+        d_r = np.zeros_like(cache.r)
+        np.add.at(d_r, a, scale * 2.0 * (dp - dn))
+        np.add.at(d_r, pos[a], scale * (-2.0) * dp)
+        np.add.at(d_r, neg[a], scale * 2.0 * dn)
         if cfg.decouple_enabled:
             grads["dec_w2"] += d_r.T @ cache.d1
             grads["dec_b2"] += d_r.sum(axis=0)
             d_d1 = d_r @ model.dec_w2
-            d_g1 = d_d1 * act_grad(cache.d1)
+            d_g1 = d_d1 * act.grad_from_output(cache.d1)
             grads["dec_w1"] += d_g1.T @ cache.h0
             grads["dec_b1"] += d_g1.sum(axis=0)
             d_h0 += d_g1 @ model.dec_w1
@@ -327,22 +256,36 @@ def _batch_loss_and_grads(model: Model, x: np.ndarray, labels: np.ndarray, pairs
     grads["enc_w2"] += d_h0.T @ cache.a1
     grads["enc_b2"] += d_h0.sum(axis=0)
     d_a1 = d_h0 @ model.enc_w2
-    d_z1 = d_a1 * act_grad(cache.a1)
+    d_z1 = d_a1 * act.grad_from_output(cache.a1)
     grads["enc_w1"] += d_z1.T @ cache.x
     grads["enc_b1"] += d_z1.sum(axis=0)
     return terms, grads
 
 
-def loss_and_gradients(model: Model, batch: Sequence[TrainExample], pairs,
-                       hyper: Hyperparams):
-    """Batch loss terms plus analytic gradients for every weight array."""
+def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
+    """Pooled inputs, labels, and pos/neg index arrays for a batch and its pairs."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     if len(pairs) != len(batch):
         raise ValueError("pairs must align one-to-one with the batch")
-    x = _pooled_batch(model.config, batch)
+    x = model.pool_batch([ex.tokens for ex in batch])
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    return _batch_loss_and_grads(model, x, labels, pairs, hyper)
+    pos = np.array([p for p, _ in pairs], dtype=np.int64)
+    neg = np.array([-1 if q is None else q for _, q in pairs], dtype=np.int64)
+    return x, labels, pos, neg
+
+
+def combined_loss(model: Model, batch: Sequence[TrainExample], pairs,
+                  hyper: Hyperparams) -> tuple[float, LossTerms]:
+    """Mixed batch loss; returns (scalar total, per-term breakdown)."""
+    terms, _ = _loss(model, *_batch_arrays(model, batch, pairs), hyper, want_grads=False)
+    return terms.total, terms
+
+
+def loss_and_gradients(model: Model, batch: Sequence[TrainExample], pairs,
+                       hyper: Hyperparams):
+    """Batch loss terms plus analytic gradients for every weight array."""
+    return _loss(model, *_batch_arrays(model, batch, pairs), hyper, want_grads=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +328,17 @@ def grad_check(
         raise ValueError("batch must be non-empty")
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
     work = model.copy()
-    pairs = select_pairs(batch, rng)
-    x = _pooled_batch(work.config, batch)
+    x = work.pool_batch([ex.tokens for ex in batch])
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    pos, neg = _pair_indices(labels, rng)
 
     ce_weight, trip_weight = _term_weights(work.config, hyper)
     boundary_window = 100.0 * step
     resamples = 0
     if trip_weight != 0.0:
         while True:
-            cache = work.features(x)
-            _, margins = _triplet_terms(cache.r, pairs, float(hyper.margin))
-            near = np.abs(margins[np.isfinite(margins)]) < boundary_window
+            _, _, _, raw = _hinge(work.features(x).r, pos, neg, float(hyper.margin))
+            near = np.abs(raw[np.isfinite(raw)]) < boundary_window
             if not near.any():
                 break
             if resamples >= max_resamples:
@@ -410,7 +352,7 @@ def grad_check(
             for arr in work.parameters().values():
                 arr += rng.normal(0.0, 1e-2, size=arr.shape)
 
-    terms, grads = _batch_loss_and_grads(work, x, labels, pairs, hyper)
+    terms, grads = _loss(work, x, labels, pos, neg, hyper, want_grads=True)
     if not math.isfinite(terms.total):
         return GradCheckReport(
             passed=False, finite=False, max_rel_error=math.inf,
@@ -432,9 +374,9 @@ def grad_check(
         for j in range(flat.size):
             original = flat[j]
             flat[j] = original + step
-            f_plus = _batch_loss(work, x, labels, pairs, hyper).total
+            f_plus = _loss(work, x, labels, pos, neg, hyper, want_grads=False)[0].total
             flat[j] = original - step
-            f_minus = _batch_loss(work, x, labels, pairs, hyper).total
+            f_minus = _loss(work, x, labels, pos, neg, hyper, want_grads=False)[0].total
             flat[j] = original
             checked += 1
             numeric = (f_plus - f_minus) / (2.0 * step)
@@ -496,22 +438,25 @@ def train(
 
     One generator (seeded with hyper.seed) drives initialization, the
     per-epoch shuffle, and pair selection, so the whole trajectory is a pure
-    function of (data, hyper, model_config).
+    function of (data, hyper, model_config). Every example is pooled once,
+    up front, and each batch is a set of rows of that matrix.
     """
     if len(data) == 0:
         raise ValueError("training data must be non-empty")
-    distinct = {int(ex.label) for ex in data}
-    if max(distinct) >= model_config.num_labels:
+    all_labels = np.array([ex.label for ex in data], dtype=np.int64)
+    distinct = np.unique(all_labels)
+    if distinct[-1] >= model_config.num_labels:
         raise ValueError(
-            f"data contains label {max(distinct)} but the model has "
+            f"data contains label {distinct[-1]} but the model has "
             f"{model_config.num_labels} labels"
         )
-    if model_config.triplet_enabled and hyper.triplet_weight > 0.0 and len(distinct) < 2:
+    if model_config.triplet_enabled and hyper.triplet_weight > 0.0 and distinct.size < 2:
         raise ValueError("triplet training needs at least two distinct labels")
 
     rng = np.random.default_rng(hyper.seed)
     model = Model.initialize(model_config, rng)
     params = model.parameters()
+    all_x = model.pool_batch([ex.tokens for ex in data])
     n = len(data)
     batch_size = int(hyper.batch_size)
     lr = float(hyper.learning_rate)
@@ -521,11 +466,10 @@ def train(
         order = rng.permutation(n)
         sum_ce = sum_trip = sum_total = 0.0
         for start in range(0, n, batch_size):
-            batch = [data[int(i)] for i in order[start : start + batch_size]]
-            pairs = select_pairs(batch, rng)
-            x = _pooled_batch(model_config, batch)
-            labels = np.array([ex.label for ex in batch], dtype=np.int64)
-            terms, grads = _batch_loss_and_grads(model, x, labels, pairs, hyper)
+            rows = order[start : start + batch_size]
+            labels = all_labels[rows]
+            pos, neg = _pair_indices(labels, rng)
+            terms, grads = _loss(model, all_x[rows], labels, pos, neg, hyper, want_grads=True)
             if not math.isfinite(terms.total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}, batch starting at "
@@ -533,7 +477,7 @@ def train(
                 )
             for name, grad in grads.items():
                 params[name] -= lr * grad
-            b = len(batch)
+            b = rows.shape[0]
             sum_ce += terms.ce * b
             sum_trip += terms.triplet * b
             sum_total += terms.total * b

@@ -166,6 +166,33 @@ def test_select_pairs_is_seeded():
     assert a == b
 
 
+@pytest.mark.parametrize("labels", [[0, 0, 0, 0, 1, 1, 1, 2], [5, 5, 5, 5]])
+def test_select_pairs_draws_uniformly_among_candidates(labels):
+    # Each candidate's count is Binomial(draws, 1/m) for m candidates; it
+    # must lie within 5 standard deviations of draws/m. A selection that
+    # favours any position among the candidates (e.g. always the first) fails.
+    batch = [ex(label, i) for i, label in enumerate(labels)]
+    n, draws = len(labels), 3000
+    pos_counts = np.zeros((n, n), dtype=np.int64)
+    neg_counts = np.zeros((n, n), dtype=np.int64)
+    rng = np.random.default_rng(2024)
+    for _ in range(draws):
+        for i, (pos, neg) in enumerate(select_pairs(batch, rng)):
+            pos_counts[i, pos] += 1
+            neg_counts[i, neg] += 1
+    for i in range(n):
+        mates = [j for j in range(n) if j != i and labels[j] == labels[i]] or [i]
+        others = [j for j in range(n) if labels[j] != labels[i]] or [
+            j for j in range(n) if j != i
+        ]
+        for candidates, counts in ((mates, pos_counts[i]), (others, neg_counts[i])):
+            assert counts.sum() == counts[candidates].sum() == draws
+            p = 1.0 / len(candidates)
+            bound = 5.0 * math.sqrt(draws * p * (1.0 - p))
+            for j in candidates:
+                assert abs(counts[j] - draws * p) <= bound, (i, j, counts[j])
+
+
 def test_select_pairs_rejects_empty_batch():
     with pytest.raises(ValueError):
         select_pairs([], np.random.default_rng(0))
