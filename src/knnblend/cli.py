@@ -15,6 +15,14 @@ flags) so experiments are reproducible from a single artifact:
                 "knn_weight": [0, 0.5, 1]}
     }
 
+Each config section accepts exactly the fields of its dataclass: `data.synthetic`
+those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
+`RetrievalParams` together, and `sweep` of `RetrievalParams` (each a list).
+`data` names either `synthetic` or `train` (and optionally `test`) file paths.
+Integer fields are truncated with `int()`, so 2.5 means 2. Flags override the
+config key of the same name. An unknown key, or a value the dataclass rejects
+(wrong type, out of range, too large for an integer), exits 1.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
 
@@ -73,6 +81,10 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _fields(*classes) -> set[str]:
+    return {field.name for cls in classes for field in dataclasses.fields(cls)}
+
+
 def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
     section = cfg.get(name, {})
     if not isinstance(section, dict):
@@ -85,89 +97,73 @@ def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
     return section
 
 
-_SYNTH_KEYS = {
-    "num_classes", "dim", "per_class_count", "class_separation", "noise_sigma", "seed",
-}
-_MODEL_KEYS = {
-    "input_dim", "hidden_dim", "emb_dim", "num_labels", "retrieval_dim",
-    "pooling", "activation", "decouple_enabled", "triplet_enabled",
-}
-_RETRIEVAL_KEYS = {"k", "temperature", "knn_weight"}
-_HYPER_KEYS = {
-    "triplet_weight", "margin", "learning_rate", "batch_size", "epochs", "seed",
-} | _RETRIEVAL_KEYS
+def _settings(section: dict, cls, args) -> dict:
+    """The section's values for the fields of cls; a flag of the same name wins."""
+    names = _fields(cls)
+    kwargs = {key: value for key, value in section.items() if key in names}
+    kwargs.update(
+        (name, getattr(args, name)) for name in names if getattr(args, name, None) is not None
+    )
+    return kwargs
 
 
-def _synthetic_spec(cfg: dict, seed_override: int | None) -> SyntheticSpec:
-    data = _section(cfg, "data", {"synthetic", "train", "test"})
-    kwargs = dict(_section(data, "synthetic", _SYNTH_KEYS))
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
+def _build(cls, kwargs: dict, what: str):
+    """cls(**kwargs); any value its __post_init__ rejects becomes a ConfigError."""
     try:
-        return SyntheticSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _datasets(cfg: dict, seed_override: int | None) -> tuple[Dataset, Dataset | None]:
+def _data_section(cfg: dict) -> dict:
+    return _section(cfg, "data", {"synthetic", "train", "test"})
+
+
+def _synthetic_spec(cfg: dict, args) -> SyntheticSpec:
+    section = _section(_data_section(cfg), "synthetic", _fields(SyntheticSpec))
+    return _build(SyntheticSpec, _settings(section, SyntheticSpec, args), "synthetic spec")
+
+
+def _datasets(cfg: dict, args) -> tuple[Dataset, Dataset | None]:
     """(train, test) from the config's data section; synthetic by default."""
-    data = _section(cfg, "data", {"synthetic", "train", "test"})
-    if "train" in data:
-        if "synthetic" in data:
-            raise ConfigError("data section cannot name both a train file and synthetic")
-        train_ds = load_jsonl(data["train"])
-        test_ds = load_jsonl(data["test"]) if "test" in data else None
-        return train_ds, test_ds
-    return generate_synthetic(_synthetic_spec(cfg, seed_override))
+    data = _data_section(cfg)
+    if "train" not in data:
+        return generate_synthetic(_synthetic_spec(cfg, args))
+    if "synthetic" in data:
+        raise ConfigError("data section cannot name both a train file and synthetic")
+    for key in ("train", "test"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"data.{key} must be a file path, got {data[key]!r}")
+    train_ds = load_jsonl(data["train"])
+    test_ds = load_jsonl(data["test"]) if "test" in data else None
+    return train_ds, test_ds
 
 
 def _model_config(cfg: dict, dataset: Dataset) -> ModelConfig:
-    section = _section(cfg, "model", _MODEL_KEYS)
-    kwargs = dict(section)
-    for key, value in (("input_dim", dataset.input_dim), ("num_labels", dataset.num_labels)):
-        if key in kwargs:
-            if int(kwargs[key]) != value:
-                raise ConfigError(
-                    f"model.{key} is {kwargs[key]} but the data implies {value}"
-                )
-        kwargs[key] = value
-    try:
-        return ModelConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
+    """The model section; input_dim and num_labels default to, and must match, the data's."""
+    implied = {"input_dim": dataset.input_dim, "num_labels": dataset.num_labels}
+    section = _section(cfg, "model", _fields(ModelConfig))
+    config = _build(ModelConfig, {**implied, **section}, "model config")
+    for key, value in implied.items():
+        if getattr(config, key) != value:
+            raise ConfigError(
+                f"model.{key} is {getattr(config, key)} but the data implies {value}"
+            )
+    return config
 
 
-def _hyperparams(cfg: dict, seed_override: int | None) -> Hyperparams:
-    section = _section(cfg, "hyper", _HYPER_KEYS)
-    kwargs = {k: v for k, v in section.items() if k not in _RETRIEVAL_KEYS}
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return Hyperparams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid hyperparameters: {exc}") from exc
+def _hyper(cfg: dict, args) -> tuple[Hyperparams, RetrievalParams]:
+    """The hyper section, which holds both training and retrieval settings.
 
-
-def _retrieval_params(cfg: dict, args) -> RetrievalParams:
-    section = _section(cfg, "hyper", _HYPER_KEYS)
-    kwargs = {key: section[key] for key in _RETRIEVAL_KEYS if key in section}
-    for key in _RETRIEVAL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    try:
-        return RetrievalParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid retrieval parameters: {exc}") from exc
-
-
-def _sweep_spec(cfg: dict) -> SweepSpec:
-    section = _section(cfg, "sweep", _RETRIEVAL_KEYS)
-    kwargs = {f"{key}_values": values for key, values in section.items()}
-    try:
-        return SweepSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep spec: {exc}") from exc
+    Every command that reads it checks both halves, so a config that one
+    command would reject is rejected by the others too.
+    """
+    section = _section(cfg, "hyper", _fields(Hyperparams, RetrievalParams))
+    return (
+        _build(Hyperparams, _settings(section, Hyperparams, args), "hyperparameters"),
+        _build(RetrievalParams, _settings(section, RetrievalParams, args),
+               "retrieval parameters"),
+    )
 
 
 def _write_lines(lines, path: str | None) -> None:
@@ -184,7 +180,7 @@ def _write_lines(lines, path: str | None) -> None:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
-    spec = _synthetic_spec(cfg, args.seed)
+    spec = _synthetic_spec(cfg, args)
     train_ds, test_ds = generate_synthetic(spec)
     write_jsonl(train_ds, args.out_train)
     write_jsonl(test_ds, args.out_test)
@@ -195,12 +191,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    train_ds, _ = _datasets(cfg, args.seed)
+    train_ds, _ = _datasets(cfg, args)
     model_config = _model_config(cfg, train_ds)
-    hyper = _hyperparams(cfg, args.seed)
-    # Training does not read the retrieval keys of the hyper section, but a
-    # config that later scoring commands would reject is rejected here too.
-    _retrieval_params(cfg, args)
+    hyper, _ = _hyper(cfg, args)
     model, log = train(train_ds.examples, hyper, model_config)
     model.save(args.out)
     log_path = args.log if args.log is not None else f"{args.out}.log"
@@ -231,7 +224,7 @@ def _scoring_inputs(args) -> tuple[dict, Model, Datastore | None, Dataset]:
 
 def _cmd_predict(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
-    params = _retrieval_params(cfg, args)
+    _, params = _hyper(cfg, args)
     batch = predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
     lines = ["id,predicted_label"]
     lines.extend(f"{ex.id},{label}" for ex, label in zip(dataset.examples, batch.labels))
@@ -241,7 +234,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
-    params = _retrieval_params(cfg, args)
+    _, params = _hyper(cfg, args)
     started = time.perf_counter()
     row = evaluate_config(model, store, dataset.examples, params)
     report = EvalReport(rows=(row,), wall_ms=(time.perf_counter() - started) * 1000.0)
@@ -255,7 +248,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
-    sweep = _sweep_spec(cfg)
+    section = _section(cfg, "sweep", _fields(RetrievalParams))
+    sweep = _build(
+        SweepSpec, {f"{key}_values": values for key, values in section.items()}, "sweep spec"
+    )
     report = run_sweep(model, store, dataset.examples, sweep)
     write_report_csv(report, args.out)
     best = report.best
@@ -270,16 +266,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_grad_check(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else 0
-    model_section = _section(cfg, "model", _MODEL_KEYS)
-    base_kwargs = {
-        "input_dim": 8, "hidden_dim": 8, "emb_dim": 8, "num_labels": 3,
-        **model_section,
-    }
+    section = _section(cfg, "model", _fields(ModelConfig))
+    probe = _build(
+        ModelConfig,
+        {"input_dim": 8, "hidden_dim": 8, "emb_dim": 8, "num_labels": 3, **section},
+        "model config",
+    )
     rng = np.random.default_rng(seed)
-    try:
-        probe = ModelConfig(**base_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config: {exc}") from exc
     batch = [
         TrainExample(
             tokens=rng.normal(size=(1, probe.input_dim)),

@@ -261,11 +261,13 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        if int(self.num_classes) < 2:
+        for name in ("num_classes", "dim", "per_class_count", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if int(self.dim) < 1:
+        if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if int(self.per_class_count) < 1:
+        if self.per_class_count < 1:
             raise ValueError(f"per_class_count must be positive, got {self.per_class_count}")
         if not (float(self.class_separation) > 0.0):
             raise ValueError(

@@ -47,24 +47,14 @@ class SweepSpec:
     knn_weight_values: tuple[float, ...] = (0.0, 0.5, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(
-            self, "temperature_values", tuple(float(t) for t in self.temperature_values)
-        )
-        object.__setattr__(
-            self, "knn_weight_values", tuple(float(w) for w in self.knn_weight_values)
-        )
-        if not self.k_values or not self.temperature_values or not self.knn_weight_values:
-            raise ValueError("sweep lists must be non-empty")
-        for k in self.k_values:
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-        for t in self.temperature_values:
-            if not t > 0.0:
-                raise ValueError(f"temperature must be positive, got {t}")
-        for w in self.knn_weight_values:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"knn_weight must be in [0, 1], got {w}")
+        # Each value must pass the rules of a single RetrievalParams field.
+        for name, cast in (("k", int), ("temperature", float), ("knn_weight", float)):
+            values = tuple(cast(v) for v in getattr(self, f"{name}_values"))
+            if not values:
+                raise ValueError("sweep lists must be non-empty")
+            for value in values:
+                RetrievalParams(**{name: value})
+            object.__setattr__(self, f"{name}_values", values)
 
     def __len__(self) -> int:
         return (
@@ -171,7 +161,7 @@ def _gold(examples: Sequence[TrainExample]) -> np.ndarray:
 def _row(k, temperature, knn_weight, predicted: np.ndarray, gold: np.ndarray) -> EvalRow:
     n_correct = int(np.count_nonzero(predicted == gold))
     return EvalRow(
-        k=int(k),
+        k=k,
         temperature=float(temperature),
         knn_weight=float(knn_weight),
         accuracy=n_correct / gold.shape[0],

@@ -105,10 +105,13 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "emb_dim", "num_labels"):
-            if int(getattr(self, name)) < 1:
+            object.__setattr__(self, name, int(getattr(self, name)))
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.retrieval_dim is not None and int(self.retrieval_dim) < 1:
-            raise ValueError("retrieval_dim must be positive")
+        if self.retrieval_dim is not None:
+            object.__setattr__(self, "retrieval_dim", int(self.retrieval_dim))
+            if self.retrieval_dim < 1:
+                raise ValueError("retrieval_dim must be positive")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.activation not in ACTIVATIONS:
@@ -118,7 +121,7 @@ class ModelConfig:
 
     @property
     def resolved_retrieval_dim(self) -> int:
-        return int(self.retrieval_dim) if self.retrieval_dim is not None else self.emb_dim
+        return self.retrieval_dim if self.retrieval_dim is not None else self.emb_dim
 
     @property
     def key_dim(self) -> int:
@@ -312,13 +315,11 @@ class Model:
             )
         try:
             config = ModelConfig(
-                input_dim=int(doc["input_dim"]),
-                hidden_dim=int(doc["hidden_dim"]),
-                emb_dim=int(doc["emb_dim"]),
-                num_labels=int(doc["num_labels"]),
-                retrieval_dim=(
-                    int(doc["retrieval_dim"]) if doc["retrieval_dim"] is not None else None
-                ),
+                input_dim=doc["input_dim"],
+                hidden_dim=doc["hidden_dim"],
+                emb_dim=doc["emb_dim"],
+                num_labels=doc["num_labels"],
+                retrieval_dim=doc["retrieval_dim"],
                 pooling=doc["pooling"],
                 activation=doc["activation"],
                 decouple_enabled=bool(doc["decouple_enabled"]),

@@ -47,7 +47,8 @@ class RetrievalParams:
     knn_weight: float = 0.2
 
     def __post_init__(self):
-        if int(self.k) < 1:
+        object.__setattr__(self, "k", int(self.k))
+        if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not (float(self.temperature) > 0.0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")

@@ -64,15 +64,17 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (0.0 <= float(self.triplet_weight) <= 1.0):
             raise ValueError(f"triplet_weight must be in [0, 1], got {self.triplet_weight}")
         if not (float(self.margin) > 0.0):
             raise ValueError(f"margin must be positive, got {self.margin}")
         if not (float(self.learning_rate) > 0.0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if int(self.batch_size) < 1:
+        if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.epochs) < 0:
+        if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
@@ -458,15 +460,14 @@ def train(
     params = model.parameters()
     all_x = model.pool_batch([ex.tokens for ex in data])
     n = len(data)
-    batch_size = int(hyper.batch_size)
     lr = float(hyper.learning_rate)
     log: list[EpochStats] = []
-    for epoch in range(int(hyper.epochs)):
+    for epoch in range(hyper.epochs):
         started = time.perf_counter()
         order = rng.permutation(n)
         sum_ce = sum_trip = sum_total = 0.0
-        for start in range(0, n, batch_size):
-            rows = order[start : start + batch_size]
+        for start in range(0, n, hyper.batch_size):
+            rows = order[start : start + hyper.batch_size]
             labels = all_labels[rows]
             pos, neg = _pair_indices(labels, rng)
             terms, grads = _loss(model, all_x[rows], labels, pos, neg, hyper, want_grads=True)

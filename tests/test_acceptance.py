@@ -175,6 +175,23 @@ def test_criterion_5_trained_blend_classifies_held_out_clusters(experiment):
         assert experiment["elapsed_s"] < 120.0
 
 
+def test_retrieval_alone_beats_chance_on_hard_clusters():
+    # Every configuration scores 1.0 on the default clusters, so a broken
+    # retrieval side only shows on overlapping ones. On this spec seeds 7, 11
+    # and 1009 score 0.48-0.59, and 0.11-0.19 with the store's labels permuted.
+    train_ds, test_ds = generate_synthetic(SyntheticSpec(
+        num_classes=8, dim=16, per_class_count=100, class_separation=2.5,
+        noise_sigma=1.5, seed=7,
+    ))
+    config = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=8)
+    model, _ = train(train_ds.examples, Hyperparams(epochs=20, seed=7), config)
+    row = evaluate_config(
+        model, build_datastore(model, train_ds), test_ds.examples,
+        RetrievalParams(k=64, temperature=10.0, knn_weight=1.0),
+    )
+    assert row.accuracy > 0.25, row  # twice chance for 8 classes
+
+
 def test_criterion_6_sweep_grid_is_exact(experiment):
     with criterion(6, "27-cell sweep matches per-cell evaluation and its best row dominates"):
         model = experiment["model"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from knnblend.cli import main
+from knnblend.data import load_jsonl
 from knnblend.datastore import Datastore
 from knnblend.evaluate import CSV_HEADER
 from knnblend.model import Model
@@ -273,6 +274,55 @@ def test_out_of_range_hyperparameter_exits_1(tmp_path, capsys):
     }))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
     assert "triplet_weight" in capsys.readouterr().err
+
+
+# Small synthetic data, so a train case fails on its config, not on data.
+_SMALL = '"data": {"synthetic": {"num_classes": 2, "dim": 3, "per_class_count": 5}}'
+
+
+@pytest.mark.parametrize("command, config", [
+    pytest.param("gen-data", '{"data": {"synthetic": {"dim": 1e400}}}', id="synthetic.dim-inf"),
+    pytest.param("train", '{%s, "hyper": {"epochs": 1e400}}' % _SMALL, id="hyper.epochs-inf"),
+    pytest.param("train", '{%s, "hyper": {"batch_size": 1e400}}' % _SMALL,
+                 id="hyper.batch_size-inf"),
+    pytest.param("train", '{%s, "model": {"hidden_dim": 1e400}}' % _SMALL,
+                 id="model.hidden_dim-inf"),
+    pytest.param("grad-check", '{"model": {"hidden_dim": 1e400}}',
+                 id="grad-check-model.hidden_dim-inf"),
+    pytest.param("train", '{%s, "model": {"input_dim": "abc"}}' % _SMALL,
+                 id="model.input_dim-string"),
+    pytest.param("train", '{%s, "model": {"input_dim": null}}' % _SMALL,
+                 id="model.input_dim-null"),
+    pytest.param("train", '{"data": {"train": 5}}', id="data.train-number"),
+    pytest.param("sweep", '{"sweep": {"k": [1e400]}}', id="sweep.k-inf"),
+    pytest.param("evaluate", '{"hyper": {"k": 1e400}}', id="hyper.k-inf"),
+    pytest.param("evaluate", '{"hyper": {"epochs": -1}}', id="evaluate-hyper.epochs-negative"),
+])
+def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = {
+        "gen-data": ["--out-train", str(tmp_path / "tr.jsonl"),
+                     "--out-test", str(tmp_path / "te.jsonl")],
+        "train": ["--out", str(tmp_path / "m.json")],
+        "grad-check": [],
+        "sweep": ["--model", str(pipeline["model"]), "--datastore", str(pipeline["store"]),
+                  "--data", str(pipeline["test"]), "--out", str(tmp_path / "s.csv")],
+        "evaluate": ["--model", str(pipeline["model"]), "--datastore", str(pipeline["store"]),
+                     "--data", str(pipeline["test"])],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_integer_fields_truncate_fractional_values(tmp_path):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text('{"data": {"synthetic": {"dim": 2.5, "per_class_count": 5}}}')
+    out_train = tmp_path / "tr.jsonl"
+    assert main(["gen-data", "--config", str(cfg), "--out-train", str(out_train),
+                 "--out-test", str(tmp_path / "te.jsonl")]) == 0
+    assert load_jsonl(out_train).input_dim == 2
 
 
 def test_model_label_count_conflict_exits_1(pipeline, tmp_path, capsys):

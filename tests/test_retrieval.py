@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from knnblend.core import DimensionMismatchError, squared_l2
+from knnblend import NonFiniteDistanceError
+from knnblend.core import DimensionMismatchError, softmax, squared_l2, validate_distribution
 from knnblend.data import Dataset
 from knnblend.datastore import Datastore, NeighborHit, RetrievalUnavailableError
 from knnblend.model import Model, ModelConfig
@@ -9,7 +15,9 @@ from knnblend.retrieval import (
     RetrievalParams,
     build_datastore,
     interpolate,
+    interpolate_batch,
     knn_distribution,
+    knn_distribution_batch,
     predict,
 )
 from knnblend.training import TrainExample
@@ -28,6 +36,34 @@ def hit(index, distance, label):
 
 # ---------------------------------------------------------------------------
 # the neighbor label distribution
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vote_and_blend_give_a_distribution_or_a_typed_error(data):
+    rows = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 6))
+    num_labels = data.draw(st.integers(1, 5))
+    labels = data.draw(hnp.arrays(np.int64, (rows, k), elements=st.integers(0, num_labels - 1)))
+    distances = data.draw(hnp.arrays(
+        np.float64, (rows, k), elements=st.floats(0.0, 1.7e308),
+    ))
+    temperature = data.draw(st.sampled_from([5e-324, np.inf])
+                            | st.floats(min_value=5e-324, allow_subnormal=True))
+    knn_weight = data.draw(st.floats(0.0, 1.0))
+    logits = data.draw(hnp.arrays(np.float64, (rows, num_labels),
+                                  elements=st.floats(-50.0, 50.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or NaN warning fails the case
+        try:
+            neighbor = knn_distribution_batch(labels, distances, temperature, num_labels)
+        except NonFiniteDistanceError:
+            return
+        blended = interpolate_batch(neighbor, softmax(logits), knn_weight)
+    for probs in (neighbor, blended):
+        assert probs.shape == (rows, num_labels)
+        for row in probs:
+            validate_distribution(row)  # in [0, 1], sums to 1 within DISTRIBUTION_ATOL
 
 
 def test_knn_distribution_single_hit_is_exact_one_hot():
