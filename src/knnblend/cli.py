@@ -18,7 +18,8 @@ flags) so experiments are reproducible from a single artifact:
 Each config section accepts exactly the fields of its dataclass: `data.synthetic`
 those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
 `RetrievalParams` together, and `sweep` of `RetrievalParams` (each a list).
-`data` names either `synthetic` or `train` (and optionally `test`) file paths.
+`data` names either `synthetic` or a `train` file path; it may also name a
+`test` file, which no command reads (`train` uses only `data.train`).
 Integer fields are truncated with `int()`, so 2.5 means 2. Flags override the
 config key of the same name. An unknown key, or a value the dataclass rejects
 (wrong type, out of range, too large for an integer), exits 1.
@@ -124,19 +125,16 @@ def _synthetic_spec(cfg: dict, args) -> SyntheticSpec:
     return _build(SyntheticSpec, _settings(section, SyntheticSpec, args), "synthetic spec")
 
 
-def _datasets(cfg: dict, args) -> tuple[Dataset, Dataset | None]:
-    """(train, test) from the config's data section; synthetic by default."""
+def _train_dataset(cfg: dict, args) -> Dataset:
+    """The training set named by the config's data section; synthetic by default."""
     data = _data_section(cfg)
     if "train" not in data:
-        return generate_synthetic(_synthetic_spec(cfg, args))
+        return generate_synthetic(_synthetic_spec(cfg, args))[0]
     if "synthetic" in data:
         raise ConfigError("data section cannot name both a train file and synthetic")
-    for key in ("train", "test"):
-        if key in data and not isinstance(data[key], str):
-            raise ConfigError(f"data.{key} must be a file path, got {data[key]!r}")
-    train_ds = load_jsonl(data["train"])
-    test_ds = load_jsonl(data["test"]) if "test" in data else None
-    return train_ds, test_ds
+    if not isinstance(data["train"], str):
+        raise ConfigError(f"data.train must be a file path, got {data['train']!r}")
+    return load_jsonl(data["train"])
 
 
 def _model_config(cfg: dict, dataset: Dataset) -> ModelConfig:
@@ -191,7 +189,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    train_ds, _ = _datasets(cfg, args)
+    train_ds = _train_dataset(cfg, args)
     model_config = _model_config(cfg, train_ds)
     hyper, _ = _hyper(cfg, args)
     model, log = train(train_ds.examples, hyper, model_config)

@@ -2,7 +2,9 @@
 
 All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 `validate_distribution` is the single gatekeeper for their invariants.
-`sq_dists` is the one distance kernel; search and `squared_l2` both use it.
+`sq_dists` is the one distance kernel: every distance that search returns
+comes from it (the datastore's float32 prefilter only picks the keys to
+recheck), and `squared_l2` is its one-row case.
 """
 
 from __future__ import annotations

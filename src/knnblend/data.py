@@ -269,6 +269,8 @@ class SyntheticSpec:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.per_class_count < 1:
             raise ValueError(f"per_class_count must be positive, got {self.per_class_count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (float(self.class_separation) > 0.0):
             raise ValueError(
                 f"class_separation must be positive, got {self.class_separation}"

@@ -1,10 +1,17 @@
 """Immutable store of (key vector, label) pairs with exact nearest-neighbor search.
 
-Keys are held in float32 (storage precision) and widened to float64 for all
-distance math. Search is exact brute force: `core.sq_dists` over blocks of
-`KEY_BLOCK` keys for each chunk of `QUERY_CHUNK` queries, then per query the
-k-th smallest distance by `np.partition` and a (distance, index) sort of every
-key at or below it, which keeps ties exact.
+Keys are held in float32 (storage precision); every distance a search returns
+is `core.sq_dists` of the float32 key against the float64 query, which widens
+the key exactly. Search is exact and runs in two stages for each chunk of
+`QUERY_CHUNK` queries. A prefilter computes approximate distances with one
+float32 matrix product against the keys, together with a rigorous bound on
+their error; every key that the bound cannot rule out of the top k is a
+candidate. The exact recheck then runs `sq_dists` over the candidate rows,
+`KEY_BLOCK` rows at a time, takes the k-th smallest distance by
+`np.partition` and sorts every candidate at or below it by (distance, index),
+which keeps ties exact. When the float32 pass overflows, every key is a
+candidate. The rule and the bound are written out in
+`Datastore.search_batch`.
 
 File format (little-endian)::
 
@@ -43,10 +50,12 @@ __all__ = [
 MAGIC = b"KNNDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
-# A block's float64 differences stay in cache (1 MiB at dim 32); a chunk bounds
-# the (queries, count) distance matrix of one top-k pass.
+# The recheck's float64 differences for one block of candidate keys stay in
+# cache (1 MiB at dim 32); a chunk bounds the (queries, count) float32 matrix
+# of one prefilter pass.
 KEY_BLOCK = 4096
 QUERY_CHUNK = 8
+_U32 = 2.0**-24  # unit roundoff of float32
 
 
 class DatastoreLoadError(ValueError):
@@ -105,8 +114,15 @@ class Datastore:
         keys_arr.setflags(write=False)
         labels_arr.setflags(write=False)
         self._keys = keys_arr
-        self._keys64 = keys_arr.astype(np.float64)  # widened once; reused by search
-        self._keys64.setflags(write=False)
+        # Prefilter constants: squared key norms (float64, then rounded to
+        # float32, inf where they overflow it), the largest key norm, and the
+        # float32 dot-product error factor gamma_d = d*u / (1 - d*u).
+        norms = np.einsum("ij,ij->i", keys_arr, keys_arr, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            self._norms32 = norms.astype(np.float32)
+        self._max_norm = float(np.sqrt(norms.max())) if norms.size else 0.0
+        du = keys_arr.shape[1] * _U32
+        self._gamma = du / (1.0 - du) if du < 1.0 else np.inf
         self._labels = labels_arr
         self._num_labels = int(num_labels)
 
@@ -193,6 +209,39 @@ class Datastore:
 
         Returns (indices, distances), both of shape (B, min(k, count)); row b
         holds exactly the hits of `search(queries[b], k)`, in the same order.
+
+        Exactness. For a query q let D_i = `sq_dists(keys, q)[i]` and D_(k)
+        be the k-th smallest D. The prefilter computes in float32, from one
+        matrix product, A_i = |k_i|^2 - 2 k_i . fl32(q); the query's own
+        |q|^2 is the same for every key and is left out. If every
+        |A_i + |q|^2 - D_i| <= E, the k keys of smallest A have
+        D <= kth(A) + |q|^2 + E, so D_(k) <= kth(A) + |q|^2 + E, and every key
+        with D_i <= D_(k) has A_i <= kth(A) + 2E. The candidates
+        {i : A_i <= kth(A) + 2E} therefore hold every key at or below D_(k),
+        ties included, and the (distance, index) top k of the candidates,
+        rechecked with `sq_dists`, is the top k of the whole store.
+
+        The bound. With u = 2^-24, gamma = d u / (1 - d u), M = max_i |k_i|
+        and n = |q|,
+
+            E = 2 [(4u + 3 gamma) M n + 3u M^2
+                   + (d + 3) 2^-52 (M + n)^2 + d (M + 1) 2^-120].
+
+        In the first term, 2u M n covers rounding q to float32, 2 gamma M n
+        the float32 product in any summation order, with or without fused
+        multiply-add (|fl(k.q) - k.q| <= gamma sum_j |k_j q_j|
+        <= gamma M |q|), and the rest the final float32 subtraction; 3u M^2
+        covers the float64 norm rounded to float32 and that subtraction. The
+        third term is the float64 rounding of `sq_dists` itself, at most
+        gamma64_(d+2) |k - q|^2 <= (d + 3) 2^-52 (M + n)^2. The last term
+        covers underflow, flush-to-zero included. The factor 2 covers the
+        float64 evaluation of E, M and n, and the limit kth(A) + 2E is rounded
+        to float32 and then moved one step up, so it is never below the real
+        sum.
+
+        When E, the limit or any A_i of a query is not finite (a query beyond
+        float32 range, or keys whose norms or products overflow float32),
+        every key is a candidate, and the recheck runs over them all.
         """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
@@ -210,15 +259,41 @@ class Datastore:
         distances = np.empty((qs.shape[0], kk))
         for lo in range(0, qs.shape[0], QUERY_CHUNK):
             chunk = qs[lo : lo + QUERY_CHUNK]
-            dists = np.empty((chunk.shape[0], self.count))
-            for start in range(0, self.count, KEY_BLOCK):
-                block = self._keys64[start : start + KEY_BLOCK]
-                for row, q in enumerate(chunk):
-                    dists[row, start : start + block.shape[0]] = sq_dists(block, q)
-            top = _top_k(dists, kk)
-            indices[lo : lo + chunk.shape[0]] = top
-            distances[lo : lo + chunk.shape[0]] = np.take_along_axis(dists, top, axis=1)
+            approx, limit = self._prefilter(chunk, kk)
+            for row, q in enumerate(chunk):
+                if np.isfinite(limit[row]):
+                    cand = np.flatnonzero(approx[row] <= limit[row])
+                else:
+                    cand = np.arange(self.count)
+                dists = np.empty(cand.shape[0])
+                for start in range(0, cand.shape[0], KEY_BLOCK):
+                    block = cand[start : start + KEY_BLOCK]
+                    dists[start : start + block.shape[0]] = sq_dists(self._keys[block], q)
+                top = _top_k(dists[None], kk)[0]
+                indices[lo + row] = cand[top]
+                distances[lo + row] = dists[top]
         return indices, distances
+
+    def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 approximate distances A, shape (queries, count), and each
+        query's candidate limit kth(A) + 2E (not finite: every key is a
+        candidate). See `search_batch` for the rule and the bound."""
+        m, d = self._max_norm, self.dim
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = chunk.astype(np.float32) @ self._keys.T
+            approx *= -2.0
+            approx += self._norms32
+            n = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
+            bound = 2.0 * (
+                (4.0 * _U32 + 3.0 * self._gamma) * m * n
+                + 3.0 * _U32 * m * m
+                + (d + 3) * 2.0**-52 * (m + n) ** 2
+                + d * (m + 1.0) * 2.0**-120
+            )
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            limit = np.nextafter((kth + 2.0 * bound).astype(np.float32), np.float32(np.inf))
+            limit[~np.isfinite(approx).all(axis=1)] = np.inf
+        return approx, limit
 
     def save(self, path) -> None:
         """Write the store in the binary format documented in the module docstring."""

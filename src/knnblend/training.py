@@ -76,6 +76,8 @@ class Hyperparams:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def cross_entropy(probs, gold: int) -> float:

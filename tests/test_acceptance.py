@@ -192,6 +192,26 @@ def test_retrieval_alone_beats_chance_on_hard_clusters():
     assert row.accuracy > 0.25, row  # twice chance for 8 classes
 
 
+def test_triplet_training_moves_the_retrieval_head_on_hard_clusters():
+    # Retrieval accuracy alone cannot show an untrained head: with the
+    # decouple MLP frozen at its initial weights, kNN-only accuracy on this
+    # spec still read 0.51-0.56. dec_b2 is left out: the triplet hinge sees
+    # only differences of retrieval vectors, so its gradient is zero up to
+    # rounding.
+    train_ds, _ = generate_synthetic(SyntheticSpec(
+        num_classes=8, dim=16, per_class_count=100, class_separation=2.5,
+        noise_sigma=1.5, seed=7,
+    ))
+    config = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=8)
+    assert config.decouple_enabled and config.triplet_enabled
+    model, log = train(train_ds.examples, Hyperparams(epochs=20, seed=7), config)
+    initial = Model.initialize(config, np.random.default_rng(7)).parameters()
+    trained = model.parameters()
+    for name in ("dec_w1", "dec_b1", "dec_w2"):
+        assert np.all(trained[name] != initial[name]), name
+    assert log[-1].mean_triplet < log[0].mean_triplet, (log[0], log[-1])
+
+
 def test_criterion_6_sweep_grid_is_exact(experiment):
     with criterion(6, "27-cell sweep matches per-cell evaluation and its best row dominates"):
         model = experiment["model"]

@@ -316,6 +316,33 @@ def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, con
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, config", [
+    pytest.param("gen-data", '{"data": {"synthetic": {"seed": -1}}}', id="gen-data"),
+    pytest.param("train", '{%s, "hyper": {"seed": -3}}' % _SMALL, id="train"),
+])
+def test_negative_seed_exits_1(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = {
+        "gen-data": ["--out-train", str(tmp_path / "tr.jsonl"),
+                     "--out-test", str(tmp_path / "te.jsonl")],
+        "train": ["--out", str(tmp_path / "m.json")],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_train_does_not_read_the_test_file(pipeline, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"train": str(pipeline["train"]), "test": str(tmp_path / "missing.jsonl")},
+        "model": {"hidden_dim": 8, "emb_dim": 8},
+        "hyper": {"epochs": 1},
+    }))
+    with redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 0
+
+
 def test_integer_fields_truncate_fractional_values(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text('{"data": {"synthetic": {"dim": 2.5, "per_class_count": 5}}}')

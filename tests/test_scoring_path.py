@@ -1,8 +1,10 @@
 """Exactness of the batched scoring path against independent oracles.
 
 The search tests use stores of more than two `KEY_BLOCK`s and query batches
-of more than one `QUERY_CHUNK`, so every case crosses the blocking that
-`Datastore.search_batch` uses; no other test reaches a second key block.
+of more than one `QUERY_CHUNK`, so every case crosses the query chunking of
+`Datastore.search_batch`, and a recheck of more than `KEY_BLOCK` candidates
+(large k, or every key when the float32 prefilter cannot narrow them) crosses
+its key blocks; no other test reaches a second key block.
 """
 
 import json
@@ -74,6 +76,52 @@ def test_search_batch_equals_search_and_full_sort_across_blocks(seed, dim, grid,
         assert hits_as_pairs(store.search(query, k)) == batch_pairs
         if b < 2:
             assert batch_pairs == full_sort_hits(store, query, k)
+
+
+def prefilter_case(name):
+    """(store, queries, k) where the float32 prefilter is at its limits.
+
+    Every store has COUNT keys and every batch more than one QUERY_CHUNK, so
+    a recheck of all keys crosses KEY_BLOCK boundaries. The cases that set
+    queries set rows 0, 1 and -1, the rows the test checks.
+    """
+    if name == "planted-grid":
+        store, queries = planted_store(5, 6, grid=True, k=64)
+        return store, queries, 64
+    rng = np.random.default_rng(11)
+    keys = rng.normal(size=(COUNT, 6))
+    queries = rng.normal(size=(QUERY_CHUNK + 2, 6))
+    k = COUNT if name == "k-equals-count" else 10
+    if name.startswith("offset-"):
+        # |k|^2 - 2 k.q cancels: at 1e4 the product's rounding error swamps
+        # the gaps between neighbors, and only the margin keeps them.
+        offset = float(name.removeprefix("offset-"))
+        keys += offset
+        queries += offset
+    elif name == "near-float32-max":
+        # Squared norms and products overflow float32. Half the keys stay
+        # ordinary, and query 0 sits among the huge ones.
+        huge = keys[::2]
+        keys[::2] = np.sign(huge) * rng.uniform(2.7e38, 3e38, size=huge.shape)
+        queries[0] = keys[0] * 0.99
+    elif name == "query-beyond-float32":
+        queries[0] = 1e39
+        queries[1] = [5e-324, -1e-310, 1e-40, 1e-45, 0.0, 2e-308]  # subnormal or zero
+        queries[-1, 0] = -1e39
+    store = Datastore(keys.astype(np.float32), rng.integers(5, size=COUNT), num_labels=5)
+    return store, queries, k
+
+
+@pytest.mark.parametrize("name", [
+    "offset-30", "offset-1e4", "near-float32-max", "query-beyond-float32",
+    "k-equals-count", "planted-grid",
+])
+def test_prefiltered_search_equals_a_full_sort(name):
+    store, queries, k = prefilter_case(name)
+    indices, distances = store.search_batch(queries, k)
+    for b in (0, 1, len(queries) - 1):
+        pairs = list(zip(distances[b].tolist(), indices[b].tolist()))
+        assert pairs == full_sort_hits(store, queries[b], k), (name, b)
 
 
 @settings(max_examples=8, deadline=None)
