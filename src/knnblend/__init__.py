@@ -4,141 +4,22 @@ A small trainable encoder produces two representations per instance: one for
 the softmax classifier and one (through a separate MLP, shaped by a triplet
 loss) for exact nearest-neighbor retrieval. At prediction time the label
 votes of retrieved neighbors are blended with the classifier's distribution.
+
+The package exports each module's `__all__`; `cli` is left to `knnblend.cli`.
 """
 
-from .core import (
-    DimensionMismatchError,
-    argmax_label,
-    as_vector,
-    softmax,
-    squared_l2,
-    validate_distribution,
-)
-from .data import (
-    Dataset,
-    DatasetFormatError,
-    SyntheticSpec,
-    TrainExample,
-    generate_synthetic,
-    load_jsonl,
-    write_jsonl,
-)
-from .datastore import (
-    BadMagicError,
-    ChecksumError,
-    Datastore,
-    DatastoreLoadError,
-    NeighborHit,
-    RetrievalUnavailableError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
-from .evaluate import (
-    CSV_HEADER,
-    EvalReport,
-    EvalRow,
-    SweepSpec,
-    evaluate_config,
-    run_sweep,
-    write_report_csv,
-)
-from .model import (
-    ACTIVATIONS,
-    FeatureCache,
-    Model,
-    ModelConfig,
-    ModelFormatError,
-    ModelLoadError,
-    ModelShapeError,
-    ModelVersionError,
-    POOLING_MODES,
-    pool,
-)
-from .retrieval import (
-    NonFiniteDistanceError,
-    Prediction,
-    RetrievalParams,
-    build_datastore,
-    interpolate,
-    knn_distribution,
-    predict,
-    predict_batch,
-)
-from .training import (
-    EpochStats,
-    GradCheckReport,
-    Hyperparams,
-    LossTerms,
-    TrainingDivergedError,
-    combined_loss,
-    cross_entropy,
-    grad_check,
-    loss_and_gradients,
-    select_pairs,
-    train,
-    triplet_loss,
-)
+from types import ModuleType as _ModuleType
+
+from .core import *
+from .data import *
+from .datastore import *
+from .evaluate import *
+from .model import *
+from .retrieval import *
+from .training import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVATIONS",
-    "BadMagicError",
-    "CSV_HEADER",
-    "ChecksumError",
-    "Dataset",
-    "DatasetFormatError",
-    "Datastore",
-    "DatastoreLoadError",
-    "DimensionMismatchError",
-    "EpochStats",
-    "EvalReport",
-    "EvalRow",
-    "FeatureCache",
-    "GradCheckReport",
-    "Hyperparams",
-    "LossTerms",
-    "Model",
-    "ModelConfig",
-    "ModelFormatError",
-    "ModelLoadError",
-    "ModelShapeError",
-    "ModelVersionError",
-    "NeighborHit",
-    "NonFiniteDistanceError",
-    "POOLING_MODES",
-    "Prediction",
-    "RetrievalParams",
-    "RetrievalUnavailableError",
-    "SweepSpec",
-    "SyntheticSpec",
-    "TrainExample",
-    "TrainingDivergedError",
-    "TruncatedFileError",
-    "VersionMismatchError",
-    "argmax_label",
-    "as_vector",
-    "build_datastore",
-    "combined_loss",
-    "cross_entropy",
-    "evaluate_config",
-    "generate_synthetic",
-    "grad_check",
-    "interpolate",
-    "knn_distribution",
-    "load_jsonl",
-    "loss_and_gradients",
-    "pool",
-    "predict",
-    "predict_batch",
-    "run_sweep",
-    "select_pairs",
-    "softmax",
-    "squared_l2",
-    "train",
-    "triplet_loss",
-    "validate_distribution",
-    "write_jsonl",
-    "write_report_csv",
-    "__version__",
-]
+# Each star import above also binds its submodule here; their exports are the package's.
+_modules = [value for value in list(globals().values()) if isinstance(value, _ModuleType)]
+__all__ = [*sorted({name for module in _modules for name in module.__all__}), "__version__"]

@@ -18,8 +18,9 @@ flags) so experiments are reproducible from a single artifact:
 Each config section accepts exactly the fields of its dataclass: `data.synthetic`
 those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
 `RetrievalParams` together, and `sweep` of `RetrievalParams` (each a list).
-`data` names either `synthetic` or a `train` file path; it may also name a
-`test` file, which no command reads (`train` uses only `data.train`).
+`data` names either `synthetic` or a `train` file path for `train`, and a
+`test` file path that `predict`, `evaluate` and `sweep` score when `--data` is
+absent (`train` reads only `data.train`). Each named path must be a string.
 Integer fields are truncated with `int()`, so 2.5 means 2. Flags override the
 config key of the same name. An unknown key, or a value the dataclass rejects
 (wrong type, out of range, too large for an integer), exits 1.
@@ -117,7 +118,11 @@ def _build(cls, kwargs: dict, what: str):
 
 
 def _data_section(cfg: dict) -> dict:
-    return _section(cfg, "data", {"synthetic", "train", "test"})
+    data = _section(cfg, "data", {"synthetic", "train", "test"})
+    for key in ("train", "test"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"data.{key} must be a file path, got {data[key]!r}")
+    return data
 
 
 def _synthetic_spec(cfg: dict, args) -> SyntheticSpec:
@@ -132,8 +137,6 @@ def _train_dataset(cfg: dict, args) -> Dataset:
         return generate_synthetic(_synthetic_spec(cfg, args))[0]
     if "synthetic" in data:
         raise ConfigError("data section cannot name both a train file and synthetic")
-    if not isinstance(data["train"], str):
-        raise ConfigError(f"data.train must be a file path, got {data['train']!r}")
     return load_jsonl(data["train"])
 
 
@@ -213,11 +216,18 @@ def _cmd_build_datastore(args) -> int:
 
 
 def _scoring_inputs(args) -> tuple[dict, Model, Datastore | None, Dataset]:
-    """(config, model, optional datastore, dataset) for predict, evaluate and sweep."""
+    """(config, model, optional datastore, dataset) for predict, evaluate and sweep.
+
+    The dataset is `--data`, or else the config's `data.test`.
+    """
     cfg = _load_config(args.config)
+    test_path = _data_section(cfg).get("test")  # checked even when --data is given
+    data_path = test_path if args.data is None else args.data
+    if data_path is None:
+        raise ConfigError("no dataset to score: pass --data or set data.test")
     model = Model.load(args.model)
     store = Datastore.load(args.datastore) if args.datastore else None
-    return cfg, model, store, load_jsonl(args.data)
+    return cfg, model, store, load_jsonl(data_path)
 
 
 def _cmd_predict(args) -> int:
@@ -263,14 +273,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
+    base = _build(Hyperparams, {"seed": 0 if args.seed is None else args.seed}, "seed")
     section = _section(cfg, "model", _fields(ModelConfig))
     probe = _build(
         ModelConfig,
         {"input_dim": 8, "hidden_dim": 8, "emb_dim": 8, "num_labels": 3, **section},
         "model config",
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(base.seed)
     batch = [
         TrainExample(
             tokens=rng.normal(size=(1, probe.input_dim)),
@@ -283,8 +293,8 @@ def _cmd_grad_check(args) -> int:
     for decouple in (True, False):
         config = dataclasses.replace(probe, decouple_enabled=decouple)
         for weight in (0.0, 0.3, 0.5, 1.0):
-            model = Model.initialize(config, np.random.default_rng(seed))
-            hyper = Hyperparams(triplet_weight=weight, seed=seed)
+            model = Model.initialize(config, np.random.default_rng(base.seed))
+            hyper = dataclasses.replace(base, triplet_weight=weight)
             report = grad_check(model, batch, hyper, step=args.step)
             status = "PASS" if report.passed else "FAIL"
             print(
@@ -331,25 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in (
         ("predict", _cmd_predict, "write per-example predicted labels"),
         ("evaluate", _cmd_evaluate, "accuracy of one retrieval configuration"),
+        ("sweep", _cmd_sweep, "evaluate a (k, temperature, knn_weight) grid"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="config JSON (hyper section supplies defaults)")
+        p.add_argument("--config", help="config JSON (hyper or sweep section, data.test)")
         p.add_argument("--model", required=True)
         p.add_argument("--datastore", help="datastore file (optional when knn_weight is 0)")
-        p.add_argument("--data", required=True, help="JSONL dataset to score")
-        p.add_argument("--k", type=int)
-        p.add_argument("--temperature", type=float)
-        p.add_argument("--knn-weight", dest="knn_weight", type=float)
-        p.add_argument("--out", help="CSV output path (default: stdout only)")
+        p.add_argument("--data", help="JSONL dataset to score (default: data.test)")
+        if name == "sweep":
+            p.add_argument("--out", default="sweep.csv", help="CSV output path")
+        else:
+            p.add_argument("--k", type=int)
+            p.add_argument("--temperature", type=float)
+            p.add_argument("--knn-weight", dest="knn_weight", type=float)
+            p.add_argument("--out", help="CSV output path (default: stdout only)")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("sweep", help="evaluate a (k, temperature, knn_weight) grid")
-    p.add_argument("--config", help="config JSON with a sweep section")
-    p.add_argument("--model", required=True)
-    p.add_argument("--datastore", help="datastore file (optional when all knn_weight are 0)")
-    p.add_argument("--data", required=True, help="JSONL dataset to score")
-    p.add_argument("--out", default="sweep.csv", help="CSV output path")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the loss gradients")
     p.add_argument("--config", help="config JSON (model section overrides the probe model)")

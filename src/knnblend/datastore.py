@@ -143,13 +143,8 @@ class Datastore:
                 raise DimensionMismatchError(
                     f"entry {pos} has dimension {v.shape[0]}, expected {dim}"
                 )
-            lab = int(label)
-            if not 0 <= lab < int(num_labels):
-                raise ValueError(
-                    f"entry {pos} label {lab} out of range for {num_labels} labels"
-                )
             vectors.append(v)
-            labels.append(lab)
+            labels.append(int(label))
         if dim is None:
             dim = 0
         keys = np.asarray(vectors, dtype=np.float32).reshape(len(vectors), dim)

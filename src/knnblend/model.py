@@ -5,13 +5,18 @@ between) to the classification representation h0. The classification head
 applies the named activation to W·h0 and a softmax. When decoupling is
 enabled, a separate one-hidden-layer MLP maps h0 to the retrieval
 representation r used as datastore key and query; otherwise r is h0 itself.
+
+`_layout(config)` is the one table of weights: each name with its shape and
+init fan-in, in draw and file order, the decouple head's four weights only
+when decoupling is enabled. Initialization, validation, `parameters()`, save
+and load all iterate it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -118,6 +123,9 @@ class ModelConfig:
             raise ValueError(
                 f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
             )
+        for name in ("decouple_enabled", "triplet_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     @property
     def resolved_retrieval_dim(self) -> int:
@@ -156,9 +164,11 @@ class Model:
     dec_b2: np.ndarray | None = None  # (retrieval,)
 
     def __post_init__(self):
-        cfg = self.config
-        expected = _expected_shapes(cfg)
-        for name, shape in expected.items():
+        layout = _layout(self.config)
+        for field in fields(self)[1:]:  # the weights, after config
+            if field.name not in layout and getattr(self, field.name) is not None:
+                raise ValueError(f"{field.name} present but the config has no such weight")
+        for name, (shape, _) in layout.items():
             arr = getattr(self, name)
             if arr is None:
                 raise ValueError(f"weight {name} is required by the config")
@@ -168,10 +178,6 @@ class Model:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight {name} contains non-finite entries")
             setattr(self, name, arr)
-        if not cfg.decouple_enabled:
-            for name in ("dec_w1", "dec_b1", "dec_w2", "dec_b2"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{name} present but decoupling is disabled")
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed) -> "Model":
@@ -181,25 +187,10 @@ class Model:
         fixed draw order, so callers can share one stream deterministically).
         """
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-        def draw(fan_in: int, *shape: int) -> np.ndarray:
+        weights = {}
+        for name, (shape, fan_in) in _layout(config).items():
             bound = 1.0 / math.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        cfg = config
-        weights = {
-            "enc_w1": draw(cfg.input_dim, cfg.hidden_dim, cfg.input_dim),
-            "enc_b1": draw(cfg.input_dim, cfg.hidden_dim),
-            "enc_w2": draw(cfg.hidden_dim, cfg.emb_dim, cfg.hidden_dim),
-            "enc_b2": draw(cfg.hidden_dim, cfg.emb_dim),
-            "head_w": draw(cfg.emb_dim, cfg.num_labels, cfg.emb_dim),
-        }
-        if cfg.decouple_enabled:
-            rdim = cfg.resolved_retrieval_dim
-            weights["dec_w1"] = draw(cfg.emb_dim, cfg.hidden_dim, cfg.emb_dim)
-            weights["dec_b1"] = draw(cfg.emb_dim, cfg.hidden_dim)
-            weights["dec_w2"] = draw(cfg.hidden_dim, rdim, cfg.hidden_dim)
-            weights["dec_b2"] = draw(cfg.hidden_dim, rdim)
+            weights[name] = rng.uniform(-bound, bound, size=shape)
         return cls(config=config, **weights)
 
     # -- forward passes -------------------------------------------------
@@ -259,20 +250,8 @@ class Model:
     # -- parameter access ------------------------------------------------
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live references to every present weight array, in a fixed order."""
-        params = {
-            "enc_w1": self.enc_w1,
-            "enc_b1": self.enc_b1,
-            "enc_w2": self.enc_w2,
-            "enc_b2": self.enc_b2,
-            "head_w": self.head_w,
-        }
-        if self.config.decouple_enabled:
-            params.update(
-                dec_w1=self.dec_w1, dec_b1=self.dec_b1,
-                dec_w2=self.dec_w2, dec_b2=self.dec_b2,
-            )
-        return params
+        """Live references to every present weight array, in layout order."""
+        return {name: getattr(self, name) for name in _layout(self.config)}
 
     def copy(self) -> "Model":
         kwargs = {name: arr.copy() for name, arr in self.parameters().items()}
@@ -281,20 +260,15 @@ class Model:
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned JSON document with full-precision weights."""
-        cfg = self.config
+        """Write a versioned JSON document with full-precision weights.
+
+        Keys: format, version, the ModelConfig fields in declaration order,
+        then weights in layout order.
+        """
         doc = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "input_dim": cfg.input_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "emb_dim": cfg.emb_dim,
-            "num_labels": cfg.num_labels,
-            "retrieval_dim": cfg.retrieval_dim,
-            "pooling": cfg.pooling,
-            "activation": cfg.activation,
-            "decouple_enabled": cfg.decouple_enabled,
-            "triplet_enabled": cfg.triplet_enabled,
+            **asdict(self.config),
             "weights": {name: arr.tolist() for name, arr in self.parameters().items()},
         }
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -315,24 +289,16 @@ class Model:
             )
         try:
             config = ModelConfig(
-                input_dim=doc["input_dim"],
-                hidden_dim=doc["hidden_dim"],
-                emb_dim=doc["emb_dim"],
-                num_labels=doc["num_labels"],
-                retrieval_dim=doc["retrieval_dim"],
-                pooling=doc["pooling"],
-                activation=doc["activation"],
-                decouple_enabled=bool(doc["decouple_enabled"]),
-                triplet_enabled=bool(doc["triplet_enabled"]),
+                **{field.name: doc[field.name] for field in fields(ModelConfig)}
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"invalid model metadata: {exc}") from exc
         stored = doc.get("weights")
         if not isinstance(stored, dict):
             raise ModelShapeError("missing weights section")
-        expected = _expected_shapes(config)
+        layout = _layout(config)
         kwargs = {}
-        for name, shape in expected.items():
+        for name, (shape, _) in layout.items():
             if name not in stored:
                 raise ModelShapeError(f"missing weight {name}")
             try:
@@ -344,7 +310,7 @@ class Model:
                     f"weight {name} has shape {arr.shape}, expected {shape}"
                 )
             kwargs[name] = arr
-        extra = set(stored) - set(expected)
+        extra = set(stored) - set(layout)
         if extra:
             raise ModelShapeError(f"unexpected weights {sorted(extra)}")
         try:
@@ -353,20 +319,22 @@ class Model:
             raise ModelLoadError(f"invalid model weights: {exc}") from exc
 
 
-def _expected_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    shapes = {
-        "enc_w1": (cfg.hidden_dim, cfg.input_dim),
-        "enc_b1": (cfg.hidden_dim,),
-        "enc_w2": (cfg.emb_dim, cfg.hidden_dim),
-        "enc_b2": (cfg.emb_dim,),
-        "head_w": (cfg.num_labels, cfg.emb_dim),
+def _layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each weight's (shape, init fan-in), in draw and file order."""
+    hidden, emb = cfg.hidden_dim, cfg.emb_dim
+    layout = {
+        "enc_w1": ((hidden, cfg.input_dim), cfg.input_dim),
+        "enc_b1": ((hidden,), cfg.input_dim),
+        "enc_w2": ((emb, hidden), hidden),
+        "enc_b2": ((emb,), hidden),
+        "head_w": ((cfg.num_labels, emb), emb),
     }
     if cfg.decouple_enabled:
         rdim = cfg.resolved_retrieval_dim
-        shapes.update(
-            dec_w1=(cfg.hidden_dim, cfg.emb_dim),
-            dec_b1=(cfg.hidden_dim,),
-            dec_w2=(rdim, cfg.hidden_dim),
-            dec_b2=(rdim,),
+        layout.update(
+            dec_w1=((hidden, emb), emb),
+            dec_b1=((hidden,), emb),
+            dec_w2=((rdim, hidden), hidden),
+            dec_b2=((rdim,), hidden),
         )
-    return shapes
+    return layout

@@ -172,6 +172,16 @@ def test_evaluate_flags_override_config(pipeline, capsys):
     assert row.startswith("1,1.0,1.0,")
 
 
+def test_evaluate_defaults_to_the_config_test_file(pipeline, capsys):
+    # The pipeline config names the same file as data.test.
+    common = ["evaluate", "--config", str(pipeline["cfg"]),
+              "--model", str(pipeline["model"]), "--datastore", str(pipeline["store"])]
+    assert main([*common, "--data", str(pipeline["test"])]) == 0
+    with_flag = capsys.readouterr().out
+    assert main(common) == 0
+    assert capsys.readouterr().out == with_flag
+
+
 def test_sweep_writes_grid_and_best_line(pipeline, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(pipeline["cfg"]),
@@ -297,6 +307,9 @@ _SMALL = '"data": {"synthetic": {"num_classes": 2, "dim": 3, "per_class_count": 
     pytest.param("sweep", '{"sweep": {"k": [1e400]}}', id="sweep.k-inf"),
     pytest.param("evaluate", '{"hyper": {"k": 1e400}}', id="hyper.k-inf"),
     pytest.param("evaluate", '{"hyper": {"epochs": -1}}', id="evaluate-hyper.epochs-negative"),
+    pytest.param("evaluate", '{"data": {"test": 5}}', id="data.test-number"),
+    pytest.param("train", '{%s, "model": {"decouple_enabled": "false"}}' % _SMALL,
+                 id="model.decouple_enabled-string"),
 ])
 def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -319,6 +332,7 @@ def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, con
 @pytest.mark.parametrize("command, config", [
     pytest.param("gen-data", '{"data": {"synthetic": {"seed": -1}}}', id="gen-data"),
     pytest.param("train", '{%s, "hyper": {"seed": -3}}' % _SMALL, id="train"),
+    pytest.param("grad-check", '{}', id="grad-check"),
 ])
 def test_negative_seed_exits_1(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -327,6 +341,7 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, config):
         "gen-data": ["--out-train", str(tmp_path / "tr.jsonl"),
                      "--out-test", str(tmp_path / "te.jsonl")],
         "train": ["--out", str(tmp_path / "m.json")],
+        "grad-check": ["--seed", "-1"],
     }[command]
     assert main([command, "--config", str(cfg), *argv]) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
@@ -341,6 +356,12 @@ def test_train_does_not_read_the_test_file(pipeline, tmp_path):
     }))
     with redirect_stdout(io.StringIO()):
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 0
+
+
+def test_scoring_without_data_or_data_test_exits_1(pipeline, capsys):
+    assert main(["evaluate", "--model", str(pipeline["model"]),
+                 "--datastore", str(pipeline["store"])]) == 1
+    assert "--data or set data.test" in capsys.readouterr().err
 
 
 def test_integer_fields_truncate_fractional_values(tmp_path):

@@ -83,6 +83,13 @@ def test_config_validation():
         small_config(activation="relu")
 
 
+@pytest.mark.parametrize("flag", ["decouple_enabled", "triplet_enabled"])
+@pytest.mark.parametrize("value", ["false", 1, 0, None])
+def test_config_flags_must_be_booleans(flag, value):
+    with pytest.raises(ValueError, match=flag):
+        small_config(**{flag: value})
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -336,6 +343,40 @@ def test_load_rejects_bad_metadata(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelLoadError):
         Model.load(path)
+
+
+@pytest.mark.parametrize("flag", ["decouple_enabled", "triplet_enabled"])
+@pytest.mark.parametrize("value", ["false", 1])
+def test_load_rejects_a_flag_that_is_not_a_boolean(tmp_path, flag, value):
+    model = Model.initialize(small_config(), 1)
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc[flag] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelLoadError):
+        Model.load(path)
+
+
+def test_model_file_key_order(tmp_path):
+    # format, version, the ModelConfig fields as declared, then the weights
+    # in draw order; written out here so that reordering a field fails.
+    path = tmp_path / "model.json"
+    Model.initialize(small_config(retrieval_dim=2), 1).save(path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == [
+        "format", "version", "input_dim", "hidden_dim", "emb_dim", "num_labels",
+        "retrieval_dim", "pooling", "activation", "decouple_enabled", "triplet_enabled",
+        "weights",
+    ]
+    assert list(doc["weights"]) == [
+        "enc_w1", "enc_b1", "enc_w2", "enc_b2", "head_w",
+        "dec_w1", "dec_b1", "dec_w2", "dec_b2",
+    ]
+    Model.initialize(small_config(decouple_enabled=False), 1).save(path)
+    assert list(json.loads(path.read_text())["weights"]) == [
+        "enc_w1", "enc_b1", "enc_w2", "enc_b2", "head_w",
+    ]
 
 
 def test_copy_is_independent():
