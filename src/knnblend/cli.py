@@ -21,9 +21,9 @@ those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
 `data` names either `synthetic` or a `train` file path for `train`, and a
 `test` file path that `predict`, `evaluate` and `sweep` score when `--data` is
 absent (`train` reads only `data.train`). Each named path must be a string.
-Integer fields are truncated with `int()`, so 2.5 means 2. Flags override the
-config key of the same name. An unknown key, or a value the dataclass rejects
-(wrong type, out of range, too large for an integer), exits 1.
+Numbers must be JSON numbers, and integer fields truncate with `int()` (2.5 is
+2). Flags override the config key of the same name. An unknown key, a string or
+a bool where a number belongs, or any other value the dataclass rejects, exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -113,7 +113,7 @@ def _build(cls, kwargs: dict, what: str):
     """cls(**kwargs); any value its __post_init__ rejects becomes a ConfigError."""
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 

@@ -1,13 +1,21 @@
-"""Shared numeric primitives: vectors, squared-L2 distance, and label distributions.
+"""Shared numeric primitives and input rules: vectors, token sequences,
+squared-L2 distance, label distributions, and numeric config fields.
 
 All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 `validate_distribution` is the single gatekeeper for their invariants.
 `sq_dists` is the one distance kernel: every distance that search returns
 comes from it (the datastore's float32 prefilter only picks the keys to
 recheck), and `squared_l2` is its one-row case.
+
+Two input rules are written here once: `as_tokens`, for every token sequence
+that is pooled or held by a `TrainExample`, and `coerce_fields`, for the
+numeric and boolean fields of each config dataclass, whose `__post_init__`
+calls it before its range checks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -15,7 +23,9 @@ __all__ = [
     "DISTRIBUTION_ATOL",
     "DimensionMismatchError",
     "argmax_label",
+    "as_tokens",
     "as_vector",
+    "coerce_fields",
     "softmax",
     "sq_dists",
     "squared_l2",
@@ -43,6 +53,41 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_tokens(values) -> np.ndarray:
+    """Coerce a token sequence to a finite, non-empty (n_tokens, dim) float64
+    array; a 1-d input counts as one token. Raises ValueError otherwise."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"tokens are not numeric: {exc}") from exc
+    arr = arr[None, :] if arr.ndim == 1 else arr
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tokens contain non-finite entries")
+    return arr
+
+
+def coerce_fields(obj) -> None:
+    """Store int() of each `int` field of a dataclass (so 2.5 becomes 2, and
+    `int | None` keeps None) and float() of each `float` field. A string, a
+    bool or an unconvertible value there, or a non-bool in a `bool` field,
+    raises ValueError naming the field. Other fields are left as given."""
+    for field in dataclasses.fields(obj):
+        name, value = field.name, getattr(obj, field.name)
+        kind = getattr(field.type, "__name__", str(field.type))  # a type or its string
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        if kind not in ("int", "int | None", "float") or (value is None and kind == "int | None"):
+            continue
+        if isinstance(value, (str, bool)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            object.__setattr__(obj, name, float(value) if kind == "float" else int(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
 
 
 def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:

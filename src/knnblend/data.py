@@ -13,11 +13,14 @@ non-negative integers and the label count is ``max(label) + 1``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .core import as_tokens, coerce_fields
 
 __all__ = [
     "Dataset",
@@ -32,20 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TrainExample:
-    """One labeled instance: a token matrix (n_tokens, dim), a label, an id."""
+    """One labeled instance: a token matrix (`core.as_tokens`), a label, an id."""
 
     tokens: np.ndarray
     label: int
     id: int
 
     def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tokens contain non-finite entries")
+        arr = as_tokens(self.tokens)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
         object.__setattr__(self, "label", int(self.label))
@@ -78,9 +75,10 @@ class Dataset:
     label_names: list[str] | None = None
 
     def __post_init__(self):
-        if int(self.num_labels) < 1:
+        coerce_fields(self)
+        if self.num_labels < 1:
             raise ValueError("num_labels must be positive")
-        if int(self.input_dim) < 1:
+        if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if self.label_names is not None and len(self.label_names) != self.num_labels:
             raise ValueError(
@@ -115,57 +113,32 @@ class Dataset:
         return np.array([ex.label for ex in self.examples], dtype=np.int64)
 
 
-def _parse_record(obj, line_no: int, label_names: list[str] | None):
+def _parse_record(obj, label_names: list[str] | None):
+    """(label, token rows) of a record; `TrainExample` applies the token rule."""
     if not isinstance(obj, dict):
-        raise DatasetFormatError(f"line {line_no}: record is not an object")
+        raise ValueError("record is not an object")
     if "label" not in obj:
-        raise DatasetFormatError(f"line {line_no}: missing \"label\"")
-    raw_label = obj["label"]
-    if isinstance(raw_label, bool):
-        raise DatasetFormatError(f"line {line_no}: label must be an integer or name")
-    if isinstance(raw_label, int):
-        label = raw_label
-        if label < 0:
-            raise DatasetFormatError(f"line {line_no}: negative label {label}")
-    elif isinstance(raw_label, str):
+        raise ValueError("missing \"label\"")
+    label = obj["label"]  # `TrainExample` rejects a negative one
+    if isinstance(label, str):
         if label_names is None:
-            raise DatasetFormatError(
-                f"line {line_no}: string label {raw_label!r} needs a label_names header"
-            )
-        try:
-            label = label_names.index(raw_label)
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {line_no}: unknown label name {raw_label!r}"
-            ) from None
-    else:
-        raise DatasetFormatError(f"line {line_no}: label must be an integer or name")
+            raise ValueError(f"string label {label!r} needs a label_names header")
+        if label not in label_names:
+            raise ValueError(f"unknown label name {label!r}")
+        label = label_names.index(label)
+    elif isinstance(label, bool) or not isinstance(label, int):
+        raise ValueError("label must be an integer or name")
 
     has_features = "features" in obj
-    has_tokens = "tokens" in obj
-    if has_features == has_tokens:
-        raise DatasetFormatError(
-            f"line {line_no}: record needs exactly one of \"features\" or \"tokens\""
-        )
-    raw = obj["features"] if has_features else obj["tokens"]
-    try:
-        tokens = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetFormatError(f"line {line_no}: non-numeric feature data") from None
-    if has_features:
-        if tokens.ndim != 1 or tokens.shape[0] == 0:
-            raise DatasetFormatError(
-                f"line {line_no}: \"features\" must be a non-empty flat array"
-            )
-        tokens = tokens[None, :]
-    else:
-        if tokens.ndim != 2 or tokens.shape[0] == 0 or tokens.shape[1] == 0:
-            raise DatasetFormatError(
-                f"line {line_no}: \"tokens\" must be a non-empty array of equal-length arrays"
-            )
-    if not np.all(np.isfinite(tokens)):
-        raise DatasetFormatError(f"line {line_no}: non-finite feature values")
-    return label, tokens
+    if has_features == ("tokens" in obj):
+        raise ValueError("record needs exactly one of \"features\" or \"tokens\"")
+    # "features" is one token and "tokens" a list of them; each token is an
+    # array, and `as_tokens` rejects deeper nesting and ragged rows.
+    rows = [obj["features"]] if has_features else obj["tokens"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("\"features\" must be an array" if has_features
+                         else "\"tokens\" must be an array of arrays")
+    return label, rows
 
 
 def load_jsonl(path) -> Dataset:
@@ -202,31 +175,30 @@ def load_jsonl(path) -> Dataset:
                 raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
             label_names = list(names)
             continue
-        label, tokens = _parse_record(obj, line_no, label_names)
+        try:
+            label, rows = _parse_record(obj, label_names)
+            example = TrainExample(tokens=rows, label=label, id=next_id)
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {line_no}: {exc}") from exc
         if input_dim is None:
-            input_dim = int(tokens.shape[1])
+            input_dim = example.tokens.shape[1]
             first_dim_line = line_no
-        elif tokens.shape[1] != input_dim:
+        elif example.tokens.shape[1] != input_dim:
             raise DatasetFormatError(
-                f"line {line_no}: dimension {tokens.shape[1]} does not match "
+                f"line {line_no}: dimension {example.tokens.shape[1]} does not match "
                 f"dimension {input_dim} from line {first_dim_line}"
             )
-        examples.append(TrainExample(tokens=tokens, label=label, id=next_id))
-        max_label = max(max_label, label)
+        examples.append(example)
+        max_label = max(max_label, example.label)
         next_id += 1
     if not examples:
         raise DatasetFormatError("no records found")
     num_labels = len(label_names) if label_names is not None else max_label + 1
-    if max_label >= num_labels:
-        raise DatasetFormatError(
-            f"label {max_label} out of range for {num_labels} declared label names"
-        )
-    return Dataset(
-        examples=examples,
-        num_labels=num_labels,
-        input_dim=input_dim,
-        label_names=label_names,
-    )
+    try:
+        return Dataset(examples=examples, num_labels=num_labels, input_dim=input_dim,
+                       label_names=label_names)
+    except ValueError as exc:  # an integer label beyond the declared names
+        raise DatasetFormatError(str(exc)) from exc
 
 
 def write_jsonl(dataset: Dataset, path) -> None:
@@ -261,8 +233,7 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("num_classes", "dim", "per_class_count", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        coerce_fields(self)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.dim < 1:
@@ -271,13 +242,13 @@ class SyntheticSpec:
             raise ValueError(f"per_class_count must be positive, got {self.per_class_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (float(self.class_separation) > 0.0):
+        if not (0.0 < self.class_separation < math.inf):
             raise ValueError(
-                f"class_separation must be positive, got {self.class_separation}"
+                f"class_separation must be positive and finite, got {self.class_separation}"
             )
         # Zero is allowed so the degenerate no-noise limit stays testable.
-        if float(self.noise_sigma) < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (0.0 <= self.noise_sigma < math.inf):
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
 
 
 def _random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -264,7 +264,11 @@ class Datastore:
                 for start in range(0, cand.shape[0], KEY_BLOCK):
                     block = cand[start : start + KEY_BLOCK]
                     dists[start : start + block.shape[0]] = sq_dists(self._keys[block], q)
-                top = _top_k(dists[None], kk)[0]
+                # cand is in ascending index order, so a stable sort by
+                # distance orders the keys at or below the k-th by (distance, index).
+                kth = np.partition(dists, kk - 1)[kk - 1]
+                keep = np.flatnonzero(dists <= kth)
+                top = keep[np.argsort(dists[keep], kind="stable")[:kk]]
                 indices[lo + row] = cand[top]
                 distances[lo + row] = dists[top]
         return indices, distances
@@ -347,16 +351,3 @@ class Datastore:
         except ValueError as exc:
             raise DatastoreLoadError(f"invalid stored contents: {exc}") from exc
 
-
-def _top_k(dists: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, by (distance, index).
-
-    Every entry at or below the k-th smallest is a candidate, so a tie across
-    the k-th place is settled by index, not by where `np.partition` put it.
-    """
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(dists <= kth)
-    order = np.lexsort((cols, dists[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
-    return cols[rank < k].reshape(dists.shape[0], k)

@@ -10,7 +10,7 @@ index) this is exactly equivalent to searching per k. It then votes once per
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -47,13 +47,14 @@ class SweepSpec:
     knn_weight_values: tuple[float, ...] = (0.0, 0.5, 1.0)
 
     def __post_init__(self):
-        # Each value must pass the rules of a single RetrievalParams field.
-        for name, cast in (("k", int), ("temperature", float), ("knn_weight", float)):
-            values = tuple(cast(v) for v in getattr(self, f"{name}_values"))
+        # Each value must pass, and is kept as, a single RetrievalParams field.
+        for name in (field.name for field in fields(RetrievalParams)):
+            raw = getattr(self, f"{name}_values")
+            if isinstance(raw, str):
+                raise ValueError(f"sweep {name} must be a list, got {raw!r}")
+            values = tuple(getattr(RetrievalParams(**{name: v}), name) for v in raw)
             if not values:
                 raise ValueError("sweep lists must be non-empty")
-            for value in values:
-                RetrievalParams(**{name: value})
             object.__setattr__(self, f"{name}_values", values)
 
     def __len__(self) -> int:
@@ -90,11 +91,7 @@ class EvalReport:
     @property
     def best(self) -> EvalRow:
         """Highest-accuracy row; ties keep the earliest grid position."""
-        best = self.rows[0]
-        for row in self.rows[1:]:
-            if row.accuracy > best.accuracy:
-                best = row
-        return best
+        return max(self.rows, key=lambda row: row.accuracy)
 
     @property
     def accuracy(self) -> float:
@@ -162,8 +159,8 @@ def _row(k, temperature, knn_weight, predicted: np.ndarray, gold: np.ndarray) ->
     n_correct = int(np.count_nonzero(predicted == gold))
     return EvalRow(
         k=k,
-        temperature=float(temperature),
-        knn_weight=float(knn_weight),
+        temperature=temperature,
+        knn_weight=knn_weight,
         accuracy=n_correct / gold.shape[0],
         n_correct=n_correct,
         n_total=gold.shape[0],

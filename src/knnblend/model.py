@@ -10,6 +10,10 @@ representation r used as datastore key and query; otherwise r is h0 itself.
 init fan-in, in draw and file order, the decouple head's four weights only
 when decoupling is enabled. Initialization, validation, `parameters()`, save
 and load all iterate it.
+
+The `Model` constructor is the one weight check: it raises `ModelShapeError`,
+or `ValueError` for a non-finite entry. `Model.load` checks only the document
+around the weights. Token sequences follow `core.as_tokens`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_vector, softmax
+from .core import DimensionMismatchError, as_tokens, as_vector, coerce_fields, softmax
 
 __all__ = [
     "ACTIVATIONS",
@@ -67,24 +71,16 @@ class ModelVersionError(ModelLoadError):
 
 
 class ModelShapeError(ModelLoadError):
-    """A stored weight array is missing or has the wrong shape."""
+    """A weight is missing, not numeric, misshapen, or not in the config's layout."""
 
 
 def pool(tokens, mode: str) -> np.ndarray:
     """Reduce a token sequence (n_tokens, dim) to a single vector.
 
     cls: first token; mean: elementwise mean; max: elementwise maximum.
-    A 1-d input is treated as a length-1 sequence.
+    The tokens follow `core.as_tokens`, so a 1-d input is a length-1 sequence.
     """
-    seq = np.asarray(tokens, dtype=np.float64)
-    if seq.ndim == 1:
-        seq = seq[None, :]
-    if seq.ndim != 2 or seq.shape[0] == 0 or seq.shape[1] == 0:
-        raise ValueError(
-            f"token sequence must be a non-empty 2-d array, got shape {seq.shape}"
-        )
-    if not np.all(np.isfinite(seq)):
-        raise ValueError("token sequence contains non-finite entries")
+    seq = as_tokens(tokens)
     if mode == "cls":
         return seq[0].copy()
     if mode == "mean":
@@ -109,23 +105,16 @@ class ModelConfig:
     triplet_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden_dim", "emb_dim", "num_labels"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-            if getattr(self, name) < 1:
+        coerce_fields(self)
+        for name, value in vars(self).items():  # every integer field is a size
+            if type(value) is int and value < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.retrieval_dim is not None:
-            object.__setattr__(self, "retrieval_dim", int(self.retrieval_dim))
-            if self.retrieval_dim < 1:
-                raise ValueError("retrieval_dim must be positive")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}"
             )
-        for name in ("decouple_enabled", "triplet_enabled"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     @property
     def resolved_retrieval_dim(self) -> int:
@@ -167,14 +156,16 @@ class Model:
         layout = _layout(self.config)
         for field in fields(self)[1:]:  # the weights, after config
             if field.name not in layout and getattr(self, field.name) is not None:
-                raise ValueError(f"{field.name} present but the config has no such weight")
+                raise ModelShapeError(f"unexpected weight {field.name} for this config")
         for name, (shape, _) in layout.items():
-            arr = getattr(self, name)
-            if arr is None:
-                raise ValueError(f"weight {name} is required by the config")
-            arr = np.asarray(arr, dtype=np.float64)
+            if getattr(self, name) is None:
+                raise ModelShapeError(f"missing weight {name}")
+            try:
+                arr = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ModelShapeError(f"weight {name} is not a numeric array: {exc}") from exc
             if arr.shape != shape:
-                raise ValueError(f"weight {name} has shape {arr.shape}, expected {shape}")
+                raise ModelShapeError(f"weight {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight {name} contains non-finite entries")
             setattr(self, name, arr)
@@ -291,30 +282,19 @@ class Model:
             config = ModelConfig(
                 **{field.name: doc[field.name] for field in fields(ModelConfig)}
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelLoadError(f"invalid model metadata: {exc}") from exc
         stored = doc.get("weights")
         if not isinstance(stored, dict):
             raise ModelShapeError("missing weights section")
         layout = _layout(config)
-        kwargs = {}
-        for name, (shape, _) in layout.items():
-            if name not in stored:
-                raise ModelShapeError(f"missing weight {name}")
-            try:
-                arr = np.asarray(stored[name], dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ModelShapeError(f"weight {name} is not a numeric array: {exc}") from exc
-            if arr.shape != shape:
-                raise ModelShapeError(
-                    f"weight {name} has shape {arr.shape}, expected {shape}"
-                )
-            kwargs[name] = arr
         extra = set(stored) - set(layout)
         if extra:
             raise ModelShapeError(f"unexpected weights {sorted(extra)}")
         try:
-            return cls(config=config, **kwargs)
+            return cls(config=config, **{name: stored.get(name) for name in layout})
+        except ModelShapeError:
+            raise
         except ValueError as exc:
             raise ModelLoadError(f"invalid model weights: {exc}") from exc
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, validate_distribution
+from .core import DimensionMismatchError, coerce_fields, validate_distribution
 from .datastore import Datastore, NeighborHit, RetrievalUnavailableError
 
 __all__ = [
@@ -47,12 +47,12 @@ class RetrievalParams:
     knn_weight: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "k", int(self.k))
+        coerce_fields(self)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (float(self.temperature) > 0.0):
+        if not (self.temperature > 0.0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not (0.0 <= float(self.knn_weight) <= 1.0):
+        if not (0.0 <= self.knn_weight <= 1.0):
             raise ValueError(f"knn_weight must be in [0, 1], got {self.knn_weight}")
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import squared_l2, validate_distribution
+from .core import coerce_fields, squared_l2, validate_distribution
 from .data import TrainExample
 from .model import ACTIVATIONS, Model, ModelConfig
 
@@ -64,13 +64,12 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not (0.0 <= float(self.triplet_weight) <= 1.0):
+        coerce_fields(self)
+        if not (0.0 <= self.triplet_weight <= 1.0):
             raise ValueError(f"triplet_weight must be in [0, 1], got {self.triplet_weight}")
-        if not (float(self.margin) > 0.0):
+        if not (self.margin > 0.0):
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if not (float(self.learning_rate) > 0.0):
+        if not (self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -151,8 +150,7 @@ def _term_weights(config: ModelConfig, hyper: Hyperparams) -> tuple[float, float
     # not cross-entropy scaled by (1 - triplet_weight).
     if not config.triplet_enabled:
         return 1.0, 0.0
-    w = float(hyper.triplet_weight)
-    return 1.0 - w, w
+    return 1.0 - hyper.triplet_weight, hyper.triplet_weight
 
 
 def _row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -206,7 +204,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     ce_mean = float(np.mean(-np.log(np.maximum(gold, CE_PROB_FLOOR))))
 
     if cfg.triplet_enabled:
-        anchors, diff_p, diff_n, raw = _hinge(cache.r, pos, neg, float(hyper.margin))
+        anchors, diff_p, diff_n, raw = _hinge(cache.r, pos, neg, hyper.margin)
         # np.maximum, unlike a comparison, carries a NaN margin into the loss.
         trip_mean = float(np.maximum(raw, 0.0).sum()) / n
     else:
@@ -341,7 +339,7 @@ def grad_check(
     resamples = 0
     if trip_weight != 0.0:
         while True:
-            _, _, _, raw = _hinge(work.features(x).r, pos, neg, float(hyper.margin))
+            _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
             near = np.abs(raw[np.isfinite(raw)]) < boundary_window
             if not near.any():
                 break
@@ -462,7 +460,6 @@ def train(
     params = model.parameters()
     all_x = model.pool_batch([ex.tokens for ex in data])
     n = len(data)
-    lr = float(hyper.learning_rate)
     log: list[EpochStats] = []
     for epoch in range(hyper.epochs):
         started = time.perf_counter()
@@ -479,7 +476,7 @@ def train(
                     f"{start}: total={terms.total} ce={terms.ce} triplet={terms.triplet}"
                 )
             for name, grad in grads.items():
-                params[name] -= lr * grad
+                params[name] -= hyper.learning_rate * grad
             b = rows.shape[0]
             sum_ce += terms.ce * b
             sum_trip += terms.triplet * b

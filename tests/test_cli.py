@@ -310,6 +310,14 @@ _SMALL = '"data": {"synthetic": {"num_classes": 2, "dim": 3, "per_class_count": 
     pytest.param("evaluate", '{"data": {"test": 5}}', id="data.test-number"),
     pytest.param("train", '{%s, "model": {"decouple_enabled": "false"}}' % _SMALL,
                  id="model.decouple_enabled-string"),
+    pytest.param("evaluate", '{"hyper": {"knn_weight": "0.2"}}', id="hyper.knn_weight-string"),
+    pytest.param("train", '{%s, "hyper": {"triplet_weight": "0.5"}}' % _SMALL,
+                 id="hyper.triplet_weight-string"),
+    pytest.param("train", '{%s, "hyper": {"epochs": true}}' % _SMALL, id="hyper.epochs-bool"),
+    pytest.param("sweep", '{"sweep": {"k": "18"}}', id="sweep.k-string"),
+    pytest.param("gen-data", '{"data": {"synthetic": {"dim": "16"}}}', id="synthetic.dim-string"),
+    pytest.param("gen-data", '{"data": {"synthetic": {"noise_sigma": Infinity}}}',
+                 id="synthetic.noise_sigma-inf"),
 ])
 def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"

@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from knnblend.core import (
     DimensionMismatchError,
     argmax_label,
+    as_tokens,
     as_vector,
+    coerce_fields,
     softmax,
     squared_l2,
     validate_distribution,
@@ -159,3 +163,65 @@ def test_as_vector_rejects_non_vectors():
         as_vector([])
     with pytest.raises(ValueError):
         as_vector([1.0, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# as_tokens
+
+
+def test_as_tokens_counts_a_flat_input_as_one_token():
+    arr = as_tokens([1, 2])
+    assert arr.dtype == np.float64
+    np.testing.assert_array_equal(arr, [[1.0, 2.0]])
+    np.testing.assert_array_equal(as_tokens([[1, 2], [3, 4]]), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(5.0, id="scalar"),
+    pytest.param([], id="no-dimensions"),
+    pytest.param(np.zeros((0, 3)), id="no-tokens"),
+    pytest.param([[[1.0]]], id="3-d"),
+    pytest.param([[1.0], [2.0, 3.0]], id="ragged"),
+    pytest.param(["x"], id="string"),
+    pytest.param([{}], id="object"),
+    pytest.param([10**400], id="too-large"),
+    pytest.param([[1.0, np.inf]], id="non-finite"),
+])
+def test_as_tokens_rejects_with_value_error(values):
+    with pytest.raises(ValueError):
+        as_tokens(values)
+
+
+# ---------------------------------------------------------------------------
+# coerce_fields
+
+
+@dataclass(frozen=True)
+class _Fields:
+    # Annotations evaluated as types here; the package's modules postpone
+    # them to strings, and coerce_fields reads either.
+    n: int = 1
+    x: float = 1.0
+    maybe: int | None = None
+    flag: bool = True
+    name: str = "keep"
+
+    def __post_init__(self):
+        coerce_fields(self)
+
+
+def test_coerce_fields_stores_the_cast_values():
+    f = _Fields(n=2.9, x=10, maybe=np.int64(3))
+    assert (f.n, f.x, f.maybe) == (2, 10.0, 3)
+    assert type(f.n) is int and type(f.x) is float and type(f.maybe) is int
+    assert _Fields().maybe is None and _Fields().name == "keep"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", "2"), ("x", "0.5"), ("maybe", "3"), ("n", True), ("x", False),
+    ("flag", 1), ("flag", "true"), ("n", None), ("n", float("inf")), ("n", float("nan")),
+    ("x", [1.0]),
+])
+def test_coerce_fields_names_the_rejected_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        _Fields(**{name: value})

@@ -176,6 +176,22 @@ def test_load_rejects_malformed_payloads(tmp_path):
             load_jsonl(path)
 
 
+@pytest.mark.parametrize("payload", [
+    pytest.param('"features": ["x"]', id="non-numeric"),
+    pytest.param('"features": [{}]', id="non-numeric-object"),
+    pytest.param('"features": []', id="empty-features"),
+    pytest.param('"features": [[1.0]]', id="2-d-features"),
+    pytest.param('"tokens": [1.0, 2.0]', id="1-d-tokens"),
+    pytest.param('"tokens": [[1.0], [2.0, 3.0]]', id="ragged-tokens"),
+    pytest.param('"features": [1.0, Infinity]', id="non-finite"),
+])
+def test_token_rule_violation_names_its_line_and_cause(tmp_path, payload):
+    path = write_lines(tmp_path, '{"label": 0, "features": [1.0]}', '{"label": 0, %s}' % payload)
+    with pytest.raises(DatasetFormatError, match="^line 2: ") as info:
+        load_jsonl(path)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_load_rejects_empty_input(tmp_path):
     path = write_lines(tmp_path, "")
     with pytest.raises(DatasetFormatError, match="no records"):
@@ -358,3 +374,10 @@ def test_synthetic_spec_validation():
         SyntheticSpec(class_separation=0.0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize("field", ["class_separation", "noise_sigma"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_synthetic_spec_rejects_non_finite_scales(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticSpec(**{field: value})

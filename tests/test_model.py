@@ -240,6 +240,43 @@ def test_model_rejects_inconsistent_weights():
         )
 
 
+@pytest.mark.parametrize("case", ["missing", "misshapen", "non-numeric", "unexpected"])
+def test_constructor_raises_model_shape_error(case):
+    cfg = small_config()
+    kwargs = {k: v.copy() for k, v in Model.initialize(cfg, 0).parameters().items()}
+    if case == "missing":
+        del kwargs["dec_w2"]
+    elif case == "misshapen":
+        kwargs["enc_b1"] = np.zeros(7)
+    elif case == "non-numeric":
+        kwargs["head_w"] = [["a", "b", "c"]] * 3
+    else:
+        cfg = small_config(decouple_enabled=False)
+    with pytest.raises(ModelShapeError):
+        Model(config=cfg, **kwargs)
+
+
+def test_constructor_keeps_value_error_for_non_finite_weights():
+    cfg = small_config()
+    kwargs = {k: v.copy() for k, v in Model.initialize(cfg, 0).parameters().items()}
+    kwargs["enc_w2"][0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite") as info:
+        Model(config=cfg, **kwargs)
+    assert not isinstance(info.value, ModelShapeError)
+
+
+def test_load_wraps_non_finite_weights_as_load_error(tmp_path):
+    model = Model.initialize(small_config(), 1)
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc["weights"]["enc_b2"][0] = math.nan
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelLoadError, match="non-finite") as info:
+        Model.load(path)
+    assert not isinstance(info.value, ModelShapeError)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

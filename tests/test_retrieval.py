@@ -394,6 +394,12 @@ def test_retrieval_params_validation():
         RetrievalParams(knn_weight=-0.2)
 
 
+def test_retrieval_params_store_float_fields_as_floats():
+    params = RetrievalParams(k=8.7, temperature=10, knn_weight=1)
+    assert (params.k, params.temperature, params.knn_weight) == (8, 10.0, 1.0)
+    assert type(params.temperature) is float and type(params.knn_weight) is float
+
+
 def test_search_distance_matches_library_metric():
     # The distances predict() consumes are plain squared-L2 against the
     # widened float32 keys; verify on one concrete case.
