@@ -21,8 +21,8 @@ those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
 `data` names either `synthetic` or a `train` file path for `train`, and a
 `test` file path that `predict`, `evaluate` and `sweep` score when `--data` is
 absent (`train` reads only `data.train`). Each named path must be a string.
-Numbers must be JSON numbers, and integer fields truncate with `int()` (2.5 is
-2). Flags override the config key of the same name. An unknown key, a string or
+Numbers must be finite JSON numbers, and integer fields truncate with `int()` (2.5
+is 2). Flags override the config key of the same name. An unknown key, a string or
 a bool where a number belongs, or any other value the dataclass rejects, exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.

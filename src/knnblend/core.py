@@ -7,8 +7,8 @@ All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 comes from it (the datastore's float32 prefilter only picks the keys to
 recheck), and `squared_l2` is its one-row case.
 
-Two input rules are written here once: `as_tokens`, for every token sequence
-that is pooled or held by a `TrainExample`, and `coerce_fields`, for the
+Two input rules are written here once: `as_tokens` (`token_shape`, then
+`check_finite_tokens`), for every token sequence, and `coerce_fields`, for the
 numeric and boolean fields of each config dataclass, whose `__post_init__`
 calls it before its range checks.
 """
@@ -58,6 +58,11 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 def as_tokens(values) -> np.ndarray:
     """Coerce a token sequence to a finite, non-empty (n_tokens, dim) float64
     array; a 1-d input counts as one token. Raises ValueError otherwise."""
+    return check_finite_tokens(token_shape(values))
+
+
+def token_shape(values) -> np.ndarray:
+    """The shape step of `as_tokens`: its array, without the finiteness check."""
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, OverflowError) as exc:
@@ -65,7 +70,12 @@ def as_tokens(values) -> np.ndarray:
     arr = arr[None, :] if arr.ndim == 1 else arr
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr
+
+
+def check_finite_tokens(arr: np.ndarray) -> np.ndarray:
+    """The finiteness step of `as_tokens`, over an array of any shape; returns it."""
+    if not np.isfinite(arr).all():
         raise ValueError("tokens contain non-finite entries")
     return arr
 
@@ -73,8 +83,8 @@ def as_tokens(values) -> np.ndarray:
 def coerce_fields(obj) -> None:
     """Store int() of each `int` field of a dataclass (so 2.5 becomes 2, and
     `int | None` keeps None) and float() of each `float` field. A string, a
-    bool or an unconvertible value there, or a non-bool in a `bool` field,
-    raises ValueError naming the field. Other fields are left as given."""
+    bool, an unconvertible value or a non-finite float there, or a non-bool in
+    a `bool` field, raises ValueError naming the field; others stay as given."""
     for field in dataclasses.fields(obj):
         name, value = field.name, getattr(obj, field.name)
         kind = getattr(field.type, "__name__", str(field.type))  # a type or its string
@@ -85,9 +95,12 @@ def coerce_fields(obj) -> None:
         if isinstance(value, (str, bool)):
             raise ValueError(f"{name} must be a number, got {value!r}")
         try:
-            object.__setattr__(obj, name, float(value) if kind == "float" else int(value))
+            value = float(value) if kind == "float" else int(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from exc
+        if kind == "float" and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(obj, name, value)
 
 
 def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ non-negative integers and the label count is ``max(label) + 1``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -242,13 +241,11 @@ class SyntheticSpec:
             raise ValueError(f"per_class_count must be positive, got {self.per_class_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.class_separation < math.inf):
-            raise ValueError(
-                f"class_separation must be positive and finite, got {self.class_separation}"
-            )
+        if not (self.class_separation > 0.0):
+            raise ValueError(f"class_separation must be positive, got {self.class_separation}")
         # Zero is allowed so the degenerate no-noise limit stays testable.
-        if not (0.0 <= self.noise_sigma < math.inf):
-            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def _random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

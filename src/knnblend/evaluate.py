@@ -50,7 +50,7 @@ class SweepSpec:
         # Each value must pass, and is kept as, a single RetrievalParams field.
         for name in (field.name for field in fields(RetrievalParams)):
             raw = getattr(self, f"{name}_values")
-            if isinstance(raw, str):
+            if isinstance(raw, str) or not hasattr(raw, "__iter__"):
                 raise ValueError(f"sweep {name} must be a list, got {raw!r}")
             values = tuple(getattr(RetrievalParams(**{name: v}), name) for v in raw)
             if not values:

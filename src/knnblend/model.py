@@ -13,7 +13,7 @@ and load all iterate it.
 
 The `Model` constructor is the one weight check: it raises `ModelShapeError`,
 or `ValueError` for a non-finite entry. `Model.load` checks only the document
-around the weights. Token sequences follow `core.as_tokens`.
+around the weights. Tokens follow `core.as_tokens`, checked once per batch in `pool_batch`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_tokens, as_vector, coerce_fields, softmax
+from .core import (DimensionMismatchError, as_vector, check_finite_tokens, coerce_fields,
+                   softmax, token_shape)
 
 __all__ = [
     "ACTIVATIONS",
@@ -43,8 +44,6 @@ __all__ = [
 
 MODEL_FORMAT = "knnblend-model"
 MODEL_VERSION = 1
-
-POOLING_MODES = ("cls", "mean", "max")
 
 
 class Activation(NamedTuple):
@@ -78,16 +77,35 @@ def pool(tokens, mode: str) -> np.ndarray:
     """Reduce a token sequence (n_tokens, dim) to a single vector.
 
     cls: first token; mean: elementwise mean; max: elementwise maximum.
-    The tokens follow `core.as_tokens`, so a 1-d input is a length-1 sequence.
+    Tokens follow `core.as_tokens` (1-d is one token); the one-row `Model.pool_batch`.
     """
-    seq = as_tokens(tokens)
-    if mode == "cls":
-        return seq[0].copy()
-    if mode == "mean":
-        return seq.mean(axis=0)
-    if mode == "max":
-        return seq.max(axis=0)
-    raise ValueError(f"unknown pooling mode {mode!r}")
+    return _pool_rows([tokens], mode)[0]
+
+
+# "mean" does the arithmetic of `seq.mean(axis=0)` bit for bit; `np.add.reduceat` / n does not.
+_POOLERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "cls": lambda stack: np.ascontiguousarray(stack[:, 0]),
+    "mean": lambda stack: np.add.reduce(stack, axis=1) / stack.shape[1],
+    "max": lambda stack: np.maximum.reduce(stack, axis=1),
+}
+POOLING_MODES = tuple(_POOLERS)
+
+
+def _pool_rows(token_seqs, mode: str) -> np.ndarray:
+    """Fresh (B, dim) pooled rows of a non-empty sequence, with one finiteness check."""
+    reduce = _POOLERS.get(mode)
+    if reduce is None:
+        raise ValueError(f"unknown pooling mode {mode!r}")
+    seqs = [token_shape(tokens) for tokens in token_seqs]
+    tokens = check_finite_tokens(np.concatenate(seqs))
+    lengths = [len(seq) for seq in seqs]
+    if min(lengths) == max(lengths):  # one length: the stack is a reshape
+        return reduce(tokens.reshape(len(seqs), lengths[0], -1))
+    pooled = np.empty((len(seqs), tokens.shape[1]))
+    for length in set(lengths):
+        rows = np.flatnonzero(np.equal(lengths, length))
+        pooled[rows] = reduce(np.stack([seqs[row] for row in rows]))
+    return pooled
 
 
 @dataclass(frozen=True)
@@ -222,9 +240,9 @@ class Model:
 
     def pool_batch(self, token_seqs) -> np.ndarray:
         """Pool each instance with the config's mode; (B, input_dim) for B instances."""
-        pooled = [pool(tokens, self.config.pooling) for tokens in token_seqs]
-        # np.array, not np.stack: stack makes one view object per instance.
-        return np.array(pooled) if pooled else np.zeros((0, self.config.input_dim))
+        if len(token_seqs) == 0:
+            return np.zeros((0, self.config.input_dim))
+        return _pool_rows(token_seqs, self.config.pooling)
 
     def classify(self, h0) -> np.ndarray:
         """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""

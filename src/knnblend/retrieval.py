@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatchError, coerce_fields, validate_distribution
-from .datastore import Datastore, NeighborHit, RetrievalUnavailableError
+from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
 
 __all__ = [
     "BatchPrediction",
@@ -199,7 +199,7 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
 
 
 def build_datastore(model, dataset) -> Datastore:
-    """Encode every example and key the store by its retrieval representation."""
+    """Key the store by each example's retrieval representation, encoded KEY_BLOCK at a time."""
     if dataset.input_dim != model.config.input_dim:
         raise DimensionMismatchError(
             f"dataset input_dim {dataset.input_dim} does not match model "
@@ -210,6 +210,8 @@ def build_datastore(model, dataset) -> Datastore:
             f"dataset has {dataset.num_labels} labels but the model has "
             f"{model.config.num_labels}"
         )
-    _, r = model.encode_batch([ex.tokens for ex in dataset.examples])
-    labels = np.array([ex.label for ex in dataset.examples], dtype=np.int64)
-    return Datastore(keys=r, labels=labels, num_labels=dataset.num_labels)
+    keys = np.empty((len(dataset), model.config.key_dim), dtype=np.float32)
+    for start in range(0, len(dataset), KEY_BLOCK):
+        block = [ex.tokens for ex in dataset.examples[start : start + KEY_BLOCK]]
+        keys[start : start + len(block)] = model.encode_batch(block)[1]
+    return Datastore(keys=keys, labels=dataset.labels(), num_labels=dataset.num_labels)

@@ -318,6 +318,11 @@ _SMALL = '"data": {"synthetic": {"num_classes": 2, "dim": 3, "per_class_count": 
     pytest.param("gen-data", '{"data": {"synthetic": {"dim": "16"}}}', id="synthetic.dim-string"),
     pytest.param("gen-data", '{"data": {"synthetic": {"noise_sigma": Infinity}}}',
                  id="synthetic.noise_sigma-inf"),
+    pytest.param("train", '{%s, "hyper": {"learning_rate": Infinity}}' % _SMALL,
+                 id="hyper.learning_rate-inf"),
+    pytest.param("train", '{%s, "hyper": {"margin": Infinity}}' % _SMALL, id="hyper.margin-inf"),
+    pytest.param("evaluate", '{"hyper": {"temperature": Infinity}}', id="hyper.temperature-inf"),
+    pytest.param("sweep", '{"sweep": {"k": 18}}', id="sweep.k-number"),
 ])
 def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"

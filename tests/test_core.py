@@ -220,7 +220,7 @@ def test_coerce_fields_stores_the_cast_values():
 @pytest.mark.parametrize("name, value", [
     ("n", "2"), ("x", "0.5"), ("maybe", "3"), ("n", True), ("x", False),
     ("flag", 1), ("flag", "true"), ("n", None), ("n", float("inf")), ("n", float("nan")),
-    ("x", [1.0]),
+    ("x", [1.0]), ("x", float("inf")), ("x", float("nan")),
 ])
 def test_coerce_fields_names_the_rejected_field(name, value):
     with pytest.raises(ValueError, match=f"^{name}"):

@@ -59,6 +59,8 @@ def test_sweep_spec_validation():
         SweepSpec(temperature_values=(0.0,))
     with pytest.raises(ValueError):
         SweepSpec(knn_weight_values=(1.5,))
+    with pytest.raises(ValueError, match="^sweep k must be a list, got 18$"):
+        SweepSpec(k_values=18)
 
 
 # ---------------------------------------------------------------------------

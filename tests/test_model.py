@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knnblend.core import DimensionMismatchError
+from knnblend.core import DimensionMismatchError, as_tokens
 from knnblend.model import (
     Model,
     ModelConfig,
@@ -54,6 +56,47 @@ def test_pool_rejects_bad_input():
         pool(np.zeros((0, 3)), "mean")
     with pytest.raises(ValueError):
         pool([(np.nan, 1.0)], "cls")
+
+
+def _pool_one(tokens, mode):
+    """Per-row reference: the token rule, then the mode's numpy reduction."""
+    seq = as_tokens(tokens)
+    return {"cls": seq[0], "mean": seq.mean(axis=0), "max": seq.max(axis=0)}[mode]
+
+
+def _error_text(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pool_batch_matches_the_per_row_rule_bit_for_bit(data):
+    mode = data.draw(st.sampled_from(POOLING_MODES))
+    dim = data.draw(st.integers(1, 5))
+    lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # Entries spread over magnitudes, so a different summation order rounds differently.
+    seqs = [rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, dim))
+            for n in lengths]
+    seqs = [seq[0] if len(seq) == 1 and rng.random() < 0.5 else seq for seq in seqs]
+    model = Model.initialize(small_config(input_dim=dim, pooling=mode), 0)
+    want = np.array([_pool_one(seq, mode) for seq in seqs])
+    got = model.pool_batch(seqs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    bad = data.draw(st.integers(0, len(seqs) - 1))
+    flaw = data.draw(st.sampled_from(["nan", "inf", "-inf", "text", "empty", "3-d"]))
+    broken = np.atleast_2d(seqs[bad]).tolist()
+    if flaw in ("nan", "inf", "-inf"):
+        broken[rng.integers(len(broken))][rng.integers(dim)] = float(flaw)
+    elif flaw == "text":
+        broken[0][0] = "x"
+    else:
+        broken = [] if flaw == "empty" else [broken]
+    seqs[bad] = broken
+    assert _error_text(model.pool_batch, seqs) == _error_text(as_tokens, broken)
 
 
 # ---------------------------------------------------------------------------

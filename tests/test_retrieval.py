@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -381,6 +382,49 @@ def test_build_datastore_pools_multi_token_examples():
     store = build_datastore(model, Dataset(examples=examples, num_labels=2, input_dim=3))
     _, r = model.encode(examples[2].tokens)
     np.testing.assert_array_equal(store.keys[2], r.astype(np.float32))
+
+
+def _single_token_dataset(count, dim=4, num_labels=3):
+    rng = np.random.default_rng(count)
+    examples = [TrainExample(tokens=row, label=i % num_labels, id=i)
+                for i, row in enumerate(rng.normal(size=(count, dim)))]
+    return Dataset(examples=examples, num_labels=num_labels, input_dim=dim)
+
+
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+def test_blocked_build_keys_equal_one_unblocked_encode(count, decouple):
+    # Counts on each side of the KEY_BLOCK (4,096) boundaries.
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3, retrieval_dim=3,
+                      decouple_enabled=decouple)
+    model = Model.initialize(cfg, count)
+    dataset = _single_token_dataset(count)
+    store = build_datastore(model, dataset)
+    _, r = model.encode_batch([ex.tokens for ex in dataset.examples])
+    assert store.keys.dtype == np.float32
+    assert store.keys.tobytes() == r.astype(np.float32).tobytes()
+    np.testing.assert_array_equal(store.labels, dataset.labels())
+
+
+# A 4,096-row block's float64 activations take about 3 MB at these widths.
+# Encoding the whole store in one pass peaked 23 MB (20k rows) and 70 MB (60k)
+# above the two key matrices.
+BUILD_BLOCK_ALLOWANCE = 6 * 2**20
+
+
+@pytest.mark.parametrize("count", [20_000, 60_000])
+def test_build_datastore_memory_is_the_keys_plus_one_block(count):
+    cfg = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=4)
+    model = Model.initialize(cfg, 0)
+    dataset = _single_token_dataset(count, dim=16, num_labels=4)
+    tracemalloc.start()
+    try:
+        store = build_datastore(model, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The built key matrix and the store's own copy of it.
+    assert peak - 2 * store.keys.nbytes < BUILD_BLOCK_ALLOWANCE
 
 
 def test_retrieval_params_validation():
