@@ -272,6 +272,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if not 0.0 < args.step < np.inf:
+        raise ConfigError(f"--step must be positive and finite, got {args.step}")
     cfg = _load_config(args.config)
     base = _build(Hyperparams, {"seed": 0 if args.seed is None else args.seed}, "seed")
     section = _section(cfg, "model", _fields(ModelConfig))

@@ -95,10 +95,16 @@ class Datastore:
     """Immutable collection of (key, label) pairs over a fixed label set."""
 
     def __init__(self, keys, labels, num_labels: int):
-        keys_arr = np.array(keys, dtype=np.float32, order="C", copy=True)
+        # A read-only, C-contiguous float32 array that owns its data is kept, not copied.
+        adopt = (isinstance(keys, np.ndarray) and keys.dtype == np.float32 and keys.flags.owndata
+                 and keys.flags.c_contiguous and not keys.flags.writeable)
+        with np.errstate(over="ignore"):  # a key beyond float32 range fails the check below
+            keys_arr = keys if adopt else np.array(keys, dtype=np.float32, order="C", copy=True)
         if keys_arr.ndim != 2:
             raise ValueError(f"keys must be a 2-d array, got shape {keys_arr.shape}")
-        if not np.all(np.isfinite(keys_arr)):
+        # A float32 square fits float64: a key's norm is finite iff its entries are.
+        norms = np.einsum("ij,ij->i", keys_arr, keys_arr, dtype=np.float64)
+        if not np.all(np.isfinite(norms)):
             raise ValueError("keys contain non-finite entries")
         labels_arr = np.array(labels, dtype=np.int64, copy=True)
         if labels_arr.ndim != 1 or labels_arr.shape[0] != keys_arr.shape[0]:
@@ -117,7 +123,6 @@ class Datastore:
         # Prefilter constants: squared key norms (float64, then rounded to
         # float32, inf where they overflow it), the largest key norm, and the
         # float32 dot-product error factor gamma_d = d*u / (1 - d*u).
-        norms = np.einsum("ij,ij->i", keys_arr, keys_arr, dtype=np.float64)
         with np.errstate(over="ignore"):
             self._norms32 = norms.astype(np.float32)
         self._max_norm = float(np.sqrt(norms.max())) if norms.size else 0.0

@@ -214,4 +214,5 @@ def build_datastore(model, dataset) -> Datastore:
     for start in range(0, len(dataset), KEY_BLOCK):
         block = [ex.tokens for ex in dataset.examples[start : start + KEY_BLOCK]]
         keys[start : start + len(block)] = model.encode_batch(block)[1]
+    keys.setflags(write=False)  # so the store keeps this matrix instead of copying it
     return Datastore(keys=keys, labels=dataset.labels(), num_labels=dataset.num_labels)

@@ -7,10 +7,10 @@ squared-L2 distances between retrieval representations:
 
 Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
-a batch of one skips the hinge term), drawn as index arrays over the batch in
-label-sorted order. `train` pools the dataset once and indexes rows per batch.
-One function computes the loss and, on request, its analytic gradients;
-``grad_check`` compares those with central finite differences of the loss.
+a batch of one skips the hinge term), drawn for a whole epoch at once in
+(batch, label)-sorted order. `train` pools the dataset once, and its weights
+and gradients each live in one flat buffer. One function computes the loss
+and, on request, its gradients; ``grad_check`` checks them by finite differences.
 """
 
 from __future__ import annotations
@@ -97,29 +97,40 @@ def triplet_loss(anchor, positive, negative, margin: float) -> float:
     return max(d_ap - d_an + float(margin), 0.0)
 
 
-def _pair_indices(labels: np.ndarray, rng: np.random.Generator):
-    """(pos, neg) index arrays over a batch; neg is -1 where there is none.
+def _pair_indices(labels: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Batch-local (pos, neg) for every row of an epoch's labels, taken
+    `batch_size` rows at a time; neg is -1 where there is none.
 
-    In label-sorted order each candidate set is a span of positions minus one
-    gap (the member itself, or its label's block); one `rng.integers` call
-    draws a uniform rank in every set.
+    Sorted by (batch, label), each candidate set is a span of its batch's
+    positions minus one gap (the member itself, or its label's block). One
+    `rng.integers` call draws a rank in every set: per batch, mates then
+    others. A high of 1 draws nothing, so a batch of one consumes nothing.
     """
     n = labels.shape[0]
-    if n == 1:
-        return np.zeros(1, dtype=np.int64), np.full(1, -1)
-    order = np.argsort(labels, kind="stable")
-    start = np.searchsorted(labels[order], labels, side="left")
-    size = np.searchsorted(labels[order], labels, side="right") - start
-    place = np.empty(n, dtype=np.int64)
-    place[order] = np.arange(n)
-    lonely = size == n  # no different label: every other member is a negative
-    counts = np.concatenate([size - 1, np.where(lonely, n - 1, n - size)])
-    ranks = rng.integers(np.maximum(counts, 1))
-    mate = start + ranks[:n]
+    rows = np.arange(n)
+    first = rows - rows % batch_size  # start of each row's batch
+    width = np.minimum(batch_size, n - first)  # size of each row's batch
+    key = first * (labels.max() + 1) + labels
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], key, side="left")
+    size = np.searchsorted(key[order], key, side="right") - start
+    place = key  # an epoch's arrays are O(n): reuse each buffer that falls free
+    place[order] = rows
+    for arr in (order, start, place):  # from here on, positions count from the batch start
+        arr -= first
+    lonely = size == width  # no different label: every other member is a negative
+    slot = np.add(rows, first, out=rows)  # a batch's mate draws fill [2 first, 2 first + width)
+    ranks = np.empty(2 * n, dtype=np.int64)  # each draw's candidate count, then its rank
+    ranks[slot] = size - 1
+    ranks[slot + width] = np.where(lonely, width - 1, width - size)
+    ranks = rng.integers(np.maximum(ranks, 1, out=ranks))
+    mate, other = start + ranks[slot], ranks[slot + width]
+    del ranks, slot
     mate += mate >= place
-    other = ranks[n:]
-    other = np.where(lonely, other + (other >= place), other + size * (other >= start))
-    return order[np.where(size > 1, mate, place)], order[other]
+    other += np.where(lonely, other >= place, size * (other >= start))
+    pos = order[first + np.where(size > 1, mate, place)]
+    # A batch of one has no negative; the clamp keeps its index in range.
+    return pos, np.where(width > 1, order[first + np.minimum(other, width - 1)], -1)
 
 
 def select_pairs(batch: Sequence[TrainExample], rng: np.random.Generator):
@@ -132,7 +143,8 @@ def select_pairs(batch: Sequence[TrainExample], rng: np.random.Generator):
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    pos, neg = _pair_indices(np.array([ex.label for ex in batch], dtype=np.int64), rng)
+    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    pos, neg = _pair_indices(labels, labels.shape[0], rng)
     return [(int(p), int(q) if q >= 0 else None) for p, q in zip(pos, neg)]
 
 
@@ -186,11 +198,12 @@ def _mix_total(ce_weight: float, ce_mean: float, trip_weight: float, trip_mean: 
 
 
 def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
-          neg: np.ndarray, hyper: Hyperparams, want_grads: bool):
-    """Loss terms of a batch of pooled inputs, plus analytic gradients for
-    every weight array when `want_grads` (otherwise None).
+          neg: np.ndarray, hyper: Hyperparams, grads: dict | None = None) -> LossTerms:
+    """Loss terms of a batch of pooled inputs.
 
-    pos and neg index the batch; a negative of -1 skips that hinge term.
+    pos and neg index the batch; a negative of -1 skips that hinge term. Given
+    `grads` (weight name -> array, zeroed or left by a call with the same
+    config and hyper), each gradient that a term reaches is written into it.
     """
     cfg = model.config
     ce_weight, trip_weight = _term_weights(cfg, hyper)
@@ -214,11 +227,10 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         ce=ce_mean,
         triplet=trip_mean,
     )
-    if not want_grads:
-        return terms, None
+    if grads is None:
+        return terms
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
-    d_h0 = np.zeros_like(cache.h0)
+    d_h0 = 0.0  # an array once a term adds to it; at least one term does
 
     # Cross-entropy path: softmax+log gradient, then back through the head
     # activation. Rows where the probability floor clipped the log get zero
@@ -229,39 +241,49 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         d_scores[gold <= CE_PROB_FLOOR] = 0.0
         d_scores *= ce_weight / n
         d_head_pre = d_scores * act.grad_from_output(head_out)
-        grads["head_w"] += d_head_pre.T @ cache.h0
-        d_h0 += d_head_pre @ model.head_w
+        np.matmul(d_head_pre.T, cache.h0, out=grads["head_w"])
+        d_h0 = d_head_pre @ model.head_w
 
     # Hinge path: only strictly positive margins carry gradient (the kink at
     # exactly zero uses the inactive branch). np.add.at, unlike a fancy-index
-    # +=, adds every contribution to a row that recurs among the indices.
+    # +=, adds every contribution to a row that recurs among the indices, in
+    # index order: anchors, then positives, then negatives.
     if trip_weight != 0.0:
         active = raw > 0.0
         a, dp, dn = anchors[active], diff_p[active], diff_n[active]
         scale = trip_weight / n
         d_r = np.zeros_like(cache.r)
-        np.add.at(d_r, a, scale * 2.0 * (dp - dn))
-        np.add.at(d_r, pos[a], scale * (-2.0) * dp)
-        np.add.at(d_r, neg[a], scale * 2.0 * dn)
+        np.add.at(d_r, np.concatenate([a, pos[a], neg[a]]),
+                  np.concatenate([scale * 2.0 * (dp - dn), scale * (-2.0) * dp,
+                                  scale * 2.0 * dn]))
         if cfg.decouple_enabled:
-            grads["dec_w2"] += d_r.T @ cache.d1
-            grads["dec_b2"] += d_r.sum(axis=0)
+            np.matmul(d_r.T, cache.d1, out=grads["dec_w2"])
+            d_r.sum(axis=0, out=grads["dec_b2"])
             d_d1 = d_r @ model.dec_w2
             d_g1 = d_d1 * act.grad_from_output(cache.d1)
-            grads["dec_w1"] += d_g1.T @ cache.h0
-            grads["dec_b1"] += d_g1.sum(axis=0)
-            d_h0 += d_g1 @ model.dec_w1
-        else:
-            d_h0 += d_r
+            np.matmul(d_g1.T, cache.h0, out=grads["dec_w1"])
+            d_g1.sum(axis=0, out=grads["dec_b1"])
+            d_r = d_g1 @ model.dec_w1  # the hinge's gradient, carried back to h0
+        d_h0 = d_h0 + d_r
 
     # Encoder backward, shared by both paths.
-    grads["enc_w2"] += d_h0.T @ cache.a1
-    grads["enc_b2"] += d_h0.sum(axis=0)
+    np.matmul(d_h0.T, cache.a1, out=grads["enc_w2"])
+    d_h0.sum(axis=0, out=grads["enc_b2"])
     d_a1 = d_h0 @ model.enc_w2
     d_z1 = d_a1 * act.grad_from_output(cache.a1)
-    grads["enc_w1"] += d_z1.T @ cache.x
-    grads["enc_b1"] += d_z1.sum(axis=0)
-    return terms, grads
+    np.matmul(d_z1.T, cache.x, out=grads["enc_w1"])
+    d_z1.sum(axis=0, out=grads["enc_b1"])
+    return terms
+
+
+def _flat_buffer(model: Model) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed buffer the size of all the weights, and a view of it shaped like each."""
+    flat = np.zeros(sum(arr.size for arr in model.parameters().values()))
+    views, at = {}, 0
+    for name, arr in model.parameters().items():
+        views[name] = flat[at : at + arr.size].reshape(arr.shape)
+        at += arr.size
+    return flat, views
 
 
 def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
@@ -280,14 +302,15 @@ def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
 def combined_loss(model: Model, batch: Sequence[TrainExample], pairs,
                   hyper: Hyperparams) -> tuple[float, LossTerms]:
     """Mixed batch loss; returns (scalar total, per-term breakdown)."""
-    terms, _ = _loss(model, *_batch_arrays(model, batch, pairs), hyper, want_grads=False)
+    terms = _loss(model, *_batch_arrays(model, batch, pairs), hyper)
     return terms.total, terms
 
 
 def loss_and_gradients(model: Model, batch: Sequence[TrainExample], pairs,
                        hyper: Hyperparams):
     """Batch loss terms plus analytic gradients for every weight array."""
-    return _loss(model, *_batch_arrays(model, batch, pairs), hyper, want_grads=True)
+    _, grads = _flat_buffer(model)
+    return _loss(model, *_batch_arrays(model, batch, pairs), hyper, grads), grads
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +351,13 @@ def grad_check(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
     work = model.copy()
     x = work.pool_batch([ex.tokens for ex in batch])
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    pos, neg = _pair_indices(labels, rng)
+    pos, neg = _pair_indices(labels, labels.shape[0], rng)
 
     ce_weight, trip_weight = _term_weights(work.config, hyper)
     boundary_window = 100.0 * step
@@ -354,7 +379,8 @@ def grad_check(
             for arr in work.parameters().values():
                 arr += rng.normal(0.0, 1e-2, size=arr.shape)
 
-    terms, grads = _loss(work, x, labels, pos, neg, hyper, want_grads=True)
+    _, grads = _flat_buffer(work)
+    terms = _loss(work, x, labels, pos, neg, hyper, grads)
     if not math.isfinite(terms.total):
         return GradCheckReport(
             passed=False, finite=False, max_rel_error=math.inf,
@@ -376,9 +402,9 @@ def grad_check(
         for j in range(flat.size):
             original = flat[j]
             flat[j] = original + step
-            f_plus = _loss(work, x, labels, pos, neg, hyper, want_grads=False)[0].total
+            f_plus = _loss(work, x, labels, pos, neg, hyper).total
             flat[j] = original - step
-            f_minus = _loss(work, x, labels, pos, neg, hyper, want_grads=False)[0].total
+            f_minus = _loss(work, x, labels, pos, neg, hyper).total
             flat[j] = original
             checked += 1
             numeric = (f_plus - f_minus) / (2.0 * step)
@@ -441,7 +467,9 @@ def train(
     One generator (seeded with hyper.seed) drives initialization, the
     per-epoch shuffle, and pair selection, so the whole trajectory is a pure
     function of (data, hyper, model_config). Every example is pooled once,
-    up front, and each batch is a set of rows of that matrix.
+    up front, and each batch is a set of rows of that matrix. Each epoch draws
+    its pairs in one call; the weights and their gradients each live in one
+    flat buffer, so a step is one update.
     """
     if len(data) == 0:
         raise ValueError("training data must be non-empty")
@@ -457,26 +485,30 @@ def train(
 
     rng = np.random.default_rng(hyper.seed)
     model = Model.initialize(model_config, rng)
-    params = model.parameters()
+    weights, views = _flat_buffer(model)
+    for name, view in views.items():
+        view[...] = getattr(model, name)
+        setattr(model, name, view)
+    grad_flat, grads = _flat_buffer(model)
     all_x = model.pool_batch([ex.tokens for ex in data])
     n = len(data)
     log: list[EpochStats] = []
     for epoch in range(hyper.epochs):
         started = time.perf_counter()
         order = rng.permutation(n)
+        epoch_pos, epoch_neg = _pair_indices(all_labels[order], hyper.batch_size, rng)
         sum_ce = sum_trip = sum_total = 0.0
         for start in range(0, n, hyper.batch_size):
-            rows = order[start : start + hyper.batch_size]
-            labels = all_labels[rows]
-            pos, neg = _pair_indices(labels, rng)
-            terms, grads = _loss(model, all_x[rows], labels, pos, neg, hyper, want_grads=True)
+            end = start + hyper.batch_size
+            rows = order[start:end]
+            terms = _loss(model, all_x[rows], all_labels[rows], epoch_pos[start:end],
+                          epoch_neg[start:end], hyper, grads)
             if not math.isfinite(terms.total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}, batch starting at "
                     f"{start}: total={terms.total} ce={terms.ce} triplet={terms.triplet}"
                 )
-            for name, grad in grads.items():
-                params[name] -= hyper.learning_rate * grad
+            weights -= hyper.learning_rate * grad_flat
             b = rows.shape[0]
             sum_ce += terms.ce * b
             sum_trip += terms.triplet * b

@@ -2,7 +2,10 @@
 
 Everything here recomputes results with deliberately different machinery than
 the library: pure-Python loops, full sorts instead of heaps, and mpmath
-extended precision instead of float64, so agreement is meaningful.
+extended precision instead of float64, so agreement is meaningful. The
+training oracles keep the library's earlier step: pairs drawn batch by batch,
+each gradient accumulated into its own zeroed array, and one update per
+weight array; the library must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import mpmath
 import numpy as np
 
 from knnblend.core import squared_l2
-from knnblend.training import TrainExample
+from knnblend.model import ACTIVATIONS, Model
+from knnblend.training import CE_PROB_FLOOR, TrainExample
 
 
 def full_sort_hits(store, query, k):
@@ -193,3 +197,120 @@ def random_distribution(rng, length):
     """A valid probability vector with no zero entries."""
     x = rng.random(length) + 1e-3
     return x / x.sum()
+
+
+def batch_pair_indices(labels, rng):
+    """(pos, neg) over one batch, drawn with one `rng.integers` call per batch.
+
+    In label-sorted order each candidate set is a span of positions minus one
+    gap; a batch of one draws nothing and has no negative (-1).
+    """
+    n = labels.shape[0]
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), np.full(1, -1)
+    order = np.argsort(labels, kind="stable")
+    start = np.searchsorted(labels[order], labels, side="left")
+    size = np.searchsorted(labels[order], labels, side="right") - start
+    place = np.empty(n, dtype=np.int64)
+    place[order] = np.arange(n)
+    lonely = size == n
+    counts = np.concatenate([size - 1, np.where(lonely, n - 1, n - size)])
+    ranks = rng.integers(np.maximum(counts, 1))
+    mate = start + ranks[:n]
+    mate += mate >= place
+    other = ranks[n:]
+    other = np.where(lonely, other + (other >= place), other + size * (other >= start))
+    return order[np.where(size > 1, mate, place)], order[other]
+
+
+def batch_loss_and_gradients(model, x, labels, pos, neg, hyper):
+    """((total, ce, triplet), gradients) of one batch, each gradient summed
+    into a zeroed array and each hinge row scattered by its own np.add.at."""
+    cfg = model.config
+    if cfg.triplet_enabled:
+        ce_weight, trip_weight = 1.0 - hyper.triplet_weight, hyper.triplet_weight
+    else:
+        ce_weight, trip_weight = 1.0, 0.0
+    act = ACTIVATIONS[cfg.activation]
+    n = x.shape[0]
+    cache = model.features(x)
+    head_out = act.fn(cache.h0 @ model.head_w.T)
+    shifted = head_out - head_out.max(axis=1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    gold = probs[np.arange(n), labels]
+    ce = float(np.mean(-np.log(np.maximum(gold, CE_PROB_FLOOR))))
+    trip = 0.0
+    if cfg.triplet_enabled:
+        anchors = np.flatnonzero(neg >= 0)
+        diff_p = cache.r[anchors] - cache.r[pos[anchors]]
+        diff_n = cache.r[anchors] - cache.r[neg[anchors]]
+        raw = (np.einsum("ij,ij->i", diff_p, diff_p)
+               - np.einsum("ij,ij->i", diff_n, diff_n) + hyper.margin)
+        trip = float(np.maximum(raw, 0.0).sum()) / n
+    if trip_weight == 0.0:
+        total = ce_weight * ce
+    elif ce_weight == 0.0:
+        total = trip_weight * trip
+    else:
+        total = ce_weight * ce + trip_weight * trip
+
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
+    d_h0 = np.zeros_like(cache.h0)
+    if ce_weight != 0.0:
+        d_scores = probs.copy()
+        d_scores[np.arange(n), labels] -= 1.0
+        d_scores[gold <= CE_PROB_FLOOR] = 0.0
+        d_scores *= ce_weight / n
+        d_head_pre = d_scores * act.grad_from_output(head_out)
+        grads["head_w"] += d_head_pre.T @ cache.h0
+        d_h0 += d_head_pre @ model.head_w
+    if trip_weight != 0.0:
+        active = raw > 0.0
+        a, dp, dn = anchors[active], diff_p[active], diff_n[active]
+        scale = trip_weight / n
+        d_r = np.zeros_like(cache.r)
+        np.add.at(d_r, a, scale * 2.0 * (dp - dn))
+        np.add.at(d_r, pos[a], scale * (-2.0) * dp)
+        np.add.at(d_r, neg[a], scale * 2.0 * dn)
+        if cfg.decouple_enabled:
+            grads["dec_w2"] += d_r.T @ cache.d1
+            grads["dec_b2"] += d_r.sum(axis=0)
+            d_g1 = (d_r @ model.dec_w2) * act.grad_from_output(cache.d1)
+            grads["dec_w1"] += d_g1.T @ cache.h0
+            grads["dec_b1"] += d_g1.sum(axis=0)
+            d_h0 += d_g1 @ model.dec_w1
+        else:
+            d_h0 += d_r
+    grads["enc_w2"] += d_h0.T @ cache.a1
+    grads["enc_b2"] += d_h0.sum(axis=0)
+    d_z1 = (d_h0 @ model.enc_w2) * act.grad_from_output(cache.a1)
+    grads["enc_w1"] += d_z1.T @ cache.x
+    grads["enc_b1"] += d_z1.sum(axis=0)
+    return (total, ce, trip), grads
+
+
+def batch_train(data, hyper, model_config):
+    """`train` step by step: per-batch pair draws and one update per weight
+    array. Returns the model and each epoch's (mean_ce, mean_triplet, mean_total)."""
+    all_labels = np.array([ex.label for ex in data], dtype=np.int64)
+    rng = np.random.default_rng(hyper.seed)
+    model = Model.initialize(model_config, rng)
+    params = model.parameters()
+    all_x = model.pool_batch([ex.tokens for ex in data])
+    n = len(data)
+    means = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]
+        for start in range(0, n, hyper.batch_size):
+            rows = order[start : start + hyper.batch_size]
+            labels = all_labels[rows]
+            pos, neg = batch_pair_indices(labels, rng)
+            (total, ce, trip), grads = batch_loss_and_gradients(
+                model, all_x[rows], labels, pos, neg, hyper)
+            for name, grad in grads.items():
+                params[name] -= hyper.learning_rate * grad
+            for i, value in enumerate((ce, trip, total)):
+                sums[i] += value * rows.shape[0]
+        means.append(tuple(value / n for value in sums))
+    return model, means

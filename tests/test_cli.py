@@ -221,6 +221,14 @@ def test_grad_check_battery_passes(capsys):
         assert sum(f"triplet_weight={weight} " in line for line in lines) == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf", "-inf", "1e400"])
+def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(capsys, step):
+    assert main(["grad-check", f"--step={step}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any check runs
+    assert captured.err.startswith("error: --step must be positive and finite")
+
+
 def test_module_runs_as_a_script(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps(

@@ -77,6 +77,46 @@ def test_store_is_immutable():
         store.labels[0] = 0
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39])
+def test_constructor_rejects_non_finite_keys(bad):
+    # 1e39 is finite in float64 but overflows the float32 the store holds.
+    keys = np.ones((3, 2))
+    keys[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Datastore(keys, [0, 1, 0], 2)
+
+
+def test_constructor_accepts_the_largest_float32_keys():
+    big = np.finfo(np.float32).max
+    store = Datastore(np.full((2, 3), big, dtype=np.float32), [0, 1], 2)
+    assert store.search(np.zeros(3), 1)[0].index == 0
+
+
+def test_constructor_copies_a_writeable_key_array():
+    keys = np.arange(6, dtype=np.float32).reshape(3, 2)
+    store = Datastore(keys, [0, 1, 0], 2)
+    keys[0, 0] = 99.0
+    assert store.keys[0, 0] == 0.0
+    assert not np.shares_memory(store.keys, keys)
+
+
+def test_constructor_keeps_a_read_only_float32_matrix_that_owns_its_data():
+    keys = np.arange(6, dtype=np.float32).reshape(3, 2).copy()
+    keys.setflags(write=False)
+    assert Datastore(keys, [0, 1, 0], 2).keys is keys
+    # A view, another dtype, or a strided array is copied, read-only or not.
+    for other in (keys[1:], keys.astype(np.float64), np.asfortranarray(keys)):
+        other.setflags(write=False)
+        assert not np.shares_memory(Datastore(other, [0] * len(other), 2).keys, other)
+
+
+def test_load_copies_keys_out_of_the_file_buffer(tmp_path):
+    path = tmp_path / "store.bin"
+    random_store(np.random.default_rng(3), count=5, dim=3).save(path)
+    loaded = Datastore.load(path)
+    assert loaded.keys.flags.owndata and not loaded.keys.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -427,6 +427,21 @@ def test_build_datastore_memory_is_the_keys_plus_one_block(count):
     assert peak - 2 * store.keys.nbytes < BUILD_BLOCK_ALLOWANCE
 
 
+@pytest.mark.parametrize("count", [20_000, 60_000])
+def test_build_datastore_holds_one_key_matrix(count):
+    cfg = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=4)
+    model = Model.initialize(cfg, 0)
+    dataset = _single_token_dataset(count, dim=16, num_labels=4)
+    tracemalloc.start()
+    try:
+        store = build_datastore(model, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The store keeps the matrix build_datastore filled, without a copy.
+    assert peak - store.keys.nbytes < BUILD_BLOCK_ALLOWANCE
+
+
 def test_retrieval_params_validation():
     with pytest.raises(ValueError):
         RetrievalParams(k=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knnblend.core import DimensionMismatchError
 from knnblend.model import Model, ModelConfig
@@ -18,8 +20,15 @@ from knnblend.training import (
     train,
     triplet_loss,
 )
+from knnblend.training import _pair_indices
 
-from helpers import make_batch, scalar_batch_loss
+from helpers import (
+    batch_loss_and_gradients,
+    batch_pair_indices,
+    batch_train,
+    make_batch,
+    scalar_batch_loss,
+)
 
 
 def tiny_config(**overrides):
@@ -193,6 +202,27 @@ def test_select_pairs_draws_uniformly_among_candidates(labels):
                 assert abs(counts[j] - draws * p) <= bound, (i, j, counts[j])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    batch_size=st.integers(1, 42),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(labels=[0] * 6 + [1] * 4, batch_size=3, seed=0)  # a remainder batch of one
+@example(labels=[2] * 9, batch_size=4, seed=1)  # every batch has a single label
+@example(labels=[1], batch_size=1, seed=2)
+def test_epoch_pair_draw_matches_batch_by_batch_draws(labels, batch_size, seed):
+    labels = np.array(labels, dtype=np.int64)
+    epoch_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pos, neg = _pair_indices(labels, batch_size, epoch_rng)
+    for start in range(0, labels.shape[0], batch_size):
+        want_pos, want_neg = batch_pair_indices(labels[start : start + batch_size], batch_rng)
+        np.testing.assert_array_equal(pos[start : start + batch_size], want_pos)
+        np.testing.assert_array_equal(neg[start : start + batch_size], want_neg)
+    assert pos.dtype == neg.dtype == np.int64
+    assert epoch_rng.bit_generator.state == batch_rng.bit_generator.state
+
+
 def test_select_pairs_rejects_empty_batch():
     with pytest.raises(ValueError):
         select_pairs([], np.random.default_rng(0))
@@ -278,6 +308,26 @@ def test_loss_and_gradients_covers_every_parameter():
 # gradient checking
 
 
+@pytest.mark.parametrize("triplet", [True, False], ids=["triplet", "no-triplet"])
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
+@pytest.mark.parametrize("tw", [0.0, 0.5, 1.0])
+def test_loss_and_gradients_equal_zero_started_accumulation(decouple, triplet, tw):
+    model = Model.initialize(tiny_config(decouple_enabled=decouple, triplet_enabled=triplet), 41)
+    batch = make_batch(np.random.default_rng(41), 9, 5, 3)
+    hyper = Hyperparams(triplet_weight=tw)
+    pairs = select_pairs(batch, np.random.default_rng(41))
+    terms, grads = loss_and_gradients(model, batch, pairs, hyper)
+    x = model.pool_batch([ex.tokens for ex in batch])
+    labels = np.array([ex.label for ex in batch])
+    pos = np.array([p for p, _ in pairs])
+    neg = np.array([-1 if q is None else q for _, q in pairs])
+    want_terms, want = batch_loss_and_gradients(model, x, labels, pos, neg, hyper)
+    assert (terms.total, terms.ce, terms.triplet) == want_terms
+    assert list(grads) == list(want)
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, want[name], err_msg=name)
+
+
 @pytest.mark.parametrize("decouple", [True, False])
 @pytest.mark.parametrize("tw", [0.0, 0.5, 1.0])
 def test_grad_check_passes_small_configs(decouple, tw):
@@ -348,6 +398,14 @@ def test_grad_check_rejects_empty_batch():
     model = Model.initialize(tiny_config(), 0)
     with pytest.raises(ValueError):
         grad_check(model, [], Hyperparams())
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(step):
+    model = Model.initialize(tiny_config(), 0)
+    batch = make_batch(np.random.default_rng(0), 4, 5, 3)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        grad_check(model, batch, Hyperparams(), step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +484,30 @@ def test_train_is_deterministic_for_a_seed():
         assert stats_a.mean_ce == stats_b.mean_ce
         assert stats_a.mean_triplet == stats_b.mean_triplet
         assert stats_a.mean_total == stats_b.mean_total
+
+
+def _mixed_length_data(n, seed=43):
+    """n examples over three labels, with one to three tokens each."""
+    rng = np.random.default_rng(seed)
+    return [TrainExample(tokens=rng.normal(size=(1 + i % 3, 5)), label=int(rng.integers(3)), id=i)
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 33, 34], ids=lambda b: f"batch{b}")
+@pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+@pytest.mark.parametrize("tw", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("triplet", [True, False], ids=["triplet", "no-triplet"])
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
+def test_train_matches_the_batch_by_batch_loop(decouple, triplet, tw, pooling, batch_size):
+    # 34 rows: batch sizes n - 1 (a remainder batch of one) and n, and 1, 7, 32.
+    data = _mixed_length_data(34)
+    config = tiny_config(decouple_enabled=decouple, triplet_enabled=triplet, pooling=pooling)
+    hyper = Hyperparams(triplet_weight=tw, batch_size=batch_size, epochs=2, seed=batch_size)
+    model, log = train(data, hyper, config)
+    want_model, want_means = batch_train(data, hyper, config)
+    for name, arr in model.parameters().items():
+        assert arr.tobytes() == want_model.parameters()[name].tobytes(), name
+    assert [(s.mean_ce, s.mean_triplet, s.mean_total) for s in log] == want_means
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
