@@ -23,7 +23,8 @@ those of `SyntheticSpec`, `model` of `ModelConfig`, `hyper` of `Hyperparams` and
 absent (`train` reads only `data.train`). Each named path must be a string.
 Numbers must be finite JSON numbers, and integer fields truncate with `int()` (2.5
 is 2). Flags override the config key of the same name. An unknown key, a string or
-a bool where a number belongs, or any other value the dataclass rejects, exits 1.
+a bool where a number belongs, any other value the dataclass rejects, or a
+synthetic spec whose points overflow float64, exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -125,16 +126,22 @@ def _data_section(cfg: dict) -> dict:
     return data
 
 
-def _synthetic_spec(cfg: dict, args) -> SyntheticSpec:
+def _synthetic_datasets(cfg: dict, args) -> tuple[Dataset, Dataset]:
+    """The train and test sets of data.synthetic; a spec whose points overflow
+    float64 is a config error too."""
     section = _section(_data_section(cfg), "synthetic", _fields(SyntheticSpec))
-    return _build(SyntheticSpec, _settings(section, SyntheticSpec, args), "synthetic spec")
+    spec = _build(SyntheticSpec, _settings(section, SyntheticSpec, args), "synthetic spec")
+    try:
+        return generate_synthetic(spec)
+    except ValueError as exc:
+        raise ConfigError(f"invalid synthetic spec: {exc}") from exc
 
 
 def _train_dataset(cfg: dict, args) -> Dataset:
     """The training set named by the config's data section; synthetic by default."""
     data = _data_section(cfg)
     if "train" not in data:
-        return generate_synthetic(_synthetic_spec(cfg, args))[0]
+        return _synthetic_datasets(cfg, args)[0]
     if "synthetic" in data:
         raise ConfigError("data section cannot name both a train file and synthetic")
     return load_jsonl(data["train"])
@@ -181,8 +188,7 @@ def _write_lines(lines, path: str | None) -> None:
 
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
-    spec = _synthetic_spec(cfg, args)
-    train_ds, test_ds = generate_synthetic(spec)
+    train_ds, test_ds = _synthetic_datasets(cfg, args)
     write_jsonl(train_ds, args.out_train)
     write_jsonl(test_ds, args.out_test)
     print(f"wrote {len(train_ds)} train examples to {args.out_train}")

@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .core import as_tokens, coerce_fields
+from .core import as_tokens, check_finite_tokens, coerce_fields
 
 __all__ = [
     "Dataset",
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TrainExample:
     """One labeled instance: a token matrix (`core.as_tokens`), a label, an id."""
 
@@ -48,6 +47,28 @@ class TrainExample:
         object.__setattr__(self, "id", int(self.id))
         if self.label < 0:
             raise ValueError(f"label must be non-negative, got {self.label}")
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, labels: np.ndarray) -> list["TrainExample"]:
+        """Examples with ids 0..n-1 over a float64 (n, n_tokens, dim) stack that
+        owns its data, and its n labels: the rules of `__post_init__`, applied
+        once to the whole stack. The stack becomes read-only, so each example's
+        view of its row cannot be made writeable again."""
+        if stack.ndim != 3 or 0 in stack.shape[1:]:
+            raise ValueError(f"token stack must be (n, n_tokens, dim), got shape {stack.shape}")
+        check_finite_tokens(stack)
+        if labels.size and labels.min() < 0:
+            raise ValueError(f"label must be non-negative, got {labels.min()}")
+        stack.setflags(write=False)
+        new, put = object.__new__, object.__setattr__
+        examples = []
+        for i, (tokens, label) in enumerate(zip(stack, labels.tolist())):
+            ex = new(cls)
+            put(ex, "tokens", tokens)
+            put(ex, "label", label)
+            put(ex, "id", i)
+            examples.append(ex)
+        return examples
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainExample):
@@ -261,30 +282,37 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     Cluster c sits at class_separation times column (c mod dim) of a random
     rotation, so any class count is representable (directions repeat once the
     dimension is exhausted). The split is stratified: per class, a fifth of
-    the points (rounded down) go to the test set.
+    the points (rounded down) go to the test set. Each split's examples are
+    views of one read-only (n, 1, dim) stack, which the token rule checks once.
     """
     rng = np.random.default_rng(spec.seed)
     rotation = _random_orthogonal(spec.dim, rng)
-    class_points = []
+    count, n_test = spec.per_class_count, spec.per_class_count // 5
+    n_train = count - n_test
+    train_stack = np.empty((spec.num_classes * n_train, 1, spec.dim))
+    test_stack = np.empty((spec.num_classes * n_test, 1, spec.dim))
+    # Class c's points fill train_rows[c] and then test_rows[c] in draw order.
+    # Its permutation, drawn once every class has its points, then deals them
+    # out in place through a copy of that one class.
+    train_rows = train_stack.reshape(spec.num_classes, n_train, spec.dim)
+    test_rows = test_stack.reshape(spec.num_classes, n_test, spec.dim)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the token check below
+        for c in range(spec.num_classes):
+            mean = spec.class_separation * rotation[:, c % spec.dim]
+            points = mean + rng.normal(0.0, spec.noise_sigma, size=(count, spec.dim))
+            train_rows[c], test_rows[c] = points[:n_train], points[n_train:]
     for c in range(spec.num_classes):
-        mean = spec.class_separation * rotation[:, c % spec.dim]
-        noise = rng.normal(0.0, spec.noise_sigma, size=(spec.per_class_count, spec.dim))
-        class_points.append(mean + noise)
-    train_rows: list[tuple[np.ndarray, int]] = []
-    test_rows: list[tuple[np.ndarray, int]] = []
-    n_test = spec.per_class_count // 5
-    for c, points in enumerate(class_points):
-        order = rng.permutation(spec.per_class_count)
-        for pos in order[n_test:]:
-            train_rows.append((points[pos], c))
-        for pos in order[:n_test]:
-            test_rows.append((points[pos], c))
-
-    def as_dataset(rows: Sequence[tuple[np.ndarray, int]]) -> Dataset:
-        examples = [
-            TrainExample(tokens=row[None, :], label=label, id=i)
-            for i, (row, label) in enumerate(rows)
-        ]
-        return Dataset(examples=examples, num_labels=spec.num_classes, input_dim=spec.dim)
-
-    return as_dataset(train_rows), as_dataset(test_rows)
+        order = rng.permutation(count)
+        points = np.concatenate([train_rows[c], test_rows[c]])
+        train_rows[c], test_rows[c] = points[order[n_test:]], points[order[:n_test]]
+    classes = np.arange(spec.num_classes)
+    try:
+        train = TrainExample._from_stack(train_stack, np.repeat(classes, n_train))
+        test = TrainExample._from_stack(test_stack, np.repeat(classes, n_test))
+    except ValueError as exc:
+        raise ValueError(
+            f"class_separation {spec.class_separation!r} and noise_sigma "
+            f"{spec.noise_sigma!r} put points beyond float64 range: {exc}"
+        ) from exc
+    return (Dataset(examples=train, num_labels=spec.num_classes, input_dim=spec.dim),
+            Dataset(examples=test, num_labels=spec.num_classes, input_dim=spec.dim))

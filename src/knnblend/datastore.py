@@ -95,11 +95,20 @@ class Datastore:
     """Immutable collection of (key, label) pairs over a fixed label set."""
 
     def __init__(self, keys, labels, num_labels: int):
-        # A read-only, C-contiguous float32 array that owns its data is kept, not copied.
-        adopt = (isinstance(keys, np.ndarray) and keys.dtype == np.float32 and keys.flags.owndata
-                 and keys.flags.c_contiguous and not keys.flags.writeable)
-        with np.errstate(over="ignore"):  # a key beyond float32 range fails the check below
-            keys_arr = keys if adopt else np.array(keys, dtype=np.float32, order="C", copy=True)
+        with np.errstate(over="ignore"):  # a key beyond float32 range fails the check in _own
+            keys_arr = np.array(keys, dtype=np.float32, order="C", copy=True)
+        self._own(keys_arr, labels, num_labels)
+
+    @classmethod
+    def _adopt(cls, keys: np.ndarray, labels, num_labels: int) -> "Datastore":
+        """A store that keeps `keys`, a C-contiguous float32 matrix that only the
+        caller holds and gives up, instead of copying it."""
+        store = cls.__new__(cls)
+        store._own(keys, labels, num_labels)
+        return store
+
+    def _own(self, keys_arr: np.ndarray, labels, num_labels: int) -> None:
+        """Check and keep a float32 key matrix no one else holds, with its labels."""
         if keys_arr.ndim != 2:
             raise ValueError(f"keys must be a 2-d array, got shape {keys_arr.shape}")
         # A float32 square fits float64: a key's norm is finite iff its entries are.

@@ -81,8 +81,11 @@ def knn_distribution_batch(
             f"neighbor distances are not finite at temperature {temperature!r}"
         )
     weights = np.exp(scaled - peak)
-    probs = np.zeros((labels.shape[0], int(num_labels)), dtype=np.float64)
-    np.add.at(probs, (np.arange(labels.shape[0])[:, None], labels), weights)
+    # Each (row, label) cell sums its weights in hit order, starting from 0.0.
+    rows, num_labels = labels.shape[0], int(num_labels)
+    cells = (np.arange(rows)[:, None] * num_labels + labels).ravel()
+    probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
+    probs = probs.reshape(rows, num_labels)
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -214,5 +217,4 @@ def build_datastore(model, dataset) -> Datastore:
     for start in range(0, len(dataset), KEY_BLOCK):
         block = [ex.tokens for ex in dataset.examples[start : start + KEY_BLOCK]]
         keys[start : start + len(block)] = model.encode_batch(block)[1]
-    keys.setflags(write=False)  # so the store keeps this matrix instead of copying it
-    return Datastore(keys=keys, labels=dataset.labels(), num_labels=dataset.num_labels)
+    return Datastore._adopt(keys, dataset.labels(), dataset.num_labels)

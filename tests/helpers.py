@@ -5,7 +5,8 @@ the library: pure-Python loops, full sorts instead of heaps, and mpmath
 extended precision instead of float64, so agreement is meaningful. The
 training oracles keep the library's earlier step: pairs drawn batch by batch,
 each gradient accumulated into its own zeroed array, and one update per
-weight array; the library must reproduce them bit for bit.
+weight array; the library must reproduce them bit for bit. So must the
+per-row synthetic generator and the `np.add.at` neighbor vote.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import mpmath
 import numpy as np
 
 from knnblend.core import squared_l2
+from knnblend.data import Dataset, _random_orthogonal
 from knnblend.model import ACTIVATIONS, Model
 from knnblend.training import CE_PROB_FLOOR, TrainExample
 
@@ -179,6 +181,42 @@ def nearest_centroid_accuracy(train_ds, test_ds):
         if int(np.argmin(dists)) == ex.label:
             correct += 1
     return correct / len(test_ds.examples)
+
+
+def per_row_synthetic(spec):
+    """`generate_synthetic` one row at a time: each class's points drawn in
+    their own array, and each example built and checked by `TrainExample`."""
+    rng = np.random.default_rng(spec.seed)
+    rotation = _random_orthogonal(spec.dim, rng)
+    class_points = []
+    for c in range(spec.num_classes):
+        mean = spec.class_separation * rotation[:, c % spec.dim]
+        noise = rng.normal(0.0, spec.noise_sigma, size=(spec.per_class_count, spec.dim))
+        class_points.append(mean + noise)
+    train_rows, test_rows = [], []
+    n_test = spec.per_class_count // 5
+    for c, points in enumerate(class_points):
+        order = rng.permutation(spec.per_class_count)
+        train_rows.extend((points[pos], c) for pos in order[n_test:])
+        test_rows.extend((points[pos], c) for pos in order[:n_test])
+    return tuple(
+        Dataset(
+            examples=[TrainExample(tokens=row[None, :], label=label, id=i)
+                      for i, (row, label) in enumerate(rows)],
+            num_labels=spec.num_classes,
+            input_dim=spec.dim,
+        )
+        for rows in (train_rows, test_rows)
+    )
+
+
+def add_at_vote(labels, distances, temperature, num_labels):
+    """The neighbor vote with `np.add.at` into a zeroed (B, num_labels) matrix."""
+    scaled = -distances / temperature
+    weights = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    probs = np.zeros((labels.shape[0], num_labels))
+    np.add.at(probs, (np.arange(labels.shape[0])[:, None], labels), weights)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def make_batch(rng, n, dim, num_labels, n_tokens=1):

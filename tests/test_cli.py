@@ -368,6 +368,22 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, config):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_overflowing_synthetic_spec_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"data": {"synthetic": {"class_separation": 1e308, "noise_sigma": 1e308}}}')
+    argv = {
+        "gen-data": ["--out-train", str(tmp_path / "tr.jsonl"),
+                     "--out-test", str(tmp_path / "te.jsonl")],
+        "train": ["--out", str(tmp_path / "m.json")],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid synthetic spec: class_separation")
+    assert "noise_sigma" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.jsonl")) and not list(tmp_path.glob("m.json*"))
+
+
 def test_train_does_not_read_the_test_file(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knnblend.data import (
     Dataset,
@@ -13,7 +16,7 @@ from knnblend.data import (
 )
 from knnblend.training import TrainExample
 
-from helpers import nearest_centroid_accuracy
+from helpers import nearest_centroid_accuracy, per_row_synthetic
 
 
 def write_lines(tmp_path, *lines, name="data.jsonl"):
@@ -361,6 +364,62 @@ def test_generate_synthetic_tiny_classes_have_empty_test_split():
     )
     assert len(train) == 8
     assert len(test) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_classes=st.integers(2, 9),
+    dim=st.integers(1, 6),
+    per_class_count=st.integers(1, 12),
+    class_separation=st.floats(0.1, 20.0),
+    noise_sigma=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(num_classes=7, dim=2, per_class_count=10, class_separation=6.0, noise_sigma=1.0,
+         seed=0)  # more classes than dimensions
+@example(num_classes=3, dim=4, per_class_count=4, class_separation=6.0, noise_sigma=1.0,
+         seed=1)  # an empty test split
+@example(num_classes=2, dim=3, per_class_count=9, class_separation=2.5, noise_sigma=0.0,
+         seed=2)  # no noise
+def test_generate_synthetic_matches_the_per_row_oracle(
+    num_classes, dim, per_class_count, class_separation, noise_sigma, seed
+):
+    spec = SyntheticSpec(num_classes=num_classes, dim=dim, per_class_count=per_class_count,
+                         class_separation=class_separation, noise_sigma=noise_sigma, seed=seed)
+    for got, want in zip(generate_synthetic(spec), per_row_synthetic(spec)):
+        assert got == want
+        assert [ex.tokens.tobytes() for ex in got.examples] == [
+            ex.tokens.tobytes() for ex in want.examples]
+        for ex in got.examples:
+            assert type(ex.label) is int and type(ex.id) is int
+            assert ex.tokens.dtype == np.float64 and ex.tokens.shape == (1, dim)
+            assert not ex.tokens.flags.writeable
+            with pytest.raises(ValueError):
+                ex.tokens.setflags(write=True)
+            assert not hasattr(ex, "__dict__")
+
+
+def test_generate_synthetic_memory_per_row():
+    spec = SyntheticSpec(num_classes=4, per_class_count=5000)  # 20,000 rows of dim 16
+    tracemalloc.start()
+    try:
+        train, test = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each split's stack of rows plus a (1, 16) view and a slotted example per
+    # row peak at about 425 B/row. Examples that each carry a __dict__ and
+    # check their own row, built while every class's points were held, peaked
+    # at about 600-635 B/row.
+    assert peak / (len(train) + len(test)) < 500
+
+
+def test_generate_synthetic_reports_an_overflowing_spec():
+    spec = SyntheticSpec(class_separation=1e308, noise_sigma=1e308)
+    # The repo's error::RuntimeWarning filter fails the test on an overflow warning.
+    with pytest.raises(ValueError, match="class_separation .* noise_sigma") as info:
+        generate_synthetic(spec)
+    assert "non-finite" in str(info.value)
 
 
 def test_synthetic_spec_validation():

@@ -1,9 +1,12 @@
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from knnblend.core import DimensionMismatchError
+from knnblend.data import SyntheticSpec, generate_synthetic
 from knnblend.datastore import (
     MAGIC,
     BadMagicError,
@@ -15,6 +18,8 @@ from knnblend.datastore import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from knnblend.model import Model, ModelConfig
+from knnblend.retrieval import build_datastore
 
 from helpers import full_sort_hits, hits_as_pairs
 
@@ -100,14 +105,30 @@ def test_constructor_copies_a_writeable_key_array():
     assert not np.shares_memory(store.keys, keys)
 
 
-def test_constructor_keeps_a_read_only_float32_matrix_that_owns_its_data():
+def test_constructor_copies_keys_and_build_datastore_hands_its_matrix_over():
     keys = np.arange(6, dtype=np.float32).reshape(3, 2).copy()
     keys.setflags(write=False)
-    assert Datastore(keys, [0, 1, 0], 2).keys is keys
-    # A view, another dtype, or a strided array is copied, read-only or not.
+    store = Datastore(keys, [0, 1, 0], 2)
+    # The caller can turn writing back on for its own array, never for the store's.
+    keys.setflags(write=True)
+    keys[1] = 100.0
+    np.testing.assert_array_equal(store.keys, np.arange(6, dtype=np.float32).reshape(3, 2))
+    assert store.search((2.0, 3.0), k=1) == [NeighborHit(index=1, distance=0.0, label=1)]
     for other in (keys[1:], keys.astype(np.float64), np.asfortranarray(keys)):
         other.setflags(write=False)
         assert not np.shares_memory(Datastore(other, [0] * len(other), 2).keys, other)
+    # build_datastore's store keeps the matrix it filled: its peak is that
+    # matrix plus one encode block (about a third of it at 80,000 rows), not two.
+    train, _ = generate_synthetic(SyntheticSpec(num_classes=2, dim=4, per_class_count=50_000))
+    model = Model.initialize(ModelConfig(input_dim=4, hidden_dim=4, emb_dim=32), 0)
+    tracemalloc.start()
+    try:
+        built = build_datastore(model, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * built.keys.nbytes
+    assert built.keys.flags.owndata and len(gc.get_referrers(built.keys)) == 1
 
 
 def test_load_copies_keys_out_of_the_file_buffer(tmp_path):

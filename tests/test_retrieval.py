@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from knnblend.retrieval import (
 from knnblend.training import TrainExample
 
 from helpers import (
+    add_at_vote,
     full_sort_hits,
     mp_neighbor_distribution,
     random_distribution,
@@ -65,6 +66,34 @@ def test_vote_and_blend_give_a_distribution_or_a_typed_error(data):
         assert probs.shape == (rows, num_labels)
         for row in probs:
             validate_distribution(row)  # in [0, 1], sums to 1 within DISTRIBUTION_ATOL
+
+
+@st.composite
+def vote_cases(draw):
+    """(labels, distances, temperature, num_labels); labels at or above
+    `used` get no hit, and a distance of 1e6 underflows its weight to 0."""
+    rows = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    num_labels = draw(st.integers(1, 6))
+    used = draw(st.integers(1, num_labels))
+    labels = draw(hnp.arrays(np.int64, (rows, k), elements=st.integers(0, used - 1)))
+    distances = draw(hnp.arrays(np.float64, (rows, k),
+                                elements=st.floats(0.0, 20.0) | st.just(1e6)))
+    temperature = draw(st.floats(0.5, 50.0))
+    return labels, distances, temperature, num_labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vote_cases())
+@example(case=(np.array([[0]]), np.array([[3.0]]), 1.0, 1))  # B = 1, k = 1
+# Repeated labels, a weight that underflows to 0, and labels no hit uses.
+@example(case=(np.array([[1, 1, 1]]), np.array([[0.0, 2000.0, 5.0]]), 1.0, 4))
+@example(case=(np.array([[2, 0, 2], [0, 0, 0]]), np.array([[1.0, 1e5, 1.5], [9.0, 3.0, 9.0]]),
+               0.5, 5))
+def test_vote_sums_each_cell_in_hit_order(case):
+    labels, distances, temperature, num_labels = case
+    got = knn_distribution_batch(labels, distances, temperature, num_labels)
+    assert got.tobytes() == add_at_vote(labels, distances, temperature, num_labels).tobytes()
 
 
 def test_knn_distribution_single_hit_is_exact_one_hot():
