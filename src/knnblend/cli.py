@@ -40,7 +40,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_jsonl, write_jsonl
+from .data import (
+    Dataset,
+    SyntheticSpec,
+    TrainExample,
+    generate_synthetic,
+    load_jsonl,
+    write_jsonl,
+)
 from .datastore import Datastore
 from .evaluate import (
     CSV_HEADER,
@@ -52,7 +59,7 @@ from .evaluate import (
 )
 from .model import Model, ModelConfig
 from .retrieval import RetrievalParams, build_datastore, predict_batch
-from .training import Hyperparams, TrainExample, grad_check, train
+from .training import Hyperparams, grad_check, train
 
 __all__ = ["ConfigError", "main"]
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_vector, sq_dists
+from .core import DimensionMismatchError, sq_dists
 
 __all__ = [
     "BadMagicError",
@@ -140,30 +140,6 @@ class Datastore:
         self._labels = labels_arr
         self._num_labels = int(num_labels)
 
-    @classmethod
-    def build(cls, entries, num_labels: int, dim: int | None = None) -> "Datastore":
-        """Build a store from (vector, label) pairs, kept in input order.
-
-        Duplicate keys are retained. `dim` is only needed when `entries` is
-        empty and a specific key dimension should be recorded.
-        """
-        vectors: list[np.ndarray] = []
-        labels: list[int] = []
-        for pos, (vec, label) in enumerate(entries):
-            v = as_vector(vec, f"entry {pos}")
-            if dim is None:
-                dim = v.shape[0]
-            elif v.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"entry {pos} has dimension {v.shape[0]}, expected {dim}"
-                )
-            vectors.append(v)
-            labels.append(int(label))
-        if dim is None:
-            dim = 0
-        keys = np.asarray(vectors, dtype=np.float32).reshape(len(vectors), dim)
-        return cls(keys, np.asarray(labels, dtype=np.int64), num_labels)
-
     @property
     def dim(self) -> int:
         return int(self._keys.shape[1])
@@ -178,13 +154,14 @@ class Datastore:
 
     @property
     def keys(self) -> np.ndarray:
-        """Stored keys, float32, read-only, shape (count, dim)."""
-        return self._keys
+        """Stored keys, float32, shape (count, dim): a read-only view, which numpy
+        will not make writeable because the store's own matrix is read-only."""
+        return self._keys.view()
 
     @property
     def labels(self) -> np.ndarray:
-        """Stored labels, read-only, shape (count,)."""
-        return self._labels
+        """Stored labels, int64, shape (count,): a read-only view, like `keys`."""
+        return self._labels.view()
 
     def __len__(self) -> int:
         return self.count

@@ -1,10 +1,11 @@
 """Accuracy evaluation over (k, temperature, knn_weight) grids, reported as CSV.
 
-Both entry points score all examples through one `retrieval.predict_batch`.
-The sweep searches once at the largest k and reuses prefixes of the sorted
-hits for smaller k values; because hits are totally ordered by (distance,
-index) this is exactly equivalent to searching per k. It then votes once per
-(k, temperature) and blends once per knn_weight, each over the whole batch.
+`evaluate_config` scores all examples through one `retrieval.predict_batch`.
+`run_sweep` takes the same neighbor step once, searching at the largest k, and
+reuses prefixes of the sorted hits for smaller k values; because hits are
+totally ordered by (distance, index) this is exactly equivalent to searching
+per k. It then votes once per (k, temperature) and blends once per
+knn_weight, each over the whole batch.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .data import TrainExample
 from .datastore import Datastore
 from .retrieval import (
     RetrievalParams,
+    _neighbor_step,
     interpolate_batch,
     knn_distribution_batch,
     predict_batch,
@@ -128,10 +130,10 @@ def run_sweep(
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
     if need_search and store is None:
         raise ValueError("a datastore is required when the grid includes knn_weight > 0")
-    # Any positive weight makes predict_batch search; each cell re-votes below.
-    widest = RetrievalParams(k=max(sweep.k_values), temperature=sweep.temperature_values[0],
-                             knn_weight=1.0 if need_search else 0.0)
-    batch = predict_batch(model, store, [ex.tokens for ex in examples], widest)
+    p_cls, indices, distances = _neighbor_step(
+        model, store, [ex.tokens for ex in examples],
+        max(sweep.k_values) if need_search else None,
+    )
     gold = _gold(examples)
     neighbor_probs = None
     rows = []
@@ -139,13 +141,10 @@ def run_sweep(
         for temperature in sweep.temperature_values:
             if need_search:
                 neighbor_probs = knn_distribution_batch(
-                    store.labels[batch.neighbor_indices[:, :k]],
-                    batch.neighbor_distances[:, :k],
-                    temperature,
-                    store.num_labels,
+                    store.labels[indices[:, :k]], distances[:, :k], temperature, store.num_labels
                 )
             for weight in sweep.knn_weight_values:
-                final = interpolate_batch(neighbor_probs, batch.classifier_probs, weight)
+                final = interpolate_batch(neighbor_probs, p_cls, weight)
                 rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)

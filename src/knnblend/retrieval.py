@@ -4,9 +4,11 @@ Retrieved neighbors are turned into a label distribution by a softmax over
 temperature-scaled negative distances, aggregated per label. That
 distribution is mixed with the classifier's own output by a fixed weight.
 
-Every prediction takes one scoring path, `predict_batch`: a batched encode,
-`Datastore.search_batch`, then `knn_distribution_batch` and `interpolate_batch`
-over (B, k) arrays; `predict`, `knn_distribution` and `interpolate` wrap it.
+Every score takes one neighbor step, `_neighbor_step`: a batched encode and
+classify, then, given k, one `Datastore.search_batch`. `predict_batch` adds one
+vote (`knn_distribution_batch`) and one blend (`interpolate_batch`) over
+(B, k) arrays; `evaluate.run_sweep` takes the step once and votes and blends
+per grid cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
 """
 
 from __future__ import annotations
@@ -155,30 +157,40 @@ class BatchPrediction:
     neighbor_distances: np.ndarray | None  # (B, min(k, count))
 
 
+def _neighbor_step(model, store: Datastore | None, token_seqs, k: int | None):
+    """Classifier distributions of a batch and, given k, each row's hits.
+
+    Returns (classifier_probs, indices, distances); without k the store is
+    never consulted (it may be empty or None) and the hit arrays are None.
+    The retrieval representations r are the queries.
+    """
+    h0, r = model.encode_batch(token_seqs)
+    p_cls = model.classify(h0)
+    if k is None:
+        return p_cls, None, None
+    if store is None:
+        raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
+    if store.num_labels != model.config.num_labels:
+        raise ValueError(
+            f"datastore has {store.num_labels} labels but the model has "
+            f"{model.config.num_labels}"
+        )
+    return (p_cls, *store.search_batch(r, k))
+
+
 def predict_batch(
     model, store: Datastore | None, token_seqs, params: RetrievalParams
 ) -> BatchPrediction:
     """Classify a sequence of instances, optionally blending in the neighbor vote.
 
-    The retrieval representations r are the queries; with knn_weight == 0 the
-    datastore is never consulted (it may be empty or None). Label ties break
-    to the lowest index.
+    With knn_weight == 0 the datastore is never consulted (it may be empty or
+    None). Label ties break to the lowest index.
     """
-    h0, r = model.encode_batch(token_seqs)
-    p_cls = model.classify(h0)
-    indices = distances = p_knn = None
-    if params.knn_weight > 0.0:
-        if store is None:
-            raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
-        if store.num_labels != model.config.num_labels:
-            raise ValueError(
-                f"datastore has {store.num_labels} labels but the model has "
-                f"{model.config.num_labels}"
-            )
-        indices, distances = store.search_batch(r, params.k)
-        p_knn = knn_distribution_batch(
-            store.labels[indices], distances, params.temperature, store.num_labels
-        )
+    k = params.k if params.knn_weight > 0.0 else None
+    p_cls, indices, distances = _neighbor_step(model, store, token_seqs, k)
+    p_knn = None if k is None else knn_distribution_batch(
+        store.labels[indices], distances, params.temperature, store.num_labels
+    )
     p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
     return BatchPrediction(
         labels=np.argmax(p_final, axis=1),

@@ -9,8 +9,11 @@ Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
 (batch, label)-sorted order. `train` pools the dataset once, and its weights
-and gradients each live in one flat buffer. One function computes the loss
-and, on request, its gradients; ``grad_check`` checks them by finite differences.
+and gradients each live in one flat buffer. One function, `_loss`, computes a
+batch's loss terms and, on request, their gradients; `combined_loss`,
+`loss_and_gradients`, `train` and ``grad_check`` (which checks the gradients
+by finite differences) all go through it. A diverging model's loss turns
+non-finite without a warning, and `train` raises `TrainingDivergedError`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import coerce_fields, squared_l2, validate_distribution
+from .core import coerce_fields
 from .data import TrainExample
 from .model import ACTIVATIONS, Model, ModelConfig
 
@@ -32,15 +35,12 @@ __all__ = [
     "GradCheckReport",
     "Hyperparams",
     "LossTerms",
-    "TrainExample",
     "TrainingDivergedError",
     "combined_loss",
-    "cross_entropy",
     "grad_check",
     "loss_and_gradients",
     "select_pairs",
     "train",
-    "triplet_loss",
 ]
 
 # Probabilities are clamped here before the log so a collapsed softmax cannot
@@ -77,24 +77,6 @@ class Hyperparams:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def cross_entropy(probs, gold: int) -> float:
-    """-log p[gold], with p[gold] clamped below by CE_PROB_FLOOR."""
-    p = validate_distribution(probs)
-    g = int(gold)
-    if not 0 <= g < p.shape[0]:
-        raise ValueError(f"gold label {g} out of range for {p.shape[0]} labels")
-    return -math.log(max(float(p[g]), CE_PROB_FLOOR))
-
-
-def triplet_loss(anchor, positive, negative, margin: float) -> float:
-    """Hinge over squared-L2: max(d(a,p) - d(a,n) + margin, 0)."""
-    if not (float(margin) > 0.0):
-        raise ValueError(f"margin must be positive, got {margin}")
-    d_ap = squared_l2(anchor, positive)
-    d_an = squared_l2(anchor, negative)
-    return max(d_ap - d_an + float(margin), 0.0)
 
 
 def _pair_indices(labels: np.ndarray, batch_size: int, rng: np.random.Generator):
@@ -218,8 +200,10 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
 
     if cfg.triplet_enabled:
         anchors, diff_p, diff_n, raw = _hinge(cache.r, pos, neg, hyper.margin)
-        # np.maximum, unlike a comparison, carries a NaN margin into the loss.
-        trip_mean = float(np.maximum(raw, 0.0).sum()) / n
+        # np.maximum, unlike a comparison, carries a NaN margin into the loss;
+        # margins that sum past float64 give an inf loss, reported by the caller.
+        with np.errstate(over="ignore"):
+            trip_mean = float(np.maximum(raw, 0.0).sum()) / n
     else:
         trip_mean = 0.0
     terms = LossTerms(

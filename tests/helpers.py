@@ -17,9 +17,9 @@ import mpmath
 import numpy as np
 
 from knnblend.core import squared_l2
-from knnblend.data import Dataset, _random_orthogonal
+from knnblend.data import Dataset, TrainExample, _random_orthogonal
 from knnblend.model import ACTIVATIONS, Model
-from knnblend.training import CE_PROB_FLOOR, TrainExample
+from knnblend.training import CE_PROB_FLOOR
 
 
 def full_sort_hits(store, query, k):

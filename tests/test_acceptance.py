@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from knnblend.cli import main
-from knnblend.data import SyntheticSpec, generate_synthetic
+from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
 from knnblend.datastore import (
     BadMagicError,
     Datastore,
@@ -28,7 +28,7 @@ from knnblend.retrieval import (
     interpolate,
     knn_distribution,
 )
-from knnblend.training import Hyperparams, TrainExample, grad_check, train
+from knnblend.training import Hyperparams, grad_check, train
 
 from helpers import full_sort_hits, random_distribution
 

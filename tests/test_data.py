@@ -10,11 +10,11 @@ from knnblend.data import (
     Dataset,
     DatasetFormatError,
     SyntheticSpec,
+    TrainExample,
     generate_synthetic,
     load_jsonl,
     write_jsonl,
 )
-from knnblend.training import TrainExample
 
 from helpers import nearest_centroid_accuracy, per_row_synthetic
 

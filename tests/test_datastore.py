@@ -31,38 +31,33 @@ def random_store(rng, count, dim, num_labels=4):
 
 
 # ---------------------------------------------------------------------------
-# build
+# construction
 
 
 def test_build_empty():
-    store = Datastore.build([], num_labels=2)
+    store = Datastore(np.zeros((0, 2)), [], num_labels=2)
     assert store.count == 0
     assert len(store) == 0
 
 
 def test_build_two_entries():
-    store = Datastore.build([((1.0, 0.0), 0), ((0.0, 1.0), 1)], num_labels=2)
+    store = Datastore([(1.0, 0.0), (0.0, 1.0)], [0, 1], num_labels=2)
     assert store.count == 2
     assert store.dim == 2
     assert list(store.labels) == [0, 1]
 
 
 def test_build_retains_duplicate_keys():
-    store = Datastore.build([((1.0, 1.0), 0), ((1.0, 1.0), 1)], num_labels=2)
+    store = Datastore([(1.0, 1.0), (1.0, 1.0)], [0, 1], num_labels=2)
     assert store.count == 2
     np.testing.assert_array_equal(store.keys[0], store.keys[1])
 
 
-def test_build_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatchError):
-        Datastore.build([((1.0, 0.0), 0), ((1.0, 0.0, 0.0), 1)], num_labels=2)
-
-
 def test_build_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
-        Datastore.build([((1.0,), 2)], num_labels=2)
+        Datastore([(1.0,)], [2], num_labels=2)
     with pytest.raises(ValueError):
-        Datastore.build([((1.0,), -1)], num_labels=2)
+        Datastore([(1.0,)], [-1], num_labels=2)
 
 
 def test_constructor_rejects_bad_shapes():
@@ -75,11 +70,21 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_store_is_immutable():
-    store = Datastore.build([((1.0, 2.0), 0)], num_labels=1)
+    store = Datastore([(1.0, 2.0)], [0], num_labels=1)
     with pytest.raises(ValueError):
         store.keys[0, 0] = 9.0
     with pytest.raises(ValueError):
         store.labels[0] = 0
+
+
+def test_store_arrays_cannot_be_made_writeable():
+    # A writeable key would leave the prefilter's norms describing the old key.
+    store = Datastore([(0.0, 0.0), (1.0, 1.0)], [0, 1], num_labels=2)
+    for arr in (store.keys, store.labels):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    np.testing.assert_array_equal(store.keys, [(0.0, 0.0), (1.0, 1.0)])
+    assert store.search((1.0, 1.0), k=1) == [NeighborHit(index=1, distance=0.0, label=1)]
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39])
@@ -128,14 +133,14 @@ def test_constructor_copies_keys_and_build_datastore_hands_its_matrix_over():
     finally:
         tracemalloc.stop()
     assert peak < 1.7 * built.keys.nbytes
-    assert built.keys.flags.owndata and len(gc.get_referrers(built.keys)) == 1
+    assert built.keys.base.flags.owndata and len(gc.get_referrers(built.keys.base)) == 1
 
 
 def test_load_copies_keys_out_of_the_file_buffer(tmp_path):
     path = tmp_path / "store.bin"
     random_store(np.random.default_rng(3), count=5, dim=3).save(path)
     loaded = Datastore.load(path)
-    assert loaded.keys.flags.owndata and not loaded.keys.flags.writeable
+    assert loaded.keys.base.flags.owndata and not loaded.keys.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +148,13 @@ def test_load_copies_keys_out_of_the_file_buffer(tmp_path):
 
 
 def test_search_hand_example():
-    store = Datastore.build([((0.0, 0.0), 0), ((10.0, 10.0), 1)], num_labels=2)
+    store = Datastore([(0.0, 0.0), (10.0, 10.0)], [0, 1], num_labels=2)
     hits = store.search((1.0, 1.0), k=1)
     assert hits == [NeighborHit(index=0, distance=2.0, label=0)]
 
 
 def test_search_exact_match_comes_first_with_zero_distance():
-    store = Datastore.build(
-        [((5.0, -3.0), 1), ((0.0, 0.0), 0), ((2.0, 2.0), 1)], num_labels=2
-    )
+    store = Datastore([(5.0, -3.0), (0.0, 0.0), (2.0, 2.0)], [1, 0, 1], num_labels=2)
     hits = store.search((2.0, 2.0), k=3)
     assert hits[0].index == 2
     assert hits[0].distance == 0.0
@@ -167,9 +170,8 @@ def test_search_k_larger_than_count_returns_all_sorted():
 
 
 def test_search_ties_break_by_ascending_index():
-    store = Datastore.build(
-        [((1.0, 0.0), 0), ((-1.0, 0.0), 1), ((0.0, 1.0), 0), ((0.0, -1.0), 1)],
-        num_labels=2,
+    store = Datastore(
+        [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)], [0, 1, 0, 1], num_labels=2
     )
     hits = store.search((0.0, 0.0), k=4)
     assert [h.index for h in hits] == [0, 1, 2, 3]
@@ -177,13 +179,13 @@ def test_search_ties_break_by_ascending_index():
 
 
 def test_search_empty_store_raises():
-    store = Datastore.build([], num_labels=2, dim=3)
+    store = Datastore(np.zeros((0, 3)), [], num_labels=2)
     with pytest.raises(RetrievalUnavailableError):
         store.search((0.0, 0.0, 0.0), k=1)
 
 
 def test_search_rejects_bad_arguments():
-    store = Datastore.build([((1.0, 2.0), 0)], num_labels=1)
+    store = Datastore([(1.0, 2.0)], [0], num_labels=1)
     with pytest.raises(ValueError):
         store.search((1.0, 2.0), k=0)
     with pytest.raises(DimensionMismatchError):
@@ -240,7 +242,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_empty_store(tmp_path):
-    store = Datastore.build([], num_labels=3)
+    store = Datastore(np.zeros((0, 2)), [], num_labels=3)
     path = tmp_path / "empty.bin"
     store.save(path)
     loaded = Datastore.load(path)
@@ -269,7 +271,7 @@ def test_load_rejects_corrupted_magic(tmp_path):
 
 
 def test_load_rejects_future_version(tmp_path):
-    store = Datastore.build([((1.0,), 0)], num_labels=1)
+    store = Datastore([(1.0,)], [0], num_labels=1)
     path = tmp_path / "store.bin"
     store.save(path)
     blob = bytearray(path.read_bytes())
@@ -305,7 +307,7 @@ def test_load_rejects_flipped_payload_byte(tmp_path):
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
-    store = Datastore.build([((1.0, 2.0), 0)], num_labels=1)
+    store = Datastore([(1.0, 2.0)], [0], num_labels=1)
     path = tmp_path / "store.bin"
     store.save(path)
     path.write_bytes(path.read_bytes() + b"junk")

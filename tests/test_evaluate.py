@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from knnblend.data import Dataset
+from knnblend import evaluate, retrieval
+from knnblend.data import Dataset, TrainExample
 from knnblend.evaluate import (
     CSV_HEADER,
     EvalReport,
@@ -12,8 +13,7 @@ from knnblend.evaluate import (
     write_report_csv,
 )
 from knnblend.model import Model, ModelConfig
-from knnblend.retrieval import RetrievalParams, build_datastore
-from knnblend.training import TrainExample
+from knnblend.retrieval import RetrievalParams, build_datastore, knn_distribution_batch
 
 
 def toy_setup(n=12, num_labels=3, seed=90):
@@ -100,6 +100,25 @@ def test_run_sweep_rows_match_per_config_evaluation_exactly():
                                  knn_weight=row.knn_weight)
         single = evaluate_config(model, store, dataset.examples, params)
         assert row == single
+
+
+def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
+    calls = []
+
+    def counting_vote(*args):
+        calls.append(args[2])
+        return knn_distribution_batch(*args)
+
+    monkeypatch.setattr(retrieval, "knn_distribution_batch", counting_vote)
+    monkeypatch.setattr(evaluate, "knn_distribution_batch", counting_vote)
+    model, dataset, store = toy_setup()
+    spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0, 30.0),
+                     knn_weight_values=(0.0, 0.3, 1.0))
+    run_sweep(model, store, dataset.examples, spec)
+    assert calls == [t for _ in spec.k_values for t in spec.temperature_values]
+    calls.clear()
+    run_sweep(model, store, dataset.examples, SweepSpec(knn_weight_values=(0.0,)))
+    assert calls == []
 
 
 def test_run_sweep_classifier_only_grid_needs_no_store():

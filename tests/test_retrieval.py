@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from knnblend import NonFiniteDistanceError
 from knnblend.core import DimensionMismatchError, softmax, squared_l2, validate_distribution
-from knnblend.data import Dataset
+from knnblend.data import Dataset, TrainExample
 from knnblend.datastore import Datastore, NeighborHit, RetrievalUnavailableError
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import (
@@ -21,7 +21,6 @@ from knnblend.retrieval import (
     knn_distribution_batch,
     predict,
 )
-from knnblend.training import TrainExample
 
 from helpers import (
     add_at_vote,

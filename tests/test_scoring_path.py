@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from knnblend import NonFiniteDistanceError
 from knnblend.cli import main
 from knnblend.core import softmax
-from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
+from knnblend.data import Dataset, SyntheticSpec, TrainExample, generate_synthetic
 from knnblend.datastore import KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import Model, ModelConfig
@@ -29,7 +29,7 @@ from knnblend.retrieval import (
     predict,
     predict_batch,
 )
-from knnblend.training import Hyperparams, TrainExample, train
+from knnblend.training import Hyperparams, train
 
 from helpers import full_sort_hits, hits_as_pairs, oracle_cell_labels
 

@@ -1,26 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnblend.core import DimensionMismatchError
+from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
 from knnblend.model import Model, ModelConfig
 from knnblend.training import (
     CE_PROB_FLOOR,
     Hyperparams,
-    TrainExample,
     TrainingDivergedError,
     combined_loss,
-    cross_entropy,
     grad_check,
     loss_and_gradients,
     select_pairs,
     train,
-    triplet_loss,
 )
-from knnblend.training import _pair_indices
+from knnblend.training import _hinge, _pair_indices
 
 from helpers import (
     batch_loss_and_gradients,
@@ -35,6 +33,34 @@ def tiny_config(**overrides):
     base = dict(input_dim=5, hidden_dim=4, emb_dim=3, num_labels=3)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def pass_through_model(dim=2, num_labels=2, **overrides):
+    """A shared identity-activation model whose encoder copies its input, so
+    h0 and r are each example's own token vector."""
+    cfg = ModelConfig(input_dim=dim, hidden_dim=dim, emb_dim=dim, num_labels=num_labels,
+                      activation="identity", decouple_enabled=False, **overrides)
+    model = Model.initialize(cfg, 0)
+    for w, b in ((model.enc_w1, model.enc_b1), (model.enc_w2, model.enc_b2)):
+        w[...] = np.eye(dim)
+        b[...] = 0.0
+    return model
+
+
+def ce_of(head_w, label):
+    """Cross-entropy of one example with tokens [1, 0] and `label`; the
+    pass-through classifier's scores are the first column of head_w."""
+    model = pass_through_model(triplet_enabled=False)
+    model.head_w[...] = head_w
+    batch = [TrainExample(tokens=[1.0, 0.0], label=label, id=0)]
+    return combined_loss(model, batch, [(0, None)], Hyperparams())[1].ce
+
+
+def triplet_of(tokens, pairs, margin):
+    """Mean hinge term of a batch whose retrieval vectors are `tokens`."""
+    batch = [TrainExample(tokens=row, label=0, id=i) for i, row in enumerate(tokens)]
+    hyper = Hyperparams(triplet_weight=1.0, margin=margin)
+    return combined_loss(pass_through_model(len(tokens[0])), batch, pairs, hyper)[1].triplet
 
 
 # ---------------------------------------------------------------------------
@@ -70,57 +96,45 @@ def test_train_example_equality_is_by_value():
 
 
 def test_cross_entropy_certain_prediction_is_zero():
-    assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
+    # exp(-1000) underflows to 0, so the classifier puts all its mass on label 0.
+    assert ce_of([[1000.0, 0.0], [0.0, 0.0]], 0) == 0.0
 
 
 def test_cross_entropy_hand_values():
-    assert cross_entropy(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2.0), rel=1e-15)
-    assert cross_entropy(np.array([0.9, 0.1]), 1) == pytest.approx(-math.log(0.1), rel=1e-15)
+    assert ce_of(np.zeros((2, 2)), 0) == pytest.approx(math.log(2.0), rel=1e-15)
+    head = [[math.log(9.0), 0.0], [0.0, 0.0]]  # probabilities (0.9, 0.1)
+    assert ce_of(head, 1) == pytest.approx(-math.log(0.1), rel=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    assert cross_entropy(np.array([1.0, 0.0]), 1) == -math.log(CE_PROB_FLOOR)
-
-
-def test_cross_entropy_rejects_bad_gold_and_distribution():
-    with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), 2)
-    with pytest.raises(ValueError):
-        cross_entropy(np.array([0.5, 0.5]), -1)
-    with pytest.raises(ValueError):
-        cross_entropy(np.array([0.4, 0.4]), 0)
+    assert ce_of([[1000.0, 0.0], [0.0, 0.0]], 1) == -math.log(CE_PROB_FLOOR)
 
 
 def test_triplet_loss_inactive_hinge_is_zero():
-    assert triplet_loss([0.0, 0.0], [0.0, 1.0], [3.0, 0.0], 1.0) == 0.0
+    tokens = [[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]]
+    assert triplet_of(tokens, [(1, 2), (1, None), (2, None)], 1.0) == 0.0
 
 
 def test_triplet_loss_active_hinge_hand_value():
-    assert triplet_loss([0.0, 0.0], [0.0, 2.0], [1.0, 0.0], 0.5) == 3.5
+    tokens = [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]]
+    assert triplet_of(tokens, [(1, 2), (1, None), (2, None)], 0.5) == 3.5 / 3
 
 
 def test_triplet_loss_equal_pair_distances_give_margin():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a, b = rng.normal(size=(2, 4))
+        r = rng.normal(size=(2, 4))
         m = float(rng.uniform(0.1, 3.0))
-        assert triplet_loss(a, b, b, m) == m
+        _, _, _, raw = _hinge(r, np.array([1, 0]), np.array([1, -1]), m)
+        assert raw.tolist() == [m]
 
 
 def test_triplet_loss_is_non_negative():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        a, p, n = rng.normal(size=(3, 3)) * 5
-        assert triplet_loss(a, p, n, 1.0) >= 0.0
-
-
-def test_triplet_loss_rejects_bad_input():
-    with pytest.raises(DimensionMismatchError):
-        triplet_loss([1.0, 2.0], [1.0], [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        triplet_loss([1.0], [1.0], [2.0], 0.0)
-    with pytest.raises(ValueError):
-        triplet_loss([1.0], [1.0], [2.0], -1.0)
+        tokens = rng.normal(size=(4, 3)) * 5
+        pairs = [(int(p), int(n)) for p, n in rng.integers(0, 4, size=(4, 2))]
+        assert triplet_of(tokens, pairs, 1.0) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +540,20 @@ def test_train_raises_on_divergence():
     hyper = Hyperparams(epochs=10, batch_size=8, learning_rate=1e25, seed=0)
     with pytest.raises(TrainingDivergedError):
         train(data, hyper, config)
+
+
+def test_divergence_is_a_typed_error_when_warnings_are_errors():
+    # On the hard spec at lr 1 the shared model's hinge margins sum past
+    # float64 in epoch 4; that must surface as TrainingDivergedError, not as
+    # an overflow RuntimeWarning raised in its place.
+    spec = SyntheticSpec(num_classes=8, dim=16, class_separation=2.5, noise_sigma=1.5,
+                         per_class_count=500, seed=7)
+    train_ds, _ = generate_synthetic(spec)
+    config = ModelConfig(input_dim=16, num_labels=8, decouple_enabled=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError, match="epoch 4"):
+            train(train_ds.examples, Hyperparams(learning_rate=1.0, seed=7), config)
 
 
 def test_train_single_label_is_fine_without_the_hinge():
