@@ -17,8 +17,8 @@ from knnblend import (
     RetrievalParams,
     TrainExample,
     build_datastore,
-    knn_distribution,
-    predict,
+    knn_distribution_batch,
+    predict_batch,
 )
 
 rng = np.random.default_rng(42)
@@ -42,32 +42,33 @@ model = Model.initialize(config, seed=0)
 store = build_datastore(model, dataset)
 print(f"datastore: {store.count} keys of dimension {store.dim}")
 
+# Every step takes a batch; this one holds a single query.
 query = np.array([-1.5, 0.3])  # clearly in cluster 0 territory
-h0, r = model.encode(query)
-print(f"\nquery {query} -> retrieval representation {np.round(r, 3)}")
+h0, r = model.encode_batch([query])
+print(f"\nquery {query} -> retrieval representation {np.round(r[0], 3)}")
 
-hits = store.search(r, k=5)
+indices, distances = store.search_batch(r, k=5)
 print("\n5 nearest stored points (squared-L2 in representation space):")
-for h in hits:
-    print(f"  index {h.index:2d}  label {h.label}  distance {h.distance:.4f}")
+for index, distance in zip(indices[0], distances[0]):
+    print(f"  index {index:2d}  label {store.labels[index]}  distance {distance:.4f}")
 
 # With k equal to the whole store, both labels appear among the hits and the
 # temperature has something to trade off: T -> 0 approaches a one-hot on the
 # single nearest neighbor's label, T -> inf approaches the raw label frequency
 # among the hits (here 0.5 / 0.5).
-all_hits = store.search(r, k=store.count)
+indices, distances = store.search_batch(r, k=store.count)
 print("\nneighbor vote over all 40 points at different temperatures:")
 for temperature in (0.0001, 0.001, 0.01, 0.1, 1.0):
-    vote = knn_distribution(all_hits, temperature, num_labels=2)
-    print(f"  T={temperature:<7g} -> {np.round(vote, 4)}")
+    vote = knn_distribution_batch(store.labels[indices], distances, temperature, num_labels=2)
+    print(f"  T={temperature:<7g} -> {np.round(vote[0], 4)}")
 
 print("\nblending vote and classifier (k=5, T=1):")
 for weight in (0.0, 0.2, 0.5, 1.0):
-    pred = predict(model, store, query,
-                   RetrievalParams(k=5, temperature=1.0, knn_weight=weight))
+    pred = predict_batch(model, store, [query],
+                         RetrievalParams(k=5, temperature=1.0, knn_weight=weight))
     print(
-        f"  knn_weight={weight:<4} classifier={np.round(pred.classifier_probs, 4)}"
-        f"  final={np.round(pred.probs, 4)}  label={pred.label}"
+        f"  knn_weight={weight:<4} classifier={np.round(pred.classifier_probs[0], 4)}"
+        f"  final={np.round(pred.probs[0], 4)}  label={pred.labels[0]}"
     )
 
 print(

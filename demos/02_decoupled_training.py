@@ -24,7 +24,7 @@ from knnblend import (
     build_datastore,
     evaluate_config,
     generate_synthetic,
-    squared_l2,
+    sq_dists,
     train,
 )
 
@@ -59,14 +59,16 @@ for name, config in configs.items():
 
 def class_separation_report(model, dataset):
     """Mean squared distance between keys of same-label vs different-label pairs."""
-    keys = np.stack([model.encode(ex.tokens)[1] for ex in dataset.examples])
-    labels = np.array([ex.label for ex in dataset.examples])
+    keys = model.encode_batch([ex.tokens for ex in dataset.examples])[1]
+    labels = dataset.labels()
     intra, inter = [], []
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            d = squared_l2(keys[i], keys[j])
-            (intra if labels[i] == labels[j] else inter).append(d)
-    return float(np.mean(intra)), float(np.mean(inter))
+    for i in range(len(keys) - 1):
+        # Distances from key i to every later key, so each pair counts once.
+        d = sq_dists(keys[i + 1 :], keys[i])
+        same = labels[i + 1 :] == labels[i]
+        intra.append(d[same])
+        inter.append(d[~same])
+    return float(np.mean(np.concatenate(intra))), float(np.mean(np.concatenate(inter)))
 
 
 print("\nkey-space geometry on the test set (squared-L2):")

@@ -7,10 +7,10 @@ the key exactly. Search is exact and runs in two stages for each chunk of
 float32 matrix product against the keys, together with a rigorous bound on
 their error; every key that the bound cannot rule out of the top k is a
 candidate. The exact recheck then runs `sq_dists` over the candidate rows,
-`KEY_BLOCK` rows at a time, takes the k-th smallest distance by
-`np.partition` and sorts every candidate at or below it by (distance, index),
-which keeps ties exact. When the float32 pass overflows, every key is a
-candidate. The rule and the bound are written out in
+`KEY_BLOCK` rows at a time, and keeps the first k of one stable sort by
+distance; the candidates are in ascending index order, so that is the
+(distance, index) order and ties stay exact. When the float32 pass
+overflows, every key is a candidate. The rule and the bound are written out in
 `Datastore.search_batch`.
 
 File format (little-endian)::
@@ -205,7 +205,9 @@ class Datastore:
         with D_i <= D_(k) has A_i <= kth(A) + 2E. The candidates
         {i : A_i <= kth(A) + 2E} therefore hold every key at or below D_(k),
         ties included, and the (distance, index) top k of the candidates,
-        rechecked with `sq_dists`, is the top k of the whole store.
+        rechecked with `sq_dists`, is the top k of the whole store. The
+        candidates are in ascending index order, so the first k of one stable
+        sort of their distances is that top k.
 
         The bound. With u = 2^-24, gamma = d u / (1 - d u), M = max_i |k_i|
         and n = |q|,
@@ -256,10 +258,8 @@ class Datastore:
                     block = cand[start : start + KEY_BLOCK]
                     dists[start : start + block.shape[0]] = sq_dists(self._keys[block], q)
                 # cand is in ascending index order, so a stable sort by
-                # distance orders the keys at or below the k-th by (distance, index).
-                kth = np.partition(dists, kk - 1)[kk - 1]
-                keep = np.flatnonzero(dists <= kth)
-                top = keep[np.argsort(dists[keep], kind="stable")[:kk]]
+                # distance orders the candidates by (distance, index).
+                top = np.argsort(dists, kind="stable")[:kk]
                 indices[lo + row] = cand[top]
                 distances[lo + row] = dists[top]
         return indices, distances

@@ -1,11 +1,10 @@
 """Accuracy evaluation over (k, temperature, knn_weight) grids, reported as CSV.
 
-`evaluate_config` scores all examples through one `retrieval.predict_batch`.
-`run_sweep` takes the same neighbor step once, searching at the largest k, and
-reuses prefixes of the sorted hits for smaller k values; because hits are
-totally ordered by (distance, index) this is exactly equivalent to searching
-per k. It then votes once per (k, temperature) and blends once per
-knn_weight, each over the whole batch.
+`run_sweep` takes the scoring path's one neighbor step once, searching at the
+largest k, and reuses prefixes of the sorted hits for smaller k values; because
+hits are totally ordered by (distance, index) this is exactly equivalent to
+searching per k. It then votes once per (k, temperature) and blends once per
+knn_weight, each over the whole batch. `evaluate_config` is a one-cell sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .retrieval import (
     _neighbor_step,
     interpolate_batch,
     knn_distribution_batch,
-    predict_batch,
 )
 
 __all__ = [
@@ -106,11 +104,9 @@ def evaluate_config(
     examples: Sequence[TrainExample],
     params: RetrievalParams,
 ) -> EvalRow:
-    """Accuracy of one configuration by predicting every example."""
-    if len(examples) == 0:
-        raise ValueError("cannot evaluate on zero examples")
-    batch = predict_batch(model, store, [ex.tokens for ex in examples], params)
-    return _row(params.k, params.temperature, params.knn_weight, batch.labels, _gold(examples))
+    """Accuracy of one configuration: the one row of a one-cell `run_sweep`."""
+    cell = SweepSpec((params.k,), (params.temperature,), (params.knn_weight,))
+    return run_sweep(model, store, examples, cell).rows[0]
 
 
 def run_sweep(
@@ -128,8 +124,6 @@ def run_sweep(
         raise ValueError("cannot evaluate on zero examples")
     started = time.perf_counter()
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
-    if need_search and store is None:
-        raise ValueError("a datastore is required when the grid includes knn_weight > 0")
     p_cls, indices, distances = _neighbor_step(
         model, store, [ex.tokens for ex in examples],
         max(sweep.k_values) if need_search else None,

@@ -4,11 +4,12 @@ Retrieved neighbors are turned into a label distribution by a softmax over
 temperature-scaled negative distances, aggregated per label. That
 distribution is mixed with the classifier's own output by a fixed weight.
 
-Every score takes one neighbor step, `_neighbor_step`: a batched encode and
-classify, then, given k, one `Datastore.search_batch`. `predict_batch` adds one
-vote (`knn_distribution_batch`) and one blend (`interpolate_batch`) over
-(B, k) arrays; `evaluate.run_sweep` takes the step once and votes and blends
-per grid cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
+Every score takes one neighbor step, `_neighbor_step`: given k, the store
+checks (`RetrievalUnavailableError` without one), a batched encode and classify,
+then, given k, one `Datastore.search_batch`. `predict_batch` adds one vote
+(`knn_distribution_batch`) and one blend (`interpolate_batch`) over (B, k)
+arrays; `evaluate.run_sweep` takes the step once and votes and blends per grid
+cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
 """
 
 from __future__ import annotations
@@ -162,19 +163,21 @@ def _neighbor_step(model, store: Datastore | None, token_seqs, k: int | None):
 
     Returns (classifier_probs, indices, distances); without k the store is
     never consulted (it may be empty or None) and the hit arrays are None.
-    The retrieval representations r are the queries.
+    Given k, the store is checked before anything is encoded. The retrieval
+    representations r are the queries.
     """
+    if k is not None:
+        if store is None:
+            raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
+        if store.num_labels != model.config.num_labels:
+            raise ValueError(
+                f"datastore has {store.num_labels} labels but the model has "
+                f"{model.config.num_labels}"
+            )
     h0, r = model.encode_batch(token_seqs)
     p_cls = model.classify(h0)
     if k is None:
         return p_cls, None, None
-    if store is None:
-        raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
-    if store.num_labels != model.config.num_labels:
-        raise ValueError(
-            f"datastore has {store.num_labels} labels but the model has "
-            f"{model.config.num_labels}"
-        )
     return (p_cls, *store.search_batch(r, k))
 
 

@@ -47,6 +47,11 @@ __all__ = [
 # produce an infinite cross-entropy.
 CE_PROB_FLOOR = 1e-12
 
+# `grad_check`'s pass criteria, and its limit on jitters away from a hinge kink.
+GRAD_CHECK_REL_TOL = 1e-4
+GRAD_CHECK_ABS_TOL = 1e-8
+GRAD_CHECK_MAX_RESAMPLES = 25
+
 
 class TrainingDivergedError(RuntimeError):
     """The optimizer produced a non-finite loss."""
@@ -320,10 +325,7 @@ def grad_check(
     batch: Sequence[TrainExample],
     hyper: Hyperparams,
     step: float = 1e-5,
-    rel_tol: float = 1e-4,
-    abs_tol: float = 1e-8,
     seed: int | None = None,
-    max_resamples: int = 25,
 ) -> GradCheckReport:
     """Compare analytic gradients with (f(w+step) - f(w-step)) / (2 step).
 
@@ -352,7 +354,7 @@ def grad_check(
             near = np.abs(raw[np.isfinite(raw)]) < boundary_window
             if not near.any():
                 break
-            if resamples >= max_resamples:
+            if resamples >= GRAD_CHECK_MAX_RESAMPLES:
                 return GradCheckReport(
                     passed=False, finite=True, max_rel_error=math.inf,
                     max_abs_error=math.inf, num_checked=0,
@@ -405,13 +407,13 @@ def grad_check(
                 if rel > max_rel:
                     max_rel = rel
                     worst = f"{name}[{j}]"
-                if rel > rel_tol:
+                if rel > GRAD_CHECK_REL_TOL:
                     passed = False
             else:
                 if diff > max_abs:
                     max_abs = diff
                     worst = f"{name}[{j}]"
-                if diff > abs_tol:
+                if diff > GRAD_CHECK_ABS_TOL:
                     passed = False
     return GradCheckReport(
         passed=passed, finite=True, max_rel_error=max_rel, max_abs_error=max_abs,

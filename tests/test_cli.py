@@ -458,10 +458,20 @@ def test_truncated_model_file_exits_2(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# predict, evaluate and sweep report a missing store with one line.
+NO_DATASTORE = "error: a datastore is required when knn_weight > 0\n"
+
+
 def test_predict_positive_weight_without_datastore_exits_2(pipeline, capsys):
     assert main(["predict", "--model", str(pipeline["model"]),
                  "--data", str(pipeline["test"]), "--knn-weight", "0.5"]) == 2
-    assert "datastore" in capsys.readouterr().err
+    assert capsys.readouterr().err == NO_DATASTORE
+
+
+def test_evaluate_positive_weight_without_datastore_exits_2(pipeline, capsys):
+    assert main(["evaluate", "--model", str(pipeline["model"]),
+                 "--data", str(pipeline["test"]), "--knn-weight", "0.5"]) == 2
+    assert capsys.readouterr().err == NO_DATASTORE
 
 
 def test_sweep_positive_weights_without_datastore_exits_2(pipeline, tmp_path, capsys):
@@ -469,7 +479,8 @@ def test_sweep_positive_weights_without_datastore_exits_2(pipeline, tmp_path, ca
     assert main(["sweep", "--config", str(pipeline["cfg"]),
                  "--model", str(pipeline["model"]),
                  "--data", str(pipeline["test"]), "--out", str(out)]) == 2
-    assert "datastore" in capsys.readouterr().err
+    assert capsys.readouterr().err == NO_DATASTORE
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -3,6 +3,7 @@ import pytest
 
 from knnblend import evaluate, retrieval
 from knnblend.data import Dataset, TrainExample
+from knnblend.datastore import RetrievalUnavailableError
 from knnblend.evaluate import (
     CSV_HEADER,
     EvalReport,
@@ -13,7 +14,12 @@ from knnblend.evaluate import (
     write_report_csv,
 )
 from knnblend.model import Model, ModelConfig
-from knnblend.retrieval import RetrievalParams, build_datastore, knn_distribution_batch
+from knnblend.retrieval import (
+    RetrievalParams,
+    build_datastore,
+    knn_distribution_batch,
+    predict_batch,
+)
 
 
 def toy_setup(n=12, num_labels=3, seed=90):
@@ -89,17 +95,22 @@ def test_run_sweep_emits_the_grid_in_order():
 def test_run_sweep_rows_match_per_config_evaluation_exactly():
     # The sweep reuses one sorted hit list per query across every k; totally
     # ordered hits make that indistinguishable from evaluating each cell on
-    # its own, including a k larger than the store.
+    # its own, including a k larger than the store. `predict_batch` composes
+    # each cell's vote and blend outside the sweep's loop.
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
     report = run_sweep(model, store, dataset.examples, spec)
     assert len(report.rows) == len(spec)
+    tokens = [ex.tokens for ex in dataset.examples]
+    gold = dataset.labels()
     for row in report.rows:
         params = RetrievalParams(k=row.k, temperature=row.temperature,
                                  knn_weight=row.knn_weight)
         single = evaluate_config(model, store, dataset.examples, params)
         assert row == single
+        labels = predict_batch(model, store, tokens, params).labels
+        assert row.n_correct == np.count_nonzero(labels == gold)
 
 
 def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
@@ -132,8 +143,33 @@ def test_run_sweep_classifier_only_grid_needs_no_store():
 
 def test_run_sweep_requires_a_store_for_positive_weights():
     model, dataset, _ = toy_setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(RetrievalUnavailableError):
         run_sweep(model, None, dataset.examples, SweepSpec())
+
+
+@pytest.mark.parametrize("entry", ["predict_batch", "evaluate_config", "run_sweep"])
+def test_a_missing_store_is_one_error_raised_before_encoding(entry, monkeypatch):
+    model, dataset, _ = toy_setup()
+    other_store = toy_setup(num_labels=2, seed=91)[2]
+
+    def score(store):
+        params = RetrievalParams(k=4, temperature=1.0, knn_weight=0.5)
+        if entry == "predict_batch":
+            return predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
+        if entry == "evaluate_config":
+            return evaluate_config(model, store, dataset.examples, params)
+        return run_sweep(model, store, dataset.examples, SweepSpec())
+
+    def no_encode(self, token_seqs):
+        raise AssertionError("encoded a batch that cannot be scored")
+
+    monkeypatch.setattr(Model, "encode_batch", no_encode)
+    with pytest.raises(RetrievalUnavailableError) as missing:
+        score(None)
+    assert type(missing.value) is RetrievalUnavailableError
+    assert str(missing.value) == "a datastore is required when knn_weight > 0"
+    with pytest.raises(ValueError, match="labels but the model has"):
+        score(other_store)
 
 
 def test_run_sweep_rejects_label_count_mismatch():
