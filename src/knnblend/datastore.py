@@ -5,13 +5,17 @@ is `core.sq_dists` of the float32 key against the float64 query, which widens
 the key exactly. Search is exact and runs in two stages for each chunk of
 `QUERY_CHUNK` queries. A prefilter computes approximate distances with one
 float32 matrix product against the keys, together with a rigorous bound on
-their error; every key that the bound cannot rule out of the top k is a
-candidate. The exact recheck then runs `sq_dists` over the candidate rows,
-`KEY_BLOCK` rows at a time, and keeps the first k of one stable sort by
-distance; the candidates are in ascending index order, so that is the
-(distance, index) order and ties stay exact. When the float32 pass
-overflows, every key is a candidate. The rule and the bound are written out in
-`Datastore.search_batch`.
+their error whose constants are fixed when the store is built; every key that
+the bound cannot rule out of the top k is a candidate. The candidate limit
+starts from any value at or above the k-th smallest approximate distance: on
+a store of at least 64 k keys, the k-th smallest of the minima of strided
+groups of `GROUP_SIZE` keys, so only a sixteenth of the row is partitioned.
+The exact recheck then runs `sq_dists` over the candidate rows, `KEY_BLOCK`
+rows at a time, and keeps the first k of one stable sort by distance; the
+candidates are in ascending index order, so that is the (distance, index)
+order and ties stay exact. When a query and the keys are large enough that
+the float32 pass could overflow, every key is a candidate. The rule and the
+bound are written out in `Datastore.search_batch`.
 
 File format (little-endian)::
 
@@ -55,6 +59,9 @@ _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
 # of one prefilter pass.
 KEY_BLOCK = 4096
 QUERY_CHUNK = 8
+# Keys i and i + g share a strided group of the prefilter's threshold step,
+# for g = count // GROUP_SIZE.
+GROUP_SIZE = 16
 _U32 = 2.0**-24  # unit roundoff of float32
 
 
@@ -130,13 +137,22 @@ class Datastore:
         labels_arr.setflags(write=False)
         self._keys = keys_arr
         # Prefilter constants: squared key norms (float64, then rounded to
-        # float32, inf where they overflow it), the largest key norm, and the
-        # float32 dot-product error factor gamma_d = d*u / (1 - d*u).
+        # float32, inf where they overflow it), the largest key norm M, and the
+        # coefficients of the bound E = c0 + c1 n + c2 (M + n)^2 for a query of
+        # norm n, with the float32 dot-product error factor
+        # gamma_d = d*u / (1 - d*u).
         with np.errstate(over="ignore"):
             self._norms32 = norms.astype(np.float32)
-        self._max_norm = float(np.sqrt(norms.max())) if norms.size else 0.0
-        du = keys_arr.shape[1] * _U32
-        self._gamma = du / (1.0 - du) if du < 1.0 else np.inf
+        m = float(np.sqrt(norms.max())) if norms.size else 0.0
+        d = keys_arr.shape[1]
+        du = d * _U32
+        gamma = du / (1.0 - du) if du < 1.0 else np.inf
+        self._max_norm = m
+        self._bound = (
+            2.0 * (3.0 * _U32 * m * m + d * (m + 1.0) * 2.0**-120),
+            2.0 * (4.0 * _U32 + 3.0 * gamma) * m,
+            2.0 * (d + 3) * 2.0**-52,
+        )
         self._labels = labels_arr
         self._num_labels = int(num_labels)
 
@@ -198,38 +214,55 @@ class Datastore:
 
         Exactness. For a query q let D_i = `sq_dists(keys, q)[i]` and D_(k)
         be the k-th smallest D. The prefilter computes in float32, from one
-        matrix product, A_i = |k_i|^2 - 2 k_i . fl32(q); the query's own
-        |q|^2 is the same for every key and is left out. If every
-        |A_i + |q|^2 - D_i| <= E, the k keys of smallest A have
-        D <= kth(A) + |q|^2 + E, so D_(k) <= kth(A) + |q|^2 + E, and every key
-        with D_i <= D_(k) has A_i <= kth(A) + 2E. The candidates
-        {i : A_i <= kth(A) + 2E} therefore hold every key at or below D_(k),
+        matrix product, A_i = |k_i|^2 + k_i . fl32(-2q); scaling q by -2
+        before the cast is exact, and the query's own |q|^2 is the same for
+        every key and is left out. Take any tau >= kth(A), the k-th smallest
+        A. If every |A_i + |q|^2 - D_i| <= E, the k keys of smallest A have
+        D <= tau + |q|^2 + E, so D_(k) <= tau + |q|^2 + E, and every key with
+        D_i <= D_(k) has A_i <= tau + 2E. The candidates
+        {i : A_i <= tau + 2E} therefore hold every key at or below D_(k),
         ties included, and the (distance, index) top k of the candidates,
         rechecked with `sq_dists`, is the top k of the whole store. The
         candidates are in ascending index order, so the first k of one stable
         sort of their distances is that top k.
 
+        Choosing tau. Let g = count // GROUP_SIZE. Key i < GROUP_SIZE g lies
+        in strided group i mod g, and the fewer than GROUP_SIZE tail keys
+        beyond stand alone. When g >= 4k, tau is the k-th smallest of the g
+        group minima and the tail's A: those k smallest values are the A of k
+        distinct keys, so tau >= kth(A). That takes one elementwise minimum
+        and a partition of about count / GROUP_SIZE values, not of all count.
+        Strided groups keep adjacent keys, often rows of one class and so
+        neighbors of one query, apart; the k nearest keys then mostly lie in
+        distinct groups, and tau stays close to kth(A). Smaller stores take
+        tau = kth(A) from a partition of every A; the choice depends only on
+        count and k.
+
         The bound. With u = 2^-24, gamma = d u / (1 - d u), M = max_i |k_i|
         and n = |q|,
 
             E = 2 [(4u + 3 gamma) M n + 3u M^2
-                   + (d + 3) 2^-52 (M + n)^2 + d (M + 1) 2^-120].
+                   + (d + 3) 2^-52 (M + n)^2 + d (M + 1) 2^-120],
 
-        In the first term, 2u M n covers rounding q to float32, 2 gamma M n
-        the float32 product in any summation order, with or without fused
-        multiply-add (|fl(k.q) - k.q| <= gamma sum_j |k_j q_j|
-        <= gamma M |q|), and the rest the final float32 subtraction; 3u M^2
-        covers the float64 norm rounded to float32 and that subtraction. The
+        held as E = c0 + c1 n + c2 (M + n)^2 with c0, c1 and c2 fixed when
+        the store is built. In the first term, 2u M n covers rounding -2q to
+        float32, 2 gamma M n the float32 product in any summation order, with
+        or without fused multiply-add (|fl(k.p) - k.p| <= gamma sum_j |k_j p_j|
+        <= gamma M |p|), and the rest the final float32 addition; 3u M^2
+        covers the float64 norm rounded to float32 and that addition. The
         third term is the float64 rounding of `sq_dists` itself, at most
         gamma64_(d+2) |k - q|^2 <= (d + 3) 2^-52 (M + n)^2. The last term
         covers underflow, flush-to-zero included. The factor 2 covers the
-        float64 evaluation of E, M and n, and the limit kth(A) + 2E is rounded
+        float64 evaluation of E, M and n, and the limit tau + 2E is rounded
         to float32 and then moved one step up, so it is never below the real
         sum.
 
-        When E, the limit or any A_i of a query is not finite (a query beyond
-        float32 range, or keys whose norms or products overflow float32),
-        every key is a candidate, and the recheck runs over them all.
+        Overflow. If (M + n)^2 < 2^126, no A_i overflows float32: the exact
+        terms sum to at most M^2 + 2 M n <= (M + n)^2 in magnitude, and with
+        d u < 1 the float32 pass enlarges that by less than e. Otherwise (a
+        query or keys near or beyond float32 range), and whenever E or the
+        limit is not finite, every key is a candidate, and the recheck runs
+        over them all.
         """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
@@ -266,23 +299,27 @@ class Datastore:
 
     def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Float32 approximate distances A, shape (queries, count), and each
-        query's candidate limit kth(A) + 2E (not finite: every key is a
-        candidate). See `search_batch` for the rule and the bound."""
-        m, d = self._max_norm, self.dim
+        query's candidate limit tau + 2E (not finite: every key is a
+        candidate). See `search_batch` for the rule, tau and the bound."""
+        m = self._max_norm
+        c0, c1, c2 = self._bound
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = chunk.astype(np.float32) @ self._keys.T
-            approx *= -2.0
+            approx = (chunk * -2.0).astype(np.float32) @ self._keys.T
             approx += self._norms32
             n = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
-            bound = 2.0 * (
-                (4.0 * _U32 + 3.0 * self._gamma) * m * n
-                + 3.0 * _U32 * m * m
-                + (d + 3) * 2.0**-52 * (m + n) ** 2
-                + d * (m + 1.0) * 2.0**-120
+            span = (m + n) ** 2
+            groups = self.count // GROUP_SIZE
+            if groups >= 4 * k:
+                body = approx[:, : GROUP_SIZE * groups].reshape(len(chunk), GROUP_SIZE, groups)
+                tail = approx[:, GROUP_SIZE * groups :]
+                pool = np.concatenate([np.minimum.reduce(body, axis=1), tail], axis=1)
+            else:
+                pool = approx
+            tau = np.partition(pool, k - 1, axis=1)[:, k - 1]
+            limit = np.nextafter(
+                (tau + 2.0 * (c0 + c1 * n + c2 * span)).astype(np.float32), np.float32(np.inf)
             )
-            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-            limit = np.nextafter((kth + 2.0 * bound).astype(np.float32), np.float32(np.inf))
-            limit[~np.isfinite(approx).all(axis=1)] = np.inf
+            limit[~(span < 2.0**126)] = np.inf
         return approx, limit
 
     def save(self, path) -> None:

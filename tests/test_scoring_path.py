@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnblend import NonFiniteDistanceError
+from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
-from knnblend.core import softmax
+from knnblend.core import softmax, sq_dists
 from knnblend.data import Dataset, SyntheticSpec, TrainExample, generate_synthetic
-from knnblend.datastore import KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
+from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import (
@@ -104,6 +104,20 @@ def prefilter_case(name):
         huge = keys[::2]
         keys[::2] = np.sign(huge) * rng.uniform(2.7e38, 3e38, size=huge.shape)
         queries[0] = keys[0] * 0.99
+    elif name == "product-overflow":
+        # |v|^2 is 0.9 of float32's largest value: every key norm fits
+        # float32, but -2 k.q overflows for query 0 = key 0 = v. Keys at
+        # 0.6 v plus an orthogonal part overflow the product and lie far from
+        # v; keys at 0.5 v do not overflow and lie near it. A limit taken
+        # from the overflowed entries would keep only the far keys.
+        v = np.zeros(6)
+        v[0] = np.sqrt(0.9 * float(np.finfo(np.float32).max))
+        w = np.zeros(6)
+        w[1] = np.sqrt(0.5) * v[0]
+        keys[0] = v
+        keys[1::3] = 0.5 * v + rng.normal(size=(len(keys[1::3]), 6))
+        keys[2::3] = 0.6 * v + w + rng.normal(size=(len(keys[2::3]), 6))
+        queries[0] = keys[0].astype(np.float32)
     elif name == "query-beyond-float32":
         queries[0] = 1e39
         queries[1] = [5e-324, -1e-310, 1e-40, 1e-45, 0.0, 2e-308]  # subnormal or zero
@@ -113,8 +127,8 @@ def prefilter_case(name):
 
 
 @pytest.mark.parametrize("name", [
-    "offset-30", "offset-1e4", "near-float32-max", "query-beyond-float32",
-    "k-equals-count", "planted-grid",
+    "offset-30", "offset-1e4", "near-float32-max", "product-overflow",
+    "query-beyond-float32", "k-equals-count", "planted-grid",
 ])
 def test_prefiltered_search_equals_a_full_sort(name):
     store, queries, k = prefilter_case(name)
@@ -122,6 +136,64 @@ def test_prefiltered_search_equals_a_full_sort(name):
     for b in (0, 1, len(queries) - 1):
         pairs = list(zip(distances[b].tolist(), indices[b].tolist()))
         assert pairs == full_sort_hits(store, queries[b], k), (name, b)
+
+
+def grouped_store(layout, k, extra, seed, dim):
+    """A store of 64 k + extra keys, around the size where the prefilter
+    starts to take its threshold from the minima of GROUP_SIZE-key strided
+    groups (count // GROUP_SIZE >= 4 k), and queries whose row 0 is `center`.
+
+    "grid" draws keys from a few integer values, so distances tie massively,
+    and centers on the last key, which is in the tail when there is one. The
+    other layouts move the center's nearest keys to within 0.03 of a center
+    far from all other keys: "one-group" moves min(k, GROUP_SIZE) keys, all
+    in one strided group; "tail" moves k keys, first the tail keys beyond
+    the groups, then keys 0, 1, ..., one per group.
+    """
+    count = 64 * k + extra
+    groups = count // GROUP_SIZE
+    rng = np.random.default_rng(seed)
+    if layout == "grid":
+        keys = rng.integers(-2, 3, size=(count, dim)).astype(np.float32)
+        center = keys[-1].astype(np.float64)
+    else:
+        keys = (rng.normal(size=(count, dim)) * 3.0).astype(np.float32)
+        center = np.full(dim, 30.0)
+        if layout == "one-group":
+            near = groups // 2 + groups * np.arange(min(k, GROUP_SIZE))
+        else:
+            tail = np.arange(GROUP_SIZE * groups, count)[:k]
+            near = np.concatenate([tail, np.arange(k - len(tail))])
+        keys[near] = center + rng.uniform(-0.01, 0.01, size=(len(near), dim))
+    queries = np.vstack([center, rng.normal(size=(QUERY_CHUNK, dim)) * 3.0])
+    return Datastore(keys, rng.integers(5, size=count), num_labels=5), queries
+
+
+@pytest.mark.parametrize("layout", ["grid", "one-group", "tail"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, GROUP_SIZE - 1])
+@pytest.mark.parametrize("k", [1, 8, 64])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6))
+def test_group_threshold_search_equals_a_full_sort(layout, extra, k, seed, dim):
+    store, queries = grouped_store(layout, k, extra, seed, dim)
+    indices, distances = store.search_batch(queries, k)
+    for b in (0, len(queries) - 1):
+        pairs = list(zip(distances[b].tolist(), indices[b].tolist()))
+        assert pairs == full_sort_hits(store, queries[b], k), b
+    if layout == "tail":
+        # The k nearest keys lie in the tail or in distinct groups and far
+        # from the rest, so the threshold is their k-th: the recheck sees
+        # exactly k keys.
+        rechecked = []
+
+        def counting_sq_dists(keys, q):
+            rechecked.append(len(keys))
+            return sq_dists(keys, q)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datastore, "sq_dists", counting_sq_dists)
+            store.search_batch(queries[:1], k)
+        assert sum(rechecked) == k
 
 
 @settings(max_examples=8, deadline=None)
