@@ -8,6 +8,11 @@ JSONL schema, one record per line:
 An optional first line ``{"label_names": ["ham", "spam"]}`` declares the label
 set and lets records use string labels. Without it, labels must be
 non-negative integers and the label count is ``max(label) + 1``.
+
+A `Dataset` stores its tokens as arrays: one read-only (total_tokens, dim)
+matrix, a token count per example and a label per example. `TrainExample`
+objects, views of that matrix, are made only when `Dataset.examples` is read,
+so a synthetic split that only feeds `build_datastore` never makes one.
 """
 
 from __future__ import annotations
@@ -47,24 +52,27 @@ class TrainExample:
         object.__setattr__(self, "id", int(self.id))
         if self.label < 0:
             raise ValueError(f"label must be non-negative, got {self.label}")
+        if self.label >= 2**63:  # a `Dataset` keeps its labels as int64
+            raise ValueError(f"label must be below 2**63, got {self.label}")
 
     @classmethod
-    def _from_stack(cls, stack: np.ndarray, labels: np.ndarray) -> list["TrainExample"]:
-        """Examples with ids 0..n-1 over a float64 (n, n_tokens, dim) stack that
-        owns its data, and its n labels: the rules of `__post_init__`, applied
-        once to the whole stack. The stack becomes read-only, so each example's
-        view of its row cannot be made writeable again."""
-        if stack.ndim != 3 or 0 in stack.shape[1:]:
-            raise ValueError(f"token stack must be (n, n_tokens, dim), got shape {stack.shape}")
-        check_finite_tokens(stack)
-        if labels.size and labels.min() < 0:
-            raise ValueError(f"label must be non-negative, got {labels.min()}")
-        stack.setflags(write=False)
+    def _views(cls, tokens: np.ndarray, token_counts: np.ndarray,
+               labels: np.ndarray) -> list["TrainExample"]:
+        """Examples with ids 0..n-1 over views of a read-only, checked
+        (total_tokens, dim) token matrix, split by `token_counts`, and their n
+        labels. The views, like the matrix, cannot be made writeable."""
+        n = len(token_counts)
+        if n == 0:
+            return []
+        if token_counts.min() == token_counts.max():  # one count: a reshape
+            rows = tokens.reshape(n, -1, tokens.shape[1])
+        else:
+            rows = np.split(tokens, np.cumsum(token_counts[:-1]))
         new, put = object.__new__, object.__setattr__
         examples = []
-        for i, (tokens, label) in enumerate(zip(stack, labels.tolist())):
+        for i, (row, label) in enumerate(zip(rows, labels.tolist())):
             ex = new(cls)
-            put(ex, "tokens", tokens)
+            put(ex, "tokens", row)
             put(ex, "label", label)
             put(ex, "id", i)
             examples.append(ex)
@@ -85,16 +93,53 @@ class DatasetFormatError(ValueError):
     """A dataset file violated the JSONL record schema."""
 
 
-@dataclass(eq=False)
+@dataclass(init=False, eq=False)
 class Dataset:
-    """Labeled examples with a fixed label set and uniform token dimension."""
+    """Labeled examples with a fixed label set and uniform token dimension.
 
-    examples: list[TrainExample]
+    Its storage is three arrays: `tokens`, one read-only float64
+    (total_tokens, input_dim) matrix with every example's token rows in
+    order; `token_counts`, each example's row count (int64); and the int64
+    labels that `labels()` copies. `examples` is built from them on first
+    read, once, as a list of `TrainExample`s over views of `tokens` with ids
+    0..n-1. A dataset built from a list of examples copies their tokens into
+    the matrix and keeps that list as its `examples`, so it holds its tokens
+    twice.
+    """
+
     num_labels: int
     input_dim: int
     label_names: list[str] | None = None
 
-    def __post_init__(self):
+    def __init__(self, examples: list[TrainExample], num_labels: int, input_dim: int,
+                 label_names: list[str] | None = None):
+        shapes = np.array([ex.tokens.shape for ex in examples], dtype=np.int64).reshape(-1, 2)
+        labels = np.array([ex.label for ex in examples], dtype=np.int64)
+        self._set(num_labels, input_dim, label_names, shapes[:, 0], labels, shapes[:, 1],
+                  examples)
+        tokens = (np.concatenate([ex.tokens for ex in examples]) if examples
+                  else np.empty((0, self.input_dim)))
+        tokens.setflags(write=False)
+        self.tokens = tokens
+
+    @classmethod
+    def _from_arrays(cls, tokens: np.ndarray, token_counts: np.ndarray, labels: np.ndarray,
+                     num_labels: int, input_dim: int) -> "Dataset":
+        """A dataset over a float64 (total_tokens, dim) matrix that owns its
+        data, its examples' int64 token counts and labels, all taken over
+        without a copy. The token rule's finiteness step checks the matrix once,
+        and the matrix becomes read-only."""
+        ds = cls.__new__(cls)
+        ds._set(num_labels, input_dim, None, token_counts, labels, tokens.shape[1], None)
+        tokens.setflags(write=False)
+        ds.tokens = check_finite_tokens(tokens)
+        return ds
+
+    def _set(self, num_labels, input_dim, label_names, token_counts, labels, dims, examples):
+        """Store the fields and check them. `dims` holds each example's token
+        dimension, or one for all; `examples` is the given list, or None."""
+        self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
+        self.token_counts, self._labels, self._examples = token_counts, labels, examples
         coerce_fields(self)
         if self.num_labels < 1:
             raise ValueError("num_labels must be positive")
@@ -104,20 +149,28 @@ class Dataset:
             raise ValueError(
                 f"{len(self.label_names)} label names for {self.num_labels} labels"
             )
-        for ex in self.examples:
-            if ex.label >= self.num_labels:
+        bad = (labels >= self.num_labels) | (dims != self.input_dim)
+        if bad.any():  # name the first offending example, as a per-example loop would
+            i = int(bad.argmax())
+            ex_id = i if examples is None else examples[i].id
+            if labels[i] >= self.num_labels:
                 raise ValueError(
-                    f"example {ex.id} label {ex.label} out of range "
+                    f"example {ex_id} label {labels[i]} out of range "
                     f"for {self.num_labels} labels"
                 )
-            if ex.tokens.shape[1] != self.input_dim:
-                raise ValueError(
-                    f"example {ex.id} has dimension {ex.tokens.shape[1]}, "
-                    f"expected {self.input_dim}"
-                )
+            raise ValueError(
+                f"example {ex_id} has dimension {np.broadcast_to(dims, labels.shape)[i]}, "
+                f"expected {self.input_dim}"
+            )
+
+    @property
+    def examples(self) -> list[TrainExample]:
+        if self._examples is None:
+            self._examples = TrainExample._views(self.tokens, self.token_counts, self._labels)
+        return self._examples
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.token_counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -126,11 +179,19 @@ class Dataset:
             self.num_labels == other.num_labels
             and self.input_dim == other.input_dim
             and self.label_names == other.label_names
-            and self.examples == other.examples
+            and np.array_equal(self.token_counts, other.token_counts)
+            and np.array_equal(self._labels, other._labels)
+            and self._ids() == other._ids()
+            and np.array_equal(self.tokens, other.tokens)
         )
 
+    def _ids(self) -> list[int]:
+        if self._examples is None:  # examples made from the arrays number 0..n-1
+            return list(range(len(self)))
+        return [ex.id for ex in self._examples]
+
     def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+        return self._labels.copy()
 
 
 def _parse_record(obj, label_names: list[str] | None):
@@ -282,20 +343,21 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     Cluster c sits at class_separation times column (c mod dim) of a random
     rotation, so any class count is representable (directions repeat once the
     dimension is exhausted). The split is stratified: per class, a fifth of
-    the points (rounded down) go to the test set. Each split's examples are
-    views of one read-only (n, 1, dim) stack, which the token rule checks once.
+    the points (rounded down) go to the test set. Each split is one
+    read-only (n, dim) token matrix of one-token examples, which the token
+    rule checks once; no `TrainExample` exists until `examples` is read.
     """
     rng = np.random.default_rng(spec.seed)
     rotation = _random_orthogonal(spec.dim, rng)
     count, n_test = spec.per_class_count, spec.per_class_count // 5
     n_train = count - n_test
-    train_stack = np.empty((spec.num_classes * n_train, 1, spec.dim))
-    test_stack = np.empty((spec.num_classes * n_test, 1, spec.dim))
+    train_tokens = np.empty((spec.num_classes * n_train, spec.dim))
+    test_tokens = np.empty((spec.num_classes * n_test, spec.dim))
     # Class c's points fill train_rows[c] and then test_rows[c] in draw order.
     # Its permutation, drawn once every class has its points, then deals them
     # out in place through a copy of that one class.
-    train_rows = train_stack.reshape(spec.num_classes, n_train, spec.dim)
-    test_rows = test_stack.reshape(spec.num_classes, n_test, spec.dim)
+    train_rows = train_tokens.reshape(spec.num_classes, n_train, spec.dim)
+    test_rows = test_tokens.reshape(spec.num_classes, n_test, spec.dim)
     with np.errstate(over="ignore"):  # an overflow to inf fails the token check below
         for c in range(spec.num_classes):
             mean = spec.class_separation * rotation[:, c % spec.dim]
@@ -305,14 +367,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
         order = rng.permutation(count)
         points = np.concatenate([train_rows[c], test_rows[c]])
         train_rows[c], test_rows[c] = points[order[n_test:]], points[order[:n_test]]
-    classes = np.arange(spec.num_classes)
+    classes = np.arange(spec.num_classes, dtype=np.int64)
     try:
-        train = TrainExample._from_stack(train_stack, np.repeat(classes, n_train))
-        test = TrainExample._from_stack(test_stack, np.repeat(classes, n_test))
+        return tuple(
+            Dataset._from_arrays(tokens, np.ones(len(tokens), dtype=np.int64),
+                                 np.repeat(classes, len(tokens) // spec.num_classes),
+                                 spec.num_classes, spec.dim)
+            for tokens in (train_tokens, test_tokens)
+        )
     except ValueError as exc:
         raise ValueError(
             f"class_separation {spec.class_separation!r} and noise_sigma "
             f"{spec.noise_sigma!r} put points beyond float64 range: {exc}"
         ) from exc
-    return (Dataset(examples=train, num_labels=spec.num_classes, input_dim=spec.dim),
-            Dataset(examples=test, num_labels=spec.num_classes, input_dim=spec.dim))

@@ -79,7 +79,7 @@ def pool(tokens, mode: str) -> np.ndarray:
     cls: first token; mean: elementwise mean; max: elementwise maximum.
     Tokens follow `core.as_tokens` (1-d is one token); the one-row `Model.pool_batch`.
     """
-    return _pool_rows([tokens], mode)[0]
+    return _pool_seqs([tokens], mode)[0]
 
 
 # "mean" does the arithmetic of `seq.mean(axis=0)` bit for bit; `np.add.reduceat` / n does not.
@@ -91,21 +91,33 @@ _POOLERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 POOLING_MODES = tuple(_POOLERS)
 
 
-def _pool_rows(token_seqs, mode: str) -> np.ndarray:
-    """Fresh (B, dim) pooled rows of a non-empty sequence, with one finiteness check."""
+def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.ndarray:
+    """The one pooling step: fresh (B, dim) rows for the B >= 1 sequences that
+    split a finite (total_tokens, dim) matrix by `token_counts`, in order.
+
+    Sequences of one count are stacked and reduced together, so each row is
+    bit-identical to pooling its sequence alone.
+    """
     reduce = _POOLERS.get(mode)
     if reduce is None:
         raise ValueError(f"unknown pooling mode {mode!r}")
+    n = len(token_counts)
+    if n == 1 or token_counts.min() == token_counts.max():  # one count: the stack is a reshape
+        return reduce(tokens.reshape(n, -1, tokens.shape[1]))
+    pooled = np.empty((n, tokens.shape[1]))
+    starts = np.cumsum(token_counts) - token_counts
+    for count in np.unique(token_counts):
+        rows = np.flatnonzero(token_counts == count)
+        pooled[rows] = reduce(tokens[starts[rows, None] + np.arange(count)])
+    return pooled
+
+
+def _pool_seqs(token_seqs, mode: str) -> np.ndarray:
+    """`_pool_rows` over a non-empty sequence of token sequences: the shape
+    step per sequence, one concatenate and one finiteness check."""
     seqs = [token_shape(tokens) for tokens in token_seqs]
     tokens = check_finite_tokens(np.concatenate(seqs))
-    lengths = [len(seq) for seq in seqs]
-    if min(lengths) == max(lengths):  # one length: the stack is a reshape
-        return reduce(tokens.reshape(len(seqs), lengths[0], -1))
-    pooled = np.empty((len(seqs), tokens.shape[1]))
-    for length in set(lengths):
-        rows = np.flatnonzero(np.equal(lengths, length))
-        pooled[rows] = reduce(np.stack([seqs[row] for row in rows]))
-    return pooled
+    return _pool_rows(tokens, np.array([len(seq) for seq in seqs]), mode)
 
 
 @dataclass(frozen=True)
@@ -242,7 +254,7 @@ class Model:
         """Pool each instance with the config's mode; (B, input_dim) for B instances."""
         if len(token_seqs) == 0:
             return np.zeros((0, self.config.input_dim))
-        return _pool_rows(token_seqs, self.config.pooling)
+        return _pool_seqs(token_seqs, self.config.pooling)
 
     def classify(self, h0) -> np.ndarray:
         """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""

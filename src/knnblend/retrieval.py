@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import DimensionMismatchError, coerce_fields, validate_distribution
 from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
+from .model import _pool_rows
 
 __all__ = [
     "BatchPrediction",
@@ -217,7 +218,9 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
 
 
 def build_datastore(model, dataset) -> Datastore:
-    """Key the store by each example's retrieval representation, encoded KEY_BLOCK at a time."""
+    """Key the store by each example's retrieval representation, encoded
+    KEY_BLOCK at a time. Each block pools straight from the dataset's token
+    matrix, which its construction checked, and never reads `examples`."""
     if dataset.input_dim != model.config.input_dim:
         raise DimensionMismatchError(
             f"dataset input_dim {dataset.input_dim} does not match model "
@@ -229,7 +232,11 @@ def build_datastore(model, dataset) -> Datastore:
             f"{model.config.num_labels}"
         )
     keys = np.empty((len(dataset), model.config.key_dim), dtype=np.float32)
+    counts = dataset.token_counts
+    bounds = np.concatenate(([0], np.cumsum(counts)))  # example i's rows: bounds[i]:bounds[i + 1]
     for start in range(0, len(dataset), KEY_BLOCK):
-        block = [ex.tokens for ex in dataset.examples[start : start + KEY_BLOCK]]
-        keys[start : start + len(block)] = model.encode_batch(block)[1]
+        stop = min(start + KEY_BLOCK, len(dataset))
+        block = dataset.tokens[bounds[start] : bounds[stop]]
+        pooled = _pool_rows(block, counts[start:stop], model.config.pooling)
+        keys[start:stop] = model.features(pooled).r
     return Datastore._adopt(keys, dataset.labels(), dataset.num_labels)

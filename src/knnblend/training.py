@@ -234,17 +234,19 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         d_h0 = d_head_pre @ model.head_w
 
     # Hinge path: only strictly positive margins carry gradient (the kink at
-    # exactly zero uses the inactive branch). np.add.at, unlike a fancy-index
-    # +=, adds every contribution to a row that recurs among the indices, in
-    # index order: anchors, then positives, then negatives.
+    # exactly zero uses the inactive branch). Each (row, column) cell of d_r
+    # sums its contributions from 0.0 in index order (anchors, then positives,
+    # then negatives), as np.add.at would, through one bincount.
     if trip_weight != 0.0:
         active = raw > 0.0
         a, dp, dn = anchors[active], diff_p[active], diff_n[active]
         scale = trip_weight / n
-        d_r = np.zeros_like(cache.r)
-        np.add.at(d_r, np.concatenate([a, pos[a], neg[a]]),
-                  np.concatenate([scale * 2.0 * (dp - dn), scale * (-2.0) * dp,
-                                  scale * 2.0 * dn]))
+        rows, width = np.concatenate([a, pos[a], neg[a]]), cache.r.shape[1]
+        cells = (rows[:, None] * width + np.arange(width)).ravel()
+        contributions = np.concatenate([scale * 2.0 * (dp - dn), scale * (-2.0) * dp,
+                                        scale * 2.0 * dn])
+        d_r = np.bincount(cells, contributions.ravel(), minlength=n * width)
+        d_r = d_r.astype(np.float64, copy=False).reshape(n, width)  # int zeros if none is active
         if cfg.decouple_enabled:
             np.matmul(d_r.T, cache.d1, out=grads["dec_w2"])
             d_r.sum(axis=0, out=grads["dec_b2"])

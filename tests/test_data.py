@@ -1,5 +1,7 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from knnblend.data import (
     load_jsonl,
     write_jsonl,
 )
+from knnblend.model import POOLING_MODES, Model, ModelConfig
+from knnblend.retrieval import build_datastore
 
 from helpers import nearest_centroid_accuracy, per_row_synthetic
 
@@ -287,6 +291,135 @@ def test_dataset_validates_members():
         Dataset(examples=[ok], num_labels=2, input_dim=3, label_names=["only-one"])
 
 
+def test_dataset_checks_name_the_first_offending_example():
+    def ex(i, label=0, dim=3):
+        return TrainExample(tokens=np.zeros(dim), label=label, id=i)
+
+    with pytest.raises(ValueError, match=r"^example 11 has dimension 2, expected 3$"):
+        Dataset(examples=[ex(10), ex(11, dim=2), ex(12, label=5)], num_labels=2, input_dim=3)
+    with pytest.raises(ValueError, match=r"^example 11 label 5 out of range for 2 labels$"):
+        Dataset(examples=[ex(10), ex(11, label=5), ex(12, dim=2)], num_labels=2, input_dim=3)
+    ones = np.ones(3, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^example 1 label 2 out of range for 2 labels$"):
+        Dataset._from_arrays(np.zeros((3, 3)), ones, np.array([0, 2, 5]), 2, 3)
+    with pytest.raises(ValueError, match=r"^example 0 has dimension 3, expected 4$"):
+        Dataset._from_arrays(np.zeros((3, 3)), ones, np.array([0, 1, 0]), 2, 4)
+
+
+def test_a_label_must_fit_the_int64_label_array():
+    TrainExample(tokens=[1.0], label=2**63 - 1, id=0)
+    with pytest.raises(ValueError, match="below 2"):
+        TrainExample(tokens=[1.0], label=2**63, id=0)
+
+
+def _split_rows(tokens, token_counts):
+    bounds = np.concatenate(([0], np.cumsum(token_counts)))
+    return [tokens[bounds[i]:bounds[i + 1]] for i in range(len(token_counts))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    dim=st.integers(1, 4),
+    mixed=st.booleans(),
+    pooling=st.sampled_from(POOLING_MODES),
+)
+@example(seed=0, n=6, dim=2, mixed=True, pooling="mean")
+@example(seed=1, n=5, dim=3, mixed=False, pooling="max")
+def test_array_built_dataset_equals_the_list_built_one(seed, n, dim, mixed, pooling):
+    rng = np.random.default_rng(seed)
+    if mixed:
+        token_counts = rng.integers(1, 4, size=n)
+        token_counts[: min(n, 2)] = [1, 3][: min(n, 2)]  # two counts at least, given n > 1
+    else:
+        token_counts = np.full(n, int(rng.integers(1, 4)))
+    labels = rng.integers(0, 3, size=n)
+    tokens = rng.normal(size=(int(token_counts.sum()), dim)) * 10
+    listed = Dataset(
+        examples=[TrainExample(tokens=rows.copy(), label=label, id=i)
+                  for i, (rows, label) in enumerate(zip(_split_rows(tokens, token_counts), labels))],
+        num_labels=3, input_dim=dim,
+    )
+    arrayed = Dataset._from_arrays(tokens, token_counts.astype(np.int64),
+                                   labels.astype(np.int64), 3, dim)
+
+    model = Model.initialize(ModelConfig(input_dim=dim, hidden_dim=5, emb_dim=4, num_labels=3,
+                                         retrieval_dim=3, pooling=pooling), seed)
+    stores = [build_datastore(model, ds) for ds in (arrayed, listed)]
+    _, r = model.encode_batch([ex.tokens for ex in listed.examples])  # the per-example path
+    for store in stores:
+        assert store.keys.tobytes() == r.astype(np.float32).tobytes()
+        assert store.labels.tobytes() == labels.astype(np.int64).tobytes()
+
+    assert len(arrayed) == len(listed) == n
+    assert arrayed.labels().dtype == np.int64
+    np.testing.assert_array_equal(arrayed.labels(), listed.labels())
+    assert arrayed == listed and listed == arrayed
+    for got, want in zip(arrayed.examples, listed.examples, strict=True):
+        assert got.tokens.shape == want.tokens.shape
+        assert got.tokens.tobytes() == want.tokens.tobytes()
+        assert (got.label, got.id) == (want.label, want.id)
+        assert type(got.label) is int and type(got.id) is int
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for ds in (arrayed, listed):
+            write_jsonl(ds, Path(tmp) / "out.jsonl")
+            written.append((Path(tmp) / "out.jsonl").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_synthetic_data_reaches_the_store_without_examples(monkeypatch):
+    made = []
+    views = TrainExample._views
+    monkeypatch.setattr(TrainExample, "_views",
+                        classmethod(lambda cls, *arrays: made.append(1) or views(*arrays)))
+    train, _ = generate_synthetic(SyntheticSpec(per_class_count=30, seed=3))
+    store = build_datastore(Model.initialize(ModelConfig(input_dim=16, num_labels=4), 3), train)
+    assert store.count == len(train) == 96
+    assert made == []
+    first = train.examples
+    assert type(first) is list and len(first) == 96
+    assert train.examples is first
+    assert made == [1]
+
+
+def test_list_built_dataset_keeps_its_list():
+    examples = [TrainExample(tokens=np.ones((2, 3)), label=1, id=4)]
+    ds = Dataset(examples=examples, num_labels=2, input_dim=3)
+    assert ds.examples is examples
+    np.testing.assert_array_equal(ds.tokens, np.ones((2, 3)))
+    np.testing.assert_array_equal(ds.token_counts, [2])
+    assert not ds.tokens.flags.writeable
+
+
+def test_dataset_equality_compares_ids():
+    tokens = np.arange(6.0).reshape(3, 2).copy()
+    labels = [0, 1, 0]
+
+    def listed(ids):
+        return Dataset(examples=[TrainExample(tokens=tokens[i], label=labels[i], id=ex_id)
+                                 for i, ex_id in enumerate(ids)], num_labels=2, input_dim=2)
+
+    arrayed = Dataset._from_arrays(tokens, np.ones(3, dtype=np.int64), np.array(labels), 2, 2)
+    assert arrayed == listed([0, 1, 2])
+    assert arrayed != listed([0, 1, 3])
+    assert listed([5, 6, 7]) != listed([5, 6, 8])
+
+
+@pytest.mark.parametrize("token_counts", [[2, 2, 2], [1, 2, 3]], ids=["equal", "mixed"])
+def test_token_views_cannot_be_made_writeable(token_counts):
+    tokens = np.arange(12.0).reshape(6, 2).copy()  # a matrix that owns its data, as required
+    ds = Dataset._from_arrays(tokens, np.array(token_counts),
+                              np.array([0, 1, 0]), 2, 2)
+    assert not ds.tokens.flags.writeable
+    assert [ex.tokens.shape for ex in ds.examples] == [(c, 2) for c in token_counts]
+    for ex in ds.examples:
+        assert not ex.tokens.flags.writeable
+        with pytest.raises(ValueError):
+            ex.tokens.setflags(write=True)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -407,11 +540,12 @@ def test_generate_synthetic_memory_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Each split's stack of rows plus a (1, 16) view and a slotted example per
-    # row peak at about 425 B/row. Examples that each carry a __dict__ and
-    # check their own row, built while every class's points were held, peaked
-    # at about 600-635 B/row.
-    assert peak / (len(train) + len(test)) < 500
+    # The two token matrices hold 128 B/row, and one class's working copies of
+    # its points add the rest: about 265 B/row. A (1, 16) view and a slotted
+    # example made per row at generation, as before examples became lazy,
+    # peaked at about 425 B/row; examples that each carried a __dict__ and
+    # checked their own row, at about 600-635 B/row.
+    assert peak / (len(train) + len(test)) < 300
 
 
 def test_generate_synthetic_reports_an_overflowing_spec():
