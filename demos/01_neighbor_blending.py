@@ -15,7 +15,6 @@ from knnblend import (
     Model,
     ModelConfig,
     RetrievalParams,
-    TrainExample,
     build_datastore,
     knn_distribution_batch,
     predict_batch,
@@ -29,11 +28,9 @@ points = np.concatenate([
     rng.normal(loc=(+2.0, 0.0), scale=0.6, size=(20, 2)),
 ])
 labels = np.repeat([0, 1], 20)
-examples = [
-    TrainExample(tokens=p, label=int(l), id=i)
-    for i, (p, l) in enumerate(zip(points, labels))
-]
-dataset = Dataset(examples=examples, num_labels=2, input_dim=2)
+# A dataset is its token matrix, each example's token count and its labels.
+dataset = Dataset(points, np.ones(len(points), dtype=np.int64), labels,
+                  num_labels=2, input_dim=2)
 
 # An untrained model: its classifier is near-uniform, which makes the effect
 # of the neighbor vote easy to see.

@@ -84,7 +84,7 @@ for name, model in models.items():
     store = build_datastore(model, train_ds)
     cells = []
     for weight in (0.0, 0.5, 1.0):
-        row = evaluate_config(model, store, test_ds.examples,
+        row = evaluate_config(model, store, test_ds,
                               RetrievalParams(k=8, temperature=10.0, knn_weight=weight))
         cells.append(f"weight {weight}: {row.accuracy:.3f}")
     print(f"  {name}: " + "   ".join(cells))

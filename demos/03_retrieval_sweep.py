@@ -40,7 +40,7 @@ sweep = SweepSpec(
     temperature_values=(1.0, 10.0, 100.0),
     knn_weight_values=(0.0, 0.2, 0.5, 1.0),
 )
-report = run_sweep(model, store, test_ds.examples, sweep)
+report = run_sweep(model, store, test_ds, sweep)
 print(f"evaluated {len(report.rows)} configurations in {report.wall_ms:.0f} ms\n")
 
 # Print one block per k: temperatures down the side, blend weights across.

@@ -257,7 +257,7 @@ def _cmd_evaluate(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
     _, params = _hyper(cfg, args)
     started = time.perf_counter()
-    row = evaluate_config(model, store, dataset.examples, params)
+    row = evaluate_config(model, store, dataset, params)
     report = EvalReport(rows=(row,), wall_ms=(time.perf_counter() - started) * 1000.0)
     if args.out is not None:
         write_report_csv(report, args.out)
@@ -273,7 +273,7 @@ def _cmd_sweep(args) -> int:
     sweep = _build(
         SweepSpec, {f"{key}_values": values for key, values in section.items()}, "sweep spec"
     )
-    report = run_sweep(model, store, dataset.examples, sweep)
+    report = run_sweep(model, store, dataset, sweep)
     write_report_csv(report, args.out)
     best = report.best
     print(f"wrote {len(report.rows)} rows to {args.out}")

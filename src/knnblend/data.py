@@ -9,10 +9,12 @@ An optional first line ``{"label_names": ["ham", "spam"]}`` declares the label
 set and lets records use string labels. Without it, labels must be
 non-negative integers and the label count is ``max(label) + 1``.
 
-A `Dataset` stores its tokens as arrays: one read-only (total_tokens, dim)
-matrix, a token count per example and a label per example. `TrainExample`
-objects, views of that matrix, are made only when `Dataset.examples` is read,
-so a synthetic split that only feeds `build_datastore` never makes one.
+A `Dataset` is built from three arrays: one read-only (total_tokens, dim)
+token matrix, a token count per example and a label per example. `load_jsonl`
+parses each record into its token rows and label, checks them, and
+concatenates the rows once. `TrainExample` objects, views of the matrix, are
+made only when `Dataset.examples` is read, so a dataset that only feeds
+`build_datastore` or the scorers never makes one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ __all__ = [
 ]
 
 
+def _check_label(label: int) -> None:
+    if label < 0:
+        raise ValueError(f"label must be non-negative, got {label}")
+    if label >= 2**63:  # a `Dataset` keeps its labels as int64
+        raise ValueError(f"label must be below 2**63, got {label}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class TrainExample:
     """One labeled instance: a token matrix (`core.as_tokens`), a label, an id."""
@@ -50,10 +59,7 @@ class TrainExample:
         object.__setattr__(self, "tokens", arr)
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "id", int(self.id))
-        if self.label < 0:
-            raise ValueError(f"label must be non-negative, got {self.label}")
-        if self.label >= 2**63:  # a `Dataset` keeps its labels as int64
-            raise ValueError(f"label must be below 2**63, got {self.label}")
+        _check_label(self.label)
 
     @classmethod
     def _views(cls, tokens: np.ndarray, token_counts: np.ndarray,
@@ -97,49 +103,24 @@ class DatasetFormatError(ValueError):
 class Dataset:
     """Labeled examples with a fixed label set and uniform token dimension.
 
-    Its storage is three arrays: `tokens`, one read-only float64
+    Its storage is three read-only arrays: `tokens`, one float64
     (total_tokens, input_dim) matrix with every example's token rows in
-    order; `token_counts`, each example's row count (int64); and the int64
-    labels that `labels()` copies. `examples` is built from them on first
-    read, once, as a list of `TrainExample`s over views of `tokens` with ids
-    0..n-1. A dataset built from a list of examples copies their tokens into
-    the matrix and keeps that list as its `examples`, so it holds its tokens
-    twice.
+    order; `token_counts`, each example's int64 row count; and the int64
+    labels that `labels()` copies. The constructor adopts a C-ordered float64
+    matrix that owns its data and copies any other, so no writeable base can
+    change a dataset, and copies the counts and labels; the token rule's
+    finiteness step checks the matrix once. `examples` is built from the
+    arrays on first read, once, as a list of `TrainExample`s over views of
+    `tokens` with ids 0..n-1.
     """
 
     num_labels: int
     input_dim: int
     label_names: list[str] | None = None
 
-    def __init__(self, examples: list[TrainExample], num_labels: int, input_dim: int,
+    def __init__(self, tokens, token_counts, labels, num_labels: int, input_dim: int,
                  label_names: list[str] | None = None):
-        shapes = np.array([ex.tokens.shape for ex in examples], dtype=np.int64).reshape(-1, 2)
-        labels = np.array([ex.label for ex in examples], dtype=np.int64)
-        self._set(num_labels, input_dim, label_names, shapes[:, 0], labels, shapes[:, 1],
-                  examples)
-        tokens = (np.concatenate([ex.tokens for ex in examples]) if examples
-                  else np.empty((0, self.input_dim)))
-        tokens.setflags(write=False)
-        self.tokens = tokens
-
-    @classmethod
-    def _from_arrays(cls, tokens: np.ndarray, token_counts: np.ndarray, labels: np.ndarray,
-                     num_labels: int, input_dim: int) -> "Dataset":
-        """A dataset over a float64 (total_tokens, dim) matrix that owns its
-        data, its examples' int64 token counts and labels, all taken over
-        without a copy. The token rule's finiteness step checks the matrix once,
-        and the matrix becomes read-only."""
-        ds = cls.__new__(cls)
-        ds._set(num_labels, input_dim, None, token_counts, labels, tokens.shape[1], None)
-        tokens.setflags(write=False)
-        ds.tokens = check_finite_tokens(tokens)
-        return ds
-
-    def _set(self, num_labels, input_dim, label_names, token_counts, labels, dims, examples):
-        """Store the fields and check them. `dims` holds each example's token
-        dimension, or one for all; `examples` is the given list, or None."""
         self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
-        self.token_counts, self._labels, self._examples = token_counts, labels, examples
         coerce_fields(self)
         if self.num_labels < 1:
             raise ValueError("num_labels must be positive")
@@ -149,19 +130,28 @@ class Dataset:
             raise ValueError(
                 f"{len(self.label_names)} label names for {self.num_labels} labels"
             )
-        bad = (labels >= self.num_labels) | (dims != self.input_dim)
+        if not (isinstance(tokens, np.ndarray) and tokens.dtype == np.float64
+                and tokens.flags.owndata and tokens.flags.c_contiguous):
+            tokens = np.array(tokens, dtype=np.float64, order="C")
+        if tokens.ndim != 2 or tokens.shape[1] != self.input_dim:
+            raise ValueError(f"tokens have shape {tokens.shape}, "
+                             f"expected (total_tokens, {self.input_dim})")
+        counts = self.token_counts = np.array(token_counts, dtype=np.int64)
+        labels = self._labels = np.array(labels, dtype=np.int64)
+        if (counts.ndim != 1 or labels.shape != counts.shape or (counts < 1).any()
+                or counts.sum() != len(tokens)):
+            raise ValueError(f"need a label and a positive token count per example, "
+                             f"the counts summing to the {len(tokens)} token rows")
+        bad = (labels < 0) | (labels >= self.num_labels)
         if bad.any():  # name the first offending example, as a per-example loop would
             i = int(bad.argmax())
-            ex_id = i if examples is None else examples[i].id
-            if labels[i] >= self.num_labels:
-                raise ValueError(
-                    f"example {ex_id} label {labels[i]} out of range "
-                    f"for {self.num_labels} labels"
-                )
             raise ValueError(
-                f"example {ex_id} has dimension {np.broadcast_to(dims, labels.shape)[i]}, "
-                f"expected {self.input_dim}"
+                f"example {i} label {labels[i]} out of range for {self.num_labels} labels"
             )
+        self.tokens = check_finite_tokens(tokens)
+        for arr in (tokens, counts, labels):
+            arr.setflags(write=False)
+        self._examples = None
 
     @property
     def examples(self) -> list[TrainExample]:
@@ -181,26 +171,20 @@ class Dataset:
             and self.label_names == other.label_names
             and np.array_equal(self.token_counts, other.token_counts)
             and np.array_equal(self._labels, other._labels)
-            and self._ids() == other._ids()
             and np.array_equal(self.tokens, other.tokens)
         )
-
-    def _ids(self) -> list[int]:
-        if self._examples is None:  # examples made from the arrays number 0..n-1
-            return list(range(len(self)))
-        return [ex.id for ex in self._examples]
 
     def labels(self) -> np.ndarray:
         return self._labels.copy()
 
 
-def _parse_record(obj, label_names: list[str] | None):
-    """(label, token rows) of a record; `TrainExample` applies the token rule."""
+def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
+    """(label, token rows) of a record, the rows checked by the token rule."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     if "label" not in obj:
         raise ValueError("missing \"label\"")
-    label = obj["label"]  # `TrainExample` rejects a negative one
+    label = obj["label"]
     if isinstance(label, str):
         if label_names is None:
             raise ValueError(f"string label {label!r} needs a label_names header")
@@ -219,21 +203,24 @@ def _parse_record(obj, label_names: list[str] | None):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("\"features\" must be an array" if has_features
                          else "\"tokens\" must be an array of arrays")
+    rows = as_tokens(rows)
+    _check_label(label)
     return label, rows
 
 
 def load_jsonl(path) -> Dataset:
-    """Read a dataset file, reporting schema problems with their line number."""
+    """Read a dataset file, reporting schema problems with their line number.
+
+    Each record's token rows and label are checked as they are parsed; the
+    rows are concatenated once, into the dataset's token matrix."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     label_names: list[str] | None = None
-    examples: list[TrainExample] = []
-    input_dim: int | None = None
+    records: list[np.ndarray] = []
+    labels: list[int] = []
     first_dim_line = 0
-    max_label = -1
-    next_id = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -241,7 +228,7 @@ def load_jsonl(path) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        if next_id == 0 and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
+        if not records and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
             names = obj["label_names"]
             if (
                 not isinstance(names, list)
@@ -258,26 +245,24 @@ def load_jsonl(path) -> Dataset:
             continue
         try:
             label, rows = _parse_record(obj, label_names)
-            example = TrainExample(tokens=rows, label=label, id=next_id)
         except ValueError as exc:
             raise DatasetFormatError(f"line {line_no}: {exc}") from exc
-        if input_dim is None:
-            input_dim = example.tokens.shape[1]
+        if not records:
             first_dim_line = line_no
-        elif example.tokens.shape[1] != input_dim:
+        elif rows.shape[1] != records[0].shape[1]:
             raise DatasetFormatError(
-                f"line {line_no}: dimension {example.tokens.shape[1]} does not match "
-                f"dimension {input_dim} from line {first_dim_line}"
+                f"line {line_no}: dimension {rows.shape[1]} does not match "
+                f"dimension {records[0].shape[1]} from line {first_dim_line}"
             )
-        examples.append(example)
-        max_label = max(max_label, example.label)
-        next_id += 1
-    if not examples:
+        records.append(rows)
+        labels.append(label)
+    if not records:
         raise DatasetFormatError("no records found")
-    num_labels = len(label_names) if label_names is not None else max_label + 1
+    num_labels = len(label_names) if label_names is not None else max(labels) + 1
+    tokens = np.concatenate(records)
     try:
-        return Dataset(examples=examples, num_labels=num_labels, input_dim=input_dim,
-                       label_names=label_names)
+        return Dataset(tokens, [len(rows) for rows in records], labels, num_labels,
+                       tokens.shape[1], label_names)
     except ValueError as exc:  # an integer label beyond the declared names
         raise DatasetFormatError(str(exc)) from exc
 
@@ -370,9 +355,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     classes = np.arange(spec.num_classes, dtype=np.int64)
     try:
         return tuple(
-            Dataset._from_arrays(tokens, np.ones(len(tokens), dtype=np.int64),
-                                 np.repeat(classes, len(tokens) // spec.num_classes),
-                                 spec.num_classes, spec.dim)
+            Dataset(tokens, np.ones(len(tokens), dtype=np.int64),
+                    np.repeat(classes, len(tokens) // spec.num_classes),
+                    spec.num_classes, spec.dim)
             for tokens in (train_tokens, test_tokens)
         )
     except ValueError as exc:

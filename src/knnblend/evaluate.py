@@ -1,10 +1,11 @@
 """Accuracy evaluation over (k, temperature, knn_weight) grids, reported as CSV.
 
-`run_sweep` takes the scoring path's one neighbor step once, searching at the
-largest k, and reuses prefixes of the sorted hits for smaller k values; because
-hits are totally ordered by (distance, index) this is exactly equivalent to
-searching per k. It then votes once per (k, temperature) and blends once per
-knn_weight, each over the whole batch. `evaluate_config` is a one-cell sweep.
+`run_sweep` takes the scoring path's one neighbor step once, on a `Dataset`'s
+token matrix and token counts, searching at the largest k, and reuses prefixes
+of the sorted hits for smaller k values; because hits are totally ordered by
+(distance, index) this is exactly equivalent to searching per k. It then votes
+once per (k, temperature) and blends once per knn_weight, each over the whole
+batch, against `Dataset.labels()`. `evaluate_config` is a one-cell sweep.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .data import TrainExample
+from .data import Dataset
 from .datastore import Datastore
 from .retrieval import (
     RetrievalParams,
@@ -101,34 +101,34 @@ class EvalReport:
 def evaluate_config(
     model,
     store: Datastore | None,
-    examples: Sequence[TrainExample],
+    dataset: Dataset,
     params: RetrievalParams,
 ) -> EvalRow:
     """Accuracy of one configuration: the one row of a one-cell `run_sweep`."""
     cell = SweepSpec((params.k,), (params.temperature,), (params.knn_weight,))
-    return run_sweep(model, store, examples, cell).rows[0]
+    return run_sweep(model, store, dataset, cell).rows[0]
 
 
 def run_sweep(
     model,
     store: Datastore | None,
-    examples: Sequence[TrainExample],
+    dataset: Dataset,
     sweep: SweepSpec,
 ) -> EvalReport:
-    """Evaluate the full grid; searches once per query at max(k).
+    """Evaluate the full grid on a dataset; searches once per query at max(k).
 
     Rows appear in k-major, then temperature, then knn_weight order. A store
     is only required when some knn_weight in the grid is positive.
     """
-    if len(examples) == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate on zero examples")
     started = time.perf_counter()
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
     p_cls, indices, distances = _neighbor_step(
-        model, store, [ex.tokens for ex in examples],
+        model, store, dataset.tokens, dataset.token_counts,
         max(sweep.k_values) if need_search else None,
     )
-    gold = _gold(examples)
+    gold = dataset.labels()
     neighbor_probs = None
     rows = []
     for k in sweep.k_values:
@@ -142,10 +142,6 @@ def run_sweep(
                 rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)
-
-
-def _gold(examples: Sequence[TrainExample]) -> np.ndarray:
-    return np.array([ex.label for ex in examples], dtype=np.int64)
 
 
 def _row(k, temperature, knn_weight, predicted: np.ndarray, gold: np.ndarray) -> EvalRow:

@@ -4,12 +4,14 @@ Retrieved neighbors are turned into a label distribution by a softmax over
 temperature-scaled negative distances, aggregated per label. That
 distribution is mixed with the classifier's own output by a fixed weight.
 
-Every score takes one neighbor step, `_neighbor_step`: given k, the store
-checks (`RetrievalUnavailableError` without one), a batched encode and classify,
-then, given k, one `Datastore.search_batch`. `predict_batch` adds one vote
-(`knn_distribution_batch`) and one blend (`interpolate_batch`) over (B, k)
-arrays; `evaluate.run_sweep` takes the step once and votes and blends per grid
-cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
+Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
+its token counts: given k, the store checks (`RetrievalUnavailableError`
+without one), one pooling, encode and classify, then, given k, one
+`Datastore.search_batch`. `predict_batch` stacks its token sequences into that
+form and adds one vote (`knn_distribution_batch`) and one blend
+(`interpolate_batch`) over (B, k) arrays; `evaluate.run_sweep` takes the step
+once on a `Dataset`'s arrays and votes and blends per grid cell. `predict`,
+`knn_distribution` and `interpolate` are one-row forms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .core import DimensionMismatchError, coerce_fields, validate_distribution
 from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
-from .model import _pool_rows
+from .model import _pool_rows, _token_matrix
 
 __all__ = [
     "BatchPrediction",
@@ -159,13 +161,16 @@ class BatchPrediction:
     neighbor_distances: np.ndarray | None  # (B, min(k, count))
 
 
-def _neighbor_step(model, store: Datastore | None, token_seqs, k: int | None):
+def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
+                   token_counts: np.ndarray, k: int | None):
     """Classifier distributions of a batch and, given k, each row's hits.
 
-    Returns (classifier_probs, indices, distances); without k the store is
-    never consulted (it may be empty or None) and the hit arrays are None.
-    Given k, the store is checked before anything is encoded. The retrieval
-    representations r are the queries.
+    The batch is the sequences that split a finite (total_tokens, input_dim)
+    token matrix by `token_counts`. Returns (classifier_probs, indices,
+    distances); without k the store is never consulted (it may be empty or
+    None) and the hit arrays are None. Given k, the store is checked before
+    anything is pooled or encoded. The retrieval representations r are the
+    queries.
     """
     if k is not None:
         if store is None:
@@ -175,11 +180,11 @@ def _neighbor_step(model, store: Datastore | None, token_seqs, k: int | None):
                 f"datastore has {store.num_labels} labels but the model has "
                 f"{model.config.num_labels}"
             )
-    h0, r = model.encode_batch(token_seqs)
-    p_cls = model.classify(h0)
+    cache = model.features(_pool_rows(tokens, token_counts, model.config.pooling))
+    p_cls = model.classify(cache.h0)
     if k is None:
         return p_cls, None, None
-    return (p_cls, *store.search_batch(r, k))
+    return (p_cls, *store.search_batch(cache.r, k))
 
 
 def predict_batch(
@@ -191,7 +196,8 @@ def predict_batch(
     None). Label ties break to the lowest index.
     """
     k = params.k if params.knn_weight > 0.0 else None
-    p_cls, indices, distances = _neighbor_step(model, store, token_seqs, k)
+    tokens, token_counts = _token_matrix(token_seqs, model.config.input_dim)
+    p_cls, indices, distances = _neighbor_step(model, store, tokens, token_counts, k)
     p_knn = None if k is None else knn_distribution_batch(
         store.labels[indices], distances, params.temperature, store.num_labels
     )

@@ -200,14 +200,21 @@ def per_row_synthetic(spec):
         train_rows.extend((points[pos], c) for pos in order[n_test:])
         test_rows.extend((points[pos], c) for pos in order[:n_test])
     return tuple(
-        Dataset(
-            examples=[TrainExample(tokens=row[None, :], label=label, id=i)
-                      for i, (row, label) in enumerate(rows)],
-            num_labels=spec.num_classes,
-            input_dim=spec.dim,
-        )
+        dataset_of([TrainExample(tokens=row[None, :], label=label, id=i)
+                    for i, (row, label) in enumerate(rows)],
+                   num_labels=spec.num_classes, input_dim=spec.dim)
         for rows in (train_rows, test_rows)
     )
+
+
+def dataset_of(examples, num_labels, input_dim, label_names=None):
+    """The `Dataset` of a list of examples, built from their arrays: the
+    tokens concatenated in order, each example's token count, its label.
+    Its own examples number 0..n-1 whatever ids the given ones carry."""
+    tokens = (np.concatenate([ex.tokens for ex in examples]) if examples
+              else np.empty((0, input_dim)))
+    return Dataset(tokens, [len(ex.tokens) for ex in examples],
+                   [ex.label for ex in examples], num_labels, input_dim, label_names)
 
 
 def add_at_vote(labels, distances, temperature, num_labels):

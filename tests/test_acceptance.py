@@ -158,7 +158,7 @@ def test_criterion_5_trained_blend_classifies_held_out_clusters(experiment):
         test_examples = experiment["test"].examples
         for weight in (0.0, 1.0, 0.2):
             row = evaluate_config(
-                model, store, test_examples,
+                model, store, experiment["test"],
                 RetrievalParams(k=64, temperature=10.0, knn_weight=weight),
             )
             assert row.accuracy >= 0.95, (weight, row)
@@ -186,7 +186,7 @@ def test_retrieval_alone_beats_chance_on_hard_clusters():
     config = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=8)
     model, _ = train(train_ds.examples, Hyperparams(epochs=20, seed=7), config)
     row = evaluate_config(
-        model, build_datastore(model, train_ds), test_ds.examples,
+        model, build_datastore(model, train_ds), test_ds,
         RetrievalParams(k=64, temperature=10.0, knn_weight=1.0),
     )
     assert row.accuracy > 0.25, row  # twice chance for 8 classes
@@ -216,19 +216,19 @@ def test_criterion_6_sweep_grid_is_exact(experiment):
     with criterion(6, "27-cell sweep matches per-cell evaluation and its best row dominates"):
         model = experiment["model"]
         store = experiment["store"]
-        test_examples = experiment["test"].examples
+        test_ds = experiment["test"]
         sweep = SweepSpec(
             k_values=(1, 8, 64),
             temperature_values=(1.0, 10.0, 100.0),
             knn_weight_values=(0.0, 0.5, 1.0),
         )
-        report = run_sweep(model, store, test_examples, sweep)
+        report = run_sweep(model, store, test_ds, sweep)
         assert len(report.rows) == 27
         for row in report.rows:
             params = RetrievalParams(
                 k=row.k, temperature=row.temperature, knn_weight=row.knn_weight
             )
-            assert row == evaluate_config(model, store, test_examples, params)
+            assert row == evaluate_config(model, store, test_ds, params)
         for row in report.rows:
             if row.knn_weight == 0.0:
                 assert report.best.accuracy >= row.accuracy

@@ -20,7 +20,7 @@ from knnblend.data import (
 from knnblend.model import POOLING_MODES, Model, ModelConfig
 from knnblend.retrieval import build_datastore
 
-from helpers import nearest_centroid_accuracy, per_row_synthetic
+from helpers import dataset_of, nearest_centroid_accuracy, per_row_synthetic
 
 
 def write_lines(tmp_path, *lines, name="data.jsonl"):
@@ -244,7 +244,7 @@ def rand_dataset(rng, with_names=False, multi_token=False):
             TrainExample(tokens=rng.normal(size=shape) * 10, label=i % n_labels, id=i)
         )
     names = ["red", "green", "blue"] if with_names else None
-    return Dataset(examples=examples, num_labels=n_labels, input_dim=4, label_names=names)
+    return dataset_of(examples, num_labels=n_labels, input_dim=4, label_names=names)
 
 
 def test_write_load_round_trip_is_lossless(tmp_path):
@@ -281,40 +281,64 @@ def test_write_emits_header_before_records(tmp_path):
 def test_dataset_validates_members():
     ok = TrainExample(tokens=np.zeros(3), label=0, id=0)
     with pytest.raises(ValueError):
-        Dataset(examples=[ok], num_labels=0, input_dim=3)
+        dataset_of([ok], num_labels=0, input_dim=3)
     with pytest.raises(ValueError):
-        Dataset(examples=[ok], num_labels=1, input_dim=2)
+        dataset_of([ok], num_labels=1, input_dim=2)
     bad_label = TrainExample(tokens=np.zeros(3), label=4, id=0)
     with pytest.raises(ValueError):
-        Dataset(examples=[bad_label], num_labels=2, input_dim=3)
+        dataset_of([bad_label], num_labels=2, input_dim=3)
     with pytest.raises(ValueError):
-        Dataset(examples=[ok], num_labels=2, input_dim=3, label_names=["only-one"])
+        dataset_of([ok], num_labels=2, input_dim=3, label_names=["only-one"])
 
 
 def test_dataset_checks_name_the_first_offending_example():
-    def ex(i, label=0, dim=3):
-        return TrainExample(tokens=np.zeros(dim), label=label, id=i)
-
-    with pytest.raises(ValueError, match=r"^example 11 has dimension 2, expected 3$"):
-        Dataset(examples=[ex(10), ex(11, dim=2), ex(12, label=5)], num_labels=2, input_dim=3)
-    with pytest.raises(ValueError, match=r"^example 11 label 5 out of range for 2 labels$"):
-        Dataset(examples=[ex(10), ex(11, label=5), ex(12, dim=2)], num_labels=2, input_dim=3)
     ones = np.ones(3, dtype=np.int64)
     with pytest.raises(ValueError, match=r"^example 1 label 2 out of range for 2 labels$"):
-        Dataset._from_arrays(np.zeros((3, 3)), ones, np.array([0, 2, 5]), 2, 3)
-    with pytest.raises(ValueError, match=r"^example 0 has dimension 3, expected 4$"):
-        Dataset._from_arrays(np.zeros((3, 3)), ones, np.array([0, 1, 0]), 2, 4)
+        Dataset(np.zeros((3, 3)), ones, np.array([0, 2, 5]), 2, 3)
+    with pytest.raises(ValueError, match=r"^example 2 label -1 out of range for 2 labels$"):
+        Dataset(np.zeros((3, 3)), ones, np.array([0, 1, -1]), 2, 3)
+    with pytest.raises(ValueError,
+                       match=r"^tokens have shape \(3, 3\), expected \(total_tokens, 4\)$"):
+        Dataset(np.zeros((3, 3)), ones, np.array([0, 1, 0]), 2, 4)
 
 
-def test_a_label_must_fit_the_int64_label_array():
+@pytest.mark.parametrize("tokens, token_counts, labels", [
+    pytest.param(np.zeros(3), [3], [0], id="1-d-tokens"),
+    pytest.param(np.zeros((3, 2)), [1, 1], [0, 0], id="counts-short-of-the-rows"),
+    pytest.param(np.zeros((3, 2)), [2, 0, 1], [0, 0, 0], id="a-zero-count"),
+    pytest.param(np.zeros((3, 2)), [1, 1, 1], [0, 0], id="one-label-short"),
+    pytest.param(np.zeros((3, 2)), [[1, 1, 1]], [[0, 0, 0]], id="2-d-counts"),
+    pytest.param(np.array([[0.0, np.inf]]), [1], [0], id="non-finite"),
+])
+def test_dataset_rejects_arrays_that_do_not_fit(tokens, token_counts, labels):
+    with pytest.raises(ValueError):
+        Dataset(tokens, token_counts, labels, 2, tokens.shape[-1])
+
+
+def test_dataset_adopts_only_arrays_that_own_their_data():
+    owned = np.arange(6.0).reshape(3, 2).copy()
+    ds = Dataset(owned, np.ones(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 2, 2)
+    assert ds.tokens is owned and not owned.flags.writeable
+    base = np.arange(8.0).reshape(4, 2)
+    for tokens in (base[1:], np.asfortranarray(base), base.astype(np.float32), base.tolist()):
+        ds = Dataset(tokens, np.ones(len(tokens), dtype=np.int64), [0] * len(tokens), 2, 2)
+        assert ds.tokens.flags.owndata and ds.tokens.flags.c_contiguous
+        assert not ds.tokens.flags.writeable
+    counts, labels = np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    ds = Dataset(base, counts, labels, 2, 2)  # a view; counts and labels are always copied
+    base[0, 0], counts[0], labels[0] = 99.0, 7, 1
+    assert ds.tokens[0, 0] == 0.0 and ds.token_counts[0] == 1 and ds.labels()[0] == 0
+    assert not ds.token_counts.flags.writeable and counts.flags.writeable
+
+
+def test_a_label_must_fit_the_int64_label_array(tmp_path):
     TrainExample(tokens=[1.0], label=2**63 - 1, id=0)
     with pytest.raises(ValueError, match="below 2"):
         TrainExample(tokens=[1.0], label=2**63, id=0)
-
-
-def _split_rows(tokens, token_counts):
-    bounds = np.concatenate(([0], np.cumsum(token_counts)))
-    return [tokens[bounds[i]:bounds[i + 1]] for i in range(len(token_counts))]
+    path = write_lines(tmp_path, '{"label": 0, "features": [1.0]}',
+                       '{"label": %d, "features": [1.0]}' % 2**63)
+    with pytest.raises(DatasetFormatError, match=r"^line 2: label must be below 2\*\*63"):
+        load_jsonl(path)
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,7 +351,7 @@ def _split_rows(tokens, token_counts):
 )
 @example(seed=0, n=6, dim=2, mixed=True, pooling="mean")
 @example(seed=1, n=5, dim=3, mixed=False, pooling="max")
-def test_array_built_dataset_equals_the_list_built_one(seed, n, dim, mixed, pooling):
+def test_a_loaded_dataset_equals_the_written_one(seed, n, dim, mixed, pooling):
     rng = np.random.default_rng(seed)
     if mixed:
         token_counts = rng.integers(1, 4, size=n)
@@ -335,45 +359,50 @@ def test_array_built_dataset_equals_the_list_built_one(seed, n, dim, mixed, pool
     else:
         token_counts = np.full(n, int(rng.integers(1, 4)))
     labels = rng.integers(0, 3, size=n)
+    num_labels = int(labels.max()) + 1  # what a file without a header implies
     tokens = rng.normal(size=(int(token_counts.sum()), dim)) * 10
-    listed = Dataset(
-        examples=[TrainExample(tokens=rows.copy(), label=label, id=i)
-                  for i, (rows, label) in enumerate(zip(_split_rows(tokens, token_counts), labels))],
-        num_labels=3, input_dim=dim,
-    )
-    arrayed = Dataset._from_arrays(tokens, token_counts.astype(np.int64),
-                                   labels.astype(np.int64), 3, dim)
+    written = Dataset(tokens, token_counts, labels, num_labels, dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_jsonl(written, Path(tmp) / "out.jsonl")
+        loaded = load_jsonl(Path(tmp) / "out.jsonl")
 
-    model = Model.initialize(ModelConfig(input_dim=dim, hidden_dim=5, emb_dim=4, num_labels=3,
-                                         retrieval_dim=3, pooling=pooling), seed)
-    stores = [build_datastore(model, ds) for ds in (arrayed, listed)]
-    _, r = model.encode_batch([ex.tokens for ex in listed.examples])  # the per-example path
-    for store in stores:
-        assert store.keys.tobytes() == r.astype(np.float32).tobytes()
-        assert store.labels.tobytes() == labels.astype(np.int64).tobytes()
-
-    assert len(arrayed) == len(listed) == n
-    assert arrayed.labels().dtype == np.int64
-    np.testing.assert_array_equal(arrayed.labels(), listed.labels())
-    assert arrayed == listed and listed == arrayed
-    for got, want in zip(arrayed.examples, listed.examples, strict=True):
+    for got, want in ((loaded.tokens, tokens), (loaded.token_counts, token_counts),
+                      (loaded.labels(), labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert not loaded.tokens.flags.writeable
+    assert len(loaded) == len(written) == n
+    assert loaded == written and written == loaded
+    for got, want in zip(loaded.examples, written.examples, strict=True):
         assert got.tokens.shape == want.tokens.shape
         assert got.tokens.tobytes() == want.tokens.tobytes()
         assert (got.label, got.id) == (want.label, want.id)
         assert type(got.label) is int and type(got.id) is int
-    with tempfile.TemporaryDirectory() as tmp:
-        written = []
-        for ds in (arrayed, listed):
-            write_jsonl(ds, Path(tmp) / "out.jsonl")
-            written.append((Path(tmp) / "out.jsonl").read_bytes())
-    assert written[0] == written[1]
+
+    model = Model.initialize(ModelConfig(input_dim=dim, hidden_dim=5, emb_dim=4,
+                                         num_labels=num_labels, retrieval_dim=3,
+                                         pooling=pooling), seed)
+    _, r = model.encode_batch([ex.tokens for ex in written.examples])  # the per-example path
+    for ds in (loaded, written):
+        store = build_datastore(model, ds)
+        assert store.keys.tobytes() == r.astype(np.float32).tobytes()
+        assert store.labels.tobytes() == labels.astype(np.int64).tobytes()
+
+
+def _spy_on_examples(monkeypatch):
+    """Record each `TrainExample._views` call as "views" and each example
+    built one at a time, through `__post_init__`, as "init"."""
+    made = []
+    views, post_init = TrainExample._views, TrainExample.__post_init__
+    monkeypatch.setattr(TrainExample, "_views",
+                        classmethod(lambda cls, *arrays: made.append("views") or views(*arrays)))
+    monkeypatch.setattr(TrainExample, "__post_init__",
+                        lambda self: made.append("init") or post_init(self))
+    return made
 
 
 def test_synthetic_data_reaches_the_store_without_examples(monkeypatch):
-    made = []
-    views = TrainExample._views
-    monkeypatch.setattr(TrainExample, "_views",
-                        classmethod(lambda cls, *arrays: made.append(1) or views(*arrays)))
+    made = _spy_on_examples(monkeypatch)
     train, _ = generate_synthetic(SyntheticSpec(per_class_count=30, seed=3))
     store = build_datastore(Model.initialize(ModelConfig(input_dim=16, num_labels=4), 3), train)
     assert store.count == len(train) == 96
@@ -381,37 +410,42 @@ def test_synthetic_data_reaches_the_store_without_examples(monkeypatch):
     first = train.examples
     assert type(first) is list and len(first) == 96
     assert train.examples is first
-    assert made == [1]
+    assert made == ["views"]
 
 
-def test_list_built_dataset_keeps_its_list():
-    examples = [TrainExample(tokens=np.ones((2, 3)), label=1, id=4)]
-    ds = Dataset(examples=examples, num_labels=2, input_dim=3)
-    assert ds.examples is examples
-    np.testing.assert_array_equal(ds.tokens, np.ones((2, 3)))
-    np.testing.assert_array_equal(ds.token_counts, [2])
-    assert not ds.tokens.flags.writeable
+def test_loaded_data_makes_no_examples_until_they_are_read(tmp_path, monkeypatch):
+    train, _ = generate_synthetic(SyntheticSpec(per_class_count=10, seed=4))
+    write_jsonl(train, tmp_path / "train.jsonl")
+    made = _spy_on_examples(monkeypatch)
+    loaded = load_jsonl(tmp_path / "train.jsonl")
+    store = build_datastore(Model.initialize(ModelConfig(input_dim=16, num_labels=4), 4), loaded)
+    assert store.count == len(loaded) == 32
+    assert made == []
+    assert len(loaded.examples) == 32 and loaded.examples is loaded.examples
+    assert made == ["views"]
 
 
-def test_dataset_equality_compares_ids():
-    tokens = np.arange(6.0).reshape(3, 2).copy()
-    labels = [0, 1, 0]
-
-    def listed(ids):
-        return Dataset(examples=[TrainExample(tokens=tokens[i], label=labels[i], id=ex_id)
-                                 for i, ex_id in enumerate(ids)], num_labels=2, input_dim=2)
-
-    arrayed = Dataset._from_arrays(tokens, np.ones(3, dtype=np.int64), np.array(labels), 2, 2)
-    assert arrayed == listed([0, 1, 2])
-    assert arrayed != listed([0, 1, 3])
-    assert listed([5, 6, 7]) != listed([5, 6, 8])
+def test_load_jsonl_memory_per_row(tmp_path):
+    train, _ = generate_synthetic(SyntheticSpec(num_classes=4, dim=16, per_class_count=625))
+    path = tmp_path / "train.jsonl"
+    write_jsonl(train, path)  # 2,000 one-token rows of dim 16
+    tracemalloc.start()
+    try:
+        loaded = load_jsonl(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2000
+    # The token matrix holds 128 B/row and the counts and labels 16 more:
+    # about 145 B/row in all. A `TrainExample` with its own (1, 16) array per
+    # row, kept beside a copy of its tokens in the matrix, held about 500.
+    assert held / len(loaded) < 250
 
 
 @pytest.mark.parametrize("token_counts", [[2, 2, 2], [1, 2, 3]], ids=["equal", "mixed"])
 def test_token_views_cannot_be_made_writeable(token_counts):
-    tokens = np.arange(12.0).reshape(6, 2).copy()  # a matrix that owns its data, as required
-    ds = Dataset._from_arrays(tokens, np.array(token_counts),
-                              np.array([0, 1, 0]), 2, 2)
+    tokens = np.arange(12.0).reshape(6, 2).copy()  # a matrix that owns its data, so adopted
+    ds = Dataset(tokens, np.array(token_counts), np.array([0, 1, 0]), 2, 2)
     assert not ds.tokens.flags.writeable
     assert [ex.tokens.shape for ex in ds.examples] == [(c, 2) for c in token_counts]
     for ex in ds.examples:

@@ -9,17 +9,20 @@ from knnblend.evaluate import (
     EvalReport,
     EvalRow,
     SweepSpec,
+    _row,
     evaluate_config,
     run_sweep,
     write_report_csv,
 )
-from knnblend.model import Model, ModelConfig
+from knnblend.model import POOLING_MODES, Model, ModelConfig
 from knnblend.retrieval import (
     RetrievalParams,
     build_datastore,
     knn_distribution_batch,
     predict_batch,
 )
+
+from helpers import dataset_of
 
 
 def toy_setup(n=12, num_labels=3, seed=90):
@@ -30,7 +33,7 @@ def toy_setup(n=12, num_labels=3, seed=90):
         TrainExample(tokens=rng.normal(size=4) * 2, label=i % num_labels, id=i)
         for i in range(n)
     ]
-    dataset = Dataset(examples=examples, num_labels=num_labels, input_dim=4)
+    dataset = dataset_of(examples, num_labels=num_labels, input_dim=4)
     return model, dataset, build_datastore(model, dataset)
 
 
@@ -77,7 +80,7 @@ def test_run_sweep_emits_the_grid_in_order():
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 3), temperature_values=(1.0, 10.0),
                      knn_weight_values=(0.0, 0.5, 1.0))
-    report = run_sweep(model, store, dataset.examples, spec)
+    report = run_sweep(model, store, dataset, spec)
     expected_cells = [
         (k, t, w)
         for k in spec.k_values
@@ -100,17 +103,49 @@ def test_run_sweep_rows_match_per_config_evaluation_exactly():
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
-    report = run_sweep(model, store, dataset.examples, spec)
+    report = run_sweep(model, store, dataset, spec)
     assert len(report.rows) == len(spec)
     tokens = [ex.tokens for ex in dataset.examples]
     gold = dataset.labels()
     for row in report.rows:
         params = RetrievalParams(k=row.k, temperature=row.temperature,
                                  knn_weight=row.knn_weight)
-        single = evaluate_config(model, store, dataset.examples, params)
+        single = evaluate_config(model, store, dataset, params)
         assert row == single
         labels = predict_batch(model, store, tokens, params).labels
         assert row.n_correct == np.count_nonzero(labels == gold)
+
+
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+def test_scoring_a_dataset_from_its_arrays_matches_its_token_sequences(pooling, monkeypatch):
+    # Mixed token counts take the pooling step's grouped path; each cell's
+    # blended distributions and labels must be those `predict_batch` gives
+    # for the same rows as token sequences, bit for bit.
+    rng = np.random.default_rng(93)
+    token_counts = np.array([1, 3, 2, 3, 1, 1, 2, 4, 3, 1], dtype=np.int64)
+    dataset = Dataset(rng.normal(size=(int(token_counts.sum()), 4)) * 2, token_counts,
+                      np.arange(10) % 3, 3, 4)
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3, pooling=pooling)
+    model = Model.initialize(cfg, 93)
+    store = build_datastore(model, dataset)
+    blends, labels = [], []
+    monkeypatch.setattr(evaluate, "interpolate_batch",
+                        lambda *args: blends.append(retrieval.interpolate_batch(*args))
+                        or blends[-1])
+    monkeypatch.setattr(evaluate, "_row",
+                        lambda k, t, w, predicted, gold: labels.append(predicted)
+                        or _row(k, t, w, predicted, gold))
+    spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0),
+                     knn_weight_values=(0.0, 0.3, 1.0))
+    report = run_sweep(model, store, dataset, spec)
+    seqs = [ex.tokens for ex in dataset.examples]
+    assert len(blends) == len(labels) == len(report.rows) == len(spec)
+    for row, blend, predicted in zip(report.rows, blends, labels):
+        batch = predict_batch(model, store, seqs, RetrievalParams(
+            k=row.k, temperature=row.temperature, knn_weight=row.knn_weight))
+        assert blend.tobytes() == batch.probs.tobytes()
+        assert predicted.tobytes() == batch.labels.tobytes()
+        assert row.n_correct == np.count_nonzero(batch.labels == dataset.labels())
 
 
 def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
@@ -125,10 +160,10 @@ def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0, 30.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
-    run_sweep(model, store, dataset.examples, spec)
+    run_sweep(model, store, dataset, spec)
     assert calls == [t for _ in spec.k_values for t in spec.temperature_values]
     calls.clear()
-    run_sweep(model, store, dataset.examples, SweepSpec(knn_weight_values=(0.0,)))
+    run_sweep(model, store, dataset, SweepSpec(knn_weight_values=(0.0,)))
     assert calls == []
 
 
@@ -136,15 +171,15 @@ def test_run_sweep_classifier_only_grid_needs_no_store():
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1,), temperature_values=(1.0,),
                      knn_weight_values=(0.0,))
-    without = run_sweep(model, None, dataset.examples, spec)
-    with_store = run_sweep(model, store, dataset.examples, spec)
+    without = run_sweep(model, None, dataset, spec)
+    with_store = run_sweep(model, store, dataset, spec)
     assert without.rows == with_store.rows
 
 
 def test_run_sweep_requires_a_store_for_positive_weights():
     model, dataset, _ = toy_setup()
     with pytest.raises(RetrievalUnavailableError):
-        run_sweep(model, None, dataset.examples, SweepSpec())
+        run_sweep(model, None, dataset, SweepSpec())
 
 
 @pytest.mark.parametrize("entry", ["predict_batch", "evaluate_config", "run_sweep"])
@@ -157,13 +192,13 @@ def test_a_missing_store_is_one_error_raised_before_encoding(entry, monkeypatch)
         if entry == "predict_batch":
             return predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
         if entry == "evaluate_config":
-            return evaluate_config(model, store, dataset.examples, params)
-        return run_sweep(model, store, dataset.examples, SweepSpec())
+            return evaluate_config(model, store, dataset, params)
+        return run_sweep(model, store, dataset, SweepSpec())
 
-    def no_encode(self, token_seqs):
+    def no_encode(self, x_batch):
         raise AssertionError("encoded a batch that cannot be scored")
 
-    monkeypatch.setattr(Model, "encode_batch", no_encode)
+    monkeypatch.setattr(Model, "features", no_encode)
     with pytest.raises(RetrievalUnavailableError) as missing:
         score(None)
     assert type(missing.value) is RetrievalUnavailableError
@@ -176,15 +211,16 @@ def test_run_sweep_rejects_label_count_mismatch():
     model, dataset, _ = toy_setup()
     other_model, other_dataset, other_store = toy_setup(num_labels=2, seed=91)
     with pytest.raises(ValueError):
-        run_sweep(model, other_store, dataset.examples, SweepSpec())
+        run_sweep(model, other_store, dataset, SweepSpec())
 
 
 def test_run_sweep_rejects_empty_examples():
     model, _, store = toy_setup()
-    with pytest.raises(ValueError):
-        run_sweep(model, store, [], SweepSpec())
-    with pytest.raises(ValueError):
-        evaluate_config(model, store, [], RetrievalParams())
+    empty = dataset_of([], num_labels=3, input_dim=4)
+    with pytest.raises(ValueError, match="zero examples"):
+        run_sweep(model, store, empty, SweepSpec())
+    with pytest.raises(ValueError, match="zero examples"):
+        evaluate_config(model, store, empty, RetrievalParams())
 
 
 def test_report_best_takes_highest_accuracy_earliest_tie():
@@ -201,7 +237,7 @@ def test_report_best_takes_highest_accuracy_earliest_tie():
 
 def test_report_never_worse_than_classifier_alone():
     model, dataset, store = toy_setup()
-    report = run_sweep(model, store, dataset.examples, SweepSpec())
+    report = run_sweep(model, store, dataset, SweepSpec())
     for row in report.rows:
         if row.knn_weight == 0.0:
             assert report.best.accuracy >= row.accuracy
@@ -226,7 +262,7 @@ def test_write_report_csv_layout(tmp_path):
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 2), temperature_values=(1.0,),
                      knn_weight_values=(0.0, 1.0))
-    report = run_sweep(model, store, dataset.examples, spec)
+    report = run_sweep(model, store, dataset, spec)
     path = tmp_path / "sweep.csv"
     write_report_csv(report, path)
     text = path.read_text()
@@ -240,8 +276,8 @@ def test_write_report_csv_layout(tmp_path):
 
 def test_write_report_csv_is_byte_deterministic(tmp_path):
     model, dataset, store = toy_setup()
-    report_a = run_sweep(model, store, dataset.examples, SweepSpec())
-    report_b = run_sweep(model, store, dataset.examples, SweepSpec())
+    report_a = run_sweep(model, store, dataset, SweepSpec())
+    report_b = run_sweep(model, store, dataset, SweepSpec())
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
     write_report_csv(report_a, path_a)

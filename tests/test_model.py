@@ -242,6 +242,33 @@ def test_classify_output_is_valid_distribution():
         assert probs.min() >= 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    num_labels=st.integers(2, 12),
+    emb_dim=st.integers(1, 6),
+    scale=st.sampled_from([1e-3, 1.0, 10.0, 1e3, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_tanh_head_caps_the_classifier_confidence(num_labels, emb_dim, scale, seed):
+    # tanh puts every logit in [-1, 1], so softmax gives no label more than
+    # e / (e + (L - 1) / e); a head saturated at +1 for one label and -1 for
+    # the rest reaches it. The cap's float64 value may differ from the
+    # softmax's by rounding, so it is allowed a few units in the last place.
+    cap = math.e / (math.e + (num_labels - 1) / math.e)
+    rng = np.random.default_rng(seed)
+    config = small_config(emb_dim=emb_dim, num_labels=num_labels)
+    assert config.activation == "tanh"
+    weights = Model.initialize(config, rng).parameters()
+    model = Model(config=config, **{**weights, "head_w": rng.normal(size=(num_labels, emb_dim))
+                                    * scale})
+    h0 = rng.normal(size=(32, emb_dim)) * scale
+    assert model.classify(h0).max() <= cap * (1.0 + 4 * np.finfo(float).eps)
+    saturated = np.full((num_labels, emb_dim), -1e3)
+    saturated[0] = 1e3
+    model = Model(config=config, **{**weights, "head_w": saturated})
+    assert model.classify(np.ones((1, emb_dim)))[0, 0] == pytest.approx(cap, rel=1e-12)
+
+
 def test_encode_and_classify_are_deterministic():
     model = Model.initialize(small_config(), 21)
     x = np.linspace(-1, 1, 5)

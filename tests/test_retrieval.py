@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from knnblend import NonFiniteDistanceError
 from knnblend.core import DimensionMismatchError, softmax, squared_l2, validate_distribution
-from knnblend.data import Dataset, TrainExample
+from knnblend.data import TrainExample
 from knnblend.datastore import Datastore, NeighborHit, RetrievalUnavailableError
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import (
@@ -24,6 +24,7 @@ from knnblend.retrieval import (
 
 from helpers import (
     add_at_vote,
+    dataset_of,
     full_sort_hits,
     mp_neighbor_distribution,
     random_distribution,
@@ -252,7 +253,7 @@ def toy_setup(decouple=True, num_labels=3, n=12, seed=50):
         TrainExample(tokens=rng.normal(size=4) * 2, label=i % num_labels, id=i)
         for i in range(n)
     ]
-    dataset = Dataset(examples=examples, num_labels=num_labels, input_dim=4)
+    dataset = dataset_of(examples, num_labels=num_labels, input_dim=4)
     return model, dataset
 
 
@@ -270,7 +271,7 @@ def test_predict_without_retrieval_needs_no_datastore():
 
 def test_predict_weight_zero_ignores_even_an_empty_store():
     model, dataset = toy_setup()
-    empty = Dataset(examples=[], num_labels=3, input_dim=4)
+    empty = dataset_of([], num_labels=3, input_dim=4)
     store = build_datastore(model, empty)
     pred = predict(model, store, dataset.examples[0].tokens,
                    RetrievalParams(knn_weight=0.0))
@@ -282,7 +283,7 @@ def test_predict_requires_a_store_when_blending():
     with pytest.raises(RetrievalUnavailableError):
         predict(model, None, dataset.examples[0].tokens,
                 RetrievalParams(knn_weight=0.5))
-    empty_store = build_datastore(model, Dataset(examples=[], num_labels=3, input_dim=4))
+    empty_store = build_datastore(model, dataset_of([], num_labels=3, input_dim=4))
     with pytest.raises(RetrievalUnavailableError):
         predict(model, empty_store, dataset.examples[0].tokens,
                 RetrievalParams(knn_weight=0.5))
@@ -360,7 +361,7 @@ def test_build_datastore_respects_a_narrow_retrieval_dim():
     model = Model.initialize(cfg, 1)
     examples = [TrainExample(tokens=rng.normal(size=4), label=i % 2, id=i)
                 for i in range(6)]
-    store = build_datastore(model, Dataset(examples=examples, num_labels=2, input_dim=4))
+    store = build_datastore(model, dataset_of(examples, num_labels=2, input_dim=4))
     assert store.dim == 2
 
 
@@ -375,7 +376,7 @@ def test_build_datastore_without_decoupling_keys_on_h0():
 
 def test_build_datastore_empty_dataset_gives_searchless_store():
     model, _ = toy_setup()
-    store = build_datastore(model, Dataset(examples=[], num_labels=3, input_dim=4))
+    store = build_datastore(model, dataset_of([], num_labels=3, input_dim=4))
     assert store.count == 0
     assert store.dim == model.config.key_dim
     with pytest.raises(RetrievalUnavailableError):
@@ -384,15 +385,13 @@ def test_build_datastore_empty_dataset_gives_searchless_store():
 
 def test_build_datastore_validates_compatibility():
     model, dataset = toy_setup()
-    narrow = Dataset(
-        examples=[TrainExample(tokens=np.zeros(3), label=0, id=0)],
+    narrow = dataset_of([TrainExample(tokens=np.zeros(3), label=0, id=0)],
         num_labels=3,
         input_dim=3,
     )
     with pytest.raises(DimensionMismatchError):
         build_datastore(model, narrow)
-    fewer_labels = Dataset(
-        examples=[TrainExample(tokens=np.zeros(4), label=0, id=0)],
+    fewer_labels = dataset_of([TrainExample(tokens=np.zeros(4), label=0, id=0)],
         num_labels=2,
         input_dim=4,
     )
@@ -407,7 +406,7 @@ def test_build_datastore_pools_multi_token_examples():
     rng = np.random.default_rng(9)
     examples = [TrainExample(tokens=rng.normal(size=(4, 3)), label=i % 2, id=i)
                 for i in range(5)]
-    store = build_datastore(model, Dataset(examples=examples, num_labels=2, input_dim=3))
+    store = build_datastore(model, dataset_of(examples, num_labels=2, input_dim=3))
     _, r = model.encode(examples[2].tokens)
     np.testing.assert_array_equal(store.keys[2], r.astype(np.float32))
 
@@ -416,7 +415,7 @@ def _single_token_dataset(count, dim=4, num_labels=3):
     rng = np.random.default_rng(count)
     examples = [TrainExample(tokens=row, label=i % num_labels, id=i)
                 for i, row in enumerate(rng.normal(size=(count, dim)))]
-    return Dataset(examples=examples, num_labels=num_labels, input_dim=dim)
+    return dataset_of(examples, num_labels=num_labels, input_dim=dim)
 
 
 @pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])

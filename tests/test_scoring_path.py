@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
 from knnblend.core import softmax, sq_dists
-from knnblend.data import Dataset, SyntheticSpec, TrainExample, generate_synthetic
+from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
 from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import Model, ModelConfig
@@ -31,7 +31,7 @@ from knnblend.retrieval import (
 )
 from knnblend.training import Hyperparams, train
 
-from helpers import full_sort_hits, hits_as_pairs, oracle_cell_labels
+from helpers import dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
 
 COUNT = 2 * KEY_BLOCK + 17
 # Keys that receive copies of one key: both sides of both block boundaries.
@@ -252,7 +252,7 @@ def overflow_setup():
                       activation="identity")
     model = Model.initialize(cfg, 60)
     examples = [TrainExample(tokens=rng.normal(size=4), label=i % 3, id=i) for i in range(12)]
-    store = build_datastore(model, Dataset(examples=examples, num_labels=3, input_dim=4))
+    store = build_datastore(model, dataset_of(examples, num_labels=3, input_dim=4))
     huge = [TrainExample(tokens=np.full(4, 1e200), label=0, id=0)]
     _, r = model.encode(huge[0].tokens)
     assert np.all(np.isfinite(r)) and np.max(np.abs(r)) > 1e160
@@ -266,11 +266,12 @@ def test_scoring_entry_points_raise_on_overflowing_distances(overflow_setup):
         predict(model, store, huge[0].tokens, params)
     with pytest.raises(NonFiniteDistanceError):
         predict_batch(model, store, [ex.tokens for ex in huge], params)
+    huge_ds = dataset_of(huge, num_labels=3, input_dim=4)
     with pytest.raises(NonFiniteDistanceError):
-        evaluate_config(model, store, huge, params)
+        evaluate_config(model, store, huge_ds, params)
     sweep = SweepSpec(k_values=(1, 4), temperature_values=(1.0,), knn_weight_values=(0.0, 0.5))
     with pytest.raises(NonFiniteDistanceError):
-        run_sweep(model, store, huge, sweep)
+        run_sweep(model, store, huge_ds, sweep)
     # The classifier alone never consults the distances.
     assert predict(model, store, huge[0].tokens, RetrievalParams(knn_weight=0.0)).label >= 0
 
@@ -315,7 +316,7 @@ def test_every_sweep_cell_matches_a_per_example_oracle():
     h0, r = model.encode_batch(tokens)
     classifier_probs = model.classify(h0)
     ranked = [full_sort_hits(store, row, max(sweep.k_values)) for row in r]
-    report = run_sweep(model, store, examples, sweep)
+    report = run_sweep(model, store, test_ds, sweep)
     assert len({row.n_correct for row in report.rows}) > 1  # the grid is informative
     for row in report.rows:
         oracle = oracle_cell_labels(ranked, store.labels, classifier_probs, row.k,
