@@ -47,16 +47,17 @@ def _check_label(label: int) -> None:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TrainExample:
-    """One labeled instance: a token matrix (`core.as_tokens`), a label, an id."""
+    """One labeled instance: a read-only copy of its token matrix
+    (`core.as_tokens`), a label, an id."""
 
     tokens: np.ndarray
     label: int
     id: int
 
     def __post_init__(self):
-        arr = as_tokens(self.tokens)
+        arr = as_tokens(self.tokens).copy()  # no caller holds it, so none can write to it
         arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr)
+        object.__setattr__(self, "tokens", arr.view())  # a view numpy won't make writeable
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "id", int(self.id))
         _check_label(self.label)
@@ -106,12 +107,13 @@ class Dataset:
     Its storage is three read-only arrays: `tokens`, one float64
     (total_tokens, input_dim) matrix with every example's token rows in
     order; `token_counts`, each example's int64 row count; and the int64
-    labels that `labels()` copies. The constructor adopts a C-ordered float64
-    matrix that owns its data and copies any other, so no writeable base can
-    change a dataset, and copies the counts and labels; the token rule's
-    finiteness step checks the matrix once. `examples` is built from the
-    arrays on first read, once, as a list of `TrainExample`s over views of
-    `tokens` with ids 0..n-1.
+    labels that `labels()` copies. The constructor copies all three, and
+    `tokens` and `token_counts` are read-only views that numpy will not make
+    writeable, so nothing outside the dataset can change it. `load_jsonl` and
+    `generate_synthetic` hand over the fresh matrix they built instead
+    (`_adopt`). The token rule's finiteness step checks the matrix once.
+    `examples` is built from the arrays on first read, once, as a list of
+    `TrainExample`s over views of `tokens` with ids 0..n-1.
     """
 
     num_labels: int
@@ -120,6 +122,22 @@ class Dataset:
 
     def __init__(self, tokens, token_counts, labels, num_labels: int, input_dim: int,
                  label_names: list[str] | None = None):
+        self._own(np.array(tokens, dtype=np.float64, order="C"), token_counts, labels,
+                  num_labels, input_dim, label_names)
+
+    @classmethod
+    def _adopt(cls, tokens: np.ndarray, token_counts, labels, num_labels: int,
+               input_dim: int, label_names: list[str] | None = None) -> "Dataset":
+        """A dataset that keeps `tokens`, a C-ordered float64 matrix that only
+        the caller holds and gives up, instead of copying it."""
+        dataset = cls.__new__(cls)
+        dataset._own(tokens, token_counts, labels, num_labels, input_dim, label_names)
+        return dataset
+
+    def _own(self, tokens: np.ndarray, token_counts, labels, num_labels, input_dim,
+             label_names) -> None:
+        """Check and keep a float64 token matrix no one else holds, with copies
+        of the counts and labels."""
         self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
         coerce_fields(self)
         if self.num_labels < 1:
@@ -130,13 +148,10 @@ class Dataset:
             raise ValueError(
                 f"{len(self.label_names)} label names for {self.num_labels} labels"
             )
-        if not (isinstance(tokens, np.ndarray) and tokens.dtype == np.float64
-                and tokens.flags.owndata and tokens.flags.c_contiguous):
-            tokens = np.array(tokens, dtype=np.float64, order="C")
         if tokens.ndim != 2 or tokens.shape[1] != self.input_dim:
             raise ValueError(f"tokens have shape {tokens.shape}, "
                              f"expected (total_tokens, {self.input_dim})")
-        counts = self.token_counts = np.array(token_counts, dtype=np.int64)
+        counts = np.array(token_counts, dtype=np.int64)
         labels = self._labels = np.array(labels, dtype=np.int64)
         if (counts.ndim != 1 or labels.shape != counts.shape or (counts < 1).any()
                 or counts.sum() != len(tokens)):
@@ -148,19 +163,27 @@ class Dataset:
             raise ValueError(
                 f"example {i} label {labels[i]} out of range for {self.num_labels} labels"
             )
-        self.tokens = check_finite_tokens(tokens)
+        self._tokens, self._counts = check_finite_tokens(tokens), counts
         for arr in (tokens, counts, labels):
             arr.setflags(write=False)
         self._examples = None
 
     @property
+    def tokens(self) -> np.ndarray:
+        return self._tokens.view()
+
+    @property
+    def token_counts(self) -> np.ndarray:
+        return self._counts.view()
+
+    @property
     def examples(self) -> list[TrainExample]:
         if self._examples is None:
-            self._examples = TrainExample._views(self.tokens, self.token_counts, self._labels)
+            self._examples = TrainExample._views(self._tokens, self._counts, self._labels)
         return self._examples
 
     def __len__(self) -> int:
-        return len(self.token_counts)
+        return len(self._counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -169,9 +192,9 @@ class Dataset:
             self.num_labels == other.num_labels
             and self.input_dim == other.input_dim
             and self.label_names == other.label_names
-            and np.array_equal(self.token_counts, other.token_counts)
+            and np.array_equal(self._counts, other._counts)
             and np.array_equal(self._labels, other._labels)
-            and np.array_equal(self.tokens, other.tokens)
+            and np.array_equal(self._tokens, other._tokens)
         )
 
     def labels(self) -> np.ndarray:
@@ -193,6 +216,8 @@ def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
         label = label_names.index(label)
     elif isinstance(label, bool) or not isinstance(label, int):
         raise ValueError("label must be an integer or name")
+    elif label_names is not None and label >= len(label_names):
+        raise ValueError(f"label {label} out of range for {len(label_names)} labels")
 
     has_features = "features" in obj
     if has_features == ("tokens" in obj):
@@ -260,11 +285,8 @@ def load_jsonl(path) -> Dataset:
         raise DatasetFormatError("no records found")
     num_labels = len(label_names) if label_names is not None else max(labels) + 1
     tokens = np.concatenate(records)
-    try:
-        return Dataset(tokens, [len(rows) for rows in records], labels, num_labels,
-                       tokens.shape[1], label_names)
-    except ValueError as exc:  # an integer label beyond the declared names
-        raise DatasetFormatError(str(exc)) from exc
+    return Dataset._adopt(tokens, [len(rows) for rows in records], labels, num_labels,
+                          tokens.shape[1], label_names)
 
 
 def write_jsonl(dataset: Dataset, path) -> None:
@@ -355,9 +377,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     classes = np.arange(spec.num_classes, dtype=np.int64)
     try:
         return tuple(
-            Dataset(tokens, np.ones(len(tokens), dtype=np.int64),
-                    np.repeat(classes, len(tokens) // spec.num_classes),
-                    spec.num_classes, spec.dim)
+            Dataset._adopt(tokens, np.ones(len(tokens), dtype=np.int64),
+                           np.repeat(classes, len(tokens) // spec.num_classes),
+                           spec.num_classes, spec.dim)
             for tokens in (train_tokens, test_tokens)
         )
     except ValueError as exc:

@@ -6,12 +6,12 @@ distribution is mixed with the classifier's own output by a fixed weight.
 
 Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
 its token counts: given k, the store checks (`RetrievalUnavailableError`
-without one), one pooling, encode and classify, then, given k, one
-`Datastore.search_batch`. `predict_batch` stacks its token sequences into that
-form and adds one vote (`knn_distribution_batch`) and one blend
-(`interpolate_batch`) over (B, k) arrays; `evaluate.run_sweep` takes the step
-once on a `Dataset`'s arrays and votes and blends per grid cell. `predict`,
-`knn_distribution` and `interpolate` are one-row forms.
+without one or for an empty one), one pooling, encode and classify, then,
+given k, one `Datastore.search_batch`. `predict_batch` stacks its token
+sequences into that form and adds one vote (`knn_distribution_batch`) and one
+blend (`interpolate_batch`) over (B, k) arrays; `evaluate.run_sweep` takes the
+step once on a `Dataset`'s arrays and votes and blends per grid cell.
+`predict`, `knn_distribution` and `interpolate` are one-row forms.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
     if k is not None:
         if store is None:
             raise RetrievalUnavailableError("a datastore is required when knn_weight > 0")
+        if store.count == 0:
+            raise RetrievalUnavailableError("cannot search an empty datastore")
         if store.num_labels != model.config.num_labels:
             raise ValueError(
                 f"datastore has {store.num_labels} labels but the model has "

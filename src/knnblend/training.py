@@ -8,12 +8,13 @@ squared-L2 distances between retrieval representations:
 Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
-(batch, label)-sorted order. `train` pools the dataset once, and its weights
-and gradients each live in one flat buffer. One function, `_loss`, computes a
-batch's loss terms and, on request, their gradients; `combined_loss`,
-`loss_and_gradients`, `train` and ``grad_check`` (which checks the gradients
-by finite differences) all go through it. A diverging model's loss turns
-non-finite without a warning, and `train` raises `TrainingDivergedError`.
+(batch, label)-sorted order. One adapter turns examples into pooled inputs and
+labels; `train` pools the dataset through it once. The weights live in one flat
+vector, which `train` steps and `grad_check` perturbs, on a copy, entry by
+entry. One function, `_loss`, computes a batch's loss terms and, on request,
+their gradients into one flat buffer; `combined_loss`, `loss_and_gradients`,
+`train` and `grad_check` all go through it. A diverging model's loss turns
+non-finite without a warning; `train` raises `TrainingDivergedError`.
 """
 
 from __future__ import annotations
@@ -277,14 +278,28 @@ def _flat_buffer(model: Model) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return flat, views
 
 
+def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
+    """A copy of `model` whose weights are views of one fresh float64 vector,
+    in layout order, and that vector, which a step or perturbation moves."""
+    weights, views = _flat_buffer(model)
+    for name, view in views.items():
+        view[...] = getattr(model, name)
+    return Model(config=model.config, **views), weights
+
+
+def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled inputs and int64 labels of examples; pooling checks the tokens are finite."""
+    if len(examples) == 0:
+        raise ValueError("examples must be non-empty")
+    x = model.pool_batch([ex.tokens for ex in examples])
+    return x, np.array([ex.label for ex in examples], dtype=np.int64)
+
+
 def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
     """Pooled inputs, labels, and pos/neg index arrays for a batch and its pairs."""
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
     if len(pairs) != len(batch):
         raise ValueError("pairs must align one-to-one with the batch")
-    x = model.pool_batch([ex.tokens for ex in batch])
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    x, labels = _pooled(model, batch)
     pos = np.array([p for p, _ in pairs], dtype=np.int64)
     neg = np.array([-1 if q is None else q for _, q in pairs], dtype=np.int64)
     return x, labels, pos, neg
@@ -322,104 +337,81 @@ class GradCheckReport:
     note: str = ""
 
 
+def _failed_check(resamples: int, note: str, finite: bool = True) -> GradCheckReport:
+    return GradCheckReport(
+        passed=False, finite=finite, max_rel_error=math.inf, max_abs_error=math.inf,
+        num_checked=0, resample_attempts=resamples, worst_param=None, note=note,
+    )
+
+
 def grad_check(
     model: Model,
     batch: Sequence[TrainExample],
     hyper: Hyperparams,
     step: float = 1e-5,
-    seed: int | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients with (f(w+step) - f(w-step)) / (2 step).
 
-    A relative criterion applies where either gradient is meaningfully large;
-    near zero an absolute criterion applies instead. If any hinge margin sits
-    within 100*step of its kink, the weights are jittered and re-checked so
-    the finite difference never straddles the non-smooth point. A non-finite
-    loss is reported (passed=False, finite=False) rather than raised.
+    It perturbs a copy of the model whose weights view one flat vector; the
+    pairs and any jitter are drawn from hyper.seed. A relative criterion
+    applies where either gradient is meaningfully large, an absolute one near
+    zero; a non-finite error fails as an infinite relative one. If a hinge
+    margin sits within 100*step of its kink, the vector is jittered and
+    re-checked so the finite difference never straddles the non-smooth point.
+    A non-finite loss is reported (passed=False, finite=False), not raised.
+    worst_param names the entry whose error is the largest multiple of its
+    tolerance, the first of equals, as "name[i]" (i indexing that weight's
+    flattened array); it is None if every error is zero.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    rng = np.random.default_rng(hyper.seed if seed is None else seed)
-    work = model.copy()
-    x = work.pool_batch([ex.tokens for ex in batch])
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    rng = np.random.default_rng(hyper.seed)
+    work, weights = _flat_model(model)
+    x, labels = _pooled(work, batch)
     pos, neg = _pair_indices(labels, labels.shape[0], rng)
 
-    ce_weight, trip_weight = _term_weights(work.config, hyper)
-    boundary_window = 100.0 * step
+    _, trip_weight = _term_weights(work.config, hyper)
     resamples = 0
-    if trip_weight != 0.0:
-        while True:
-            _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
-            near = np.abs(raw[np.isfinite(raw)]) < boundary_window
-            if not near.any():
-                break
-            if resamples >= GRAD_CHECK_MAX_RESAMPLES:
-                return GradCheckReport(
-                    passed=False, finite=True, max_rel_error=math.inf,
-                    max_abs_error=math.inf, num_checked=0,
-                    resample_attempts=resamples, worst_param=None,
-                    note="could not move all hinge margins away from the kink",
-                )
-            resamples += 1
-            for arr in work.parameters().values():
-                arr += rng.normal(0.0, 1e-2, size=arr.shape)
+    while trip_weight != 0.0:
+        _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
+        if not (np.abs(raw[np.isfinite(raw)]) < 100.0 * step).any():
+            break
+        if resamples >= GRAD_CHECK_MAX_RESAMPLES:
+            return _failed_check(resamples, "could not move all hinge margins away from the kink")
+        resamples += 1
+        weights += rng.normal(0.0, 1e-2, size=weights.size)
 
-    _, grads = _flat_buffer(work)
+    analytic, grads = _flat_buffer(work)
     terms = _loss(work, x, labels, pos, neg, hyper, grads)
     if not math.isfinite(terms.total):
-        return GradCheckReport(
-            passed=False, finite=False, max_rel_error=math.inf,
-            max_abs_error=math.inf, num_checked=0, resample_attempts=resamples,
-            worst_param=None, note=f"non-finite loss {terms.total}",
-        )
+        return _failed_check(resamples, f"non-finite loss {terms.total}", finite=False)
+
+    numeric = np.empty_like(weights)
+    for j, original in enumerate(weights.tolist()):
+        weights[j] = original + step
+        f_plus = _loss(work, x, labels, pos, neg, hyper).total
+        weights[j] = original - step
+        f_minus = _loss(work, x, labels, pos, neg, hyper).total
+        weights[j] = original
+        numeric[j] = (f_plus - f_minus) / (2.0 * step)
 
     # The relative criterion is meaningless when both gradients are tiny; the
     # floor routes those comparisons to the absolute criterion instead.
     denom_floor = 1e-4
-    max_rel = 0.0
-    max_abs = 0.0
-    worst: str | None = None
-    checked = 0
-    passed = True
-    for name, arr in work.parameters().items():
-        flat = arr.reshape(-1)
-        grad_flat = grads[name].reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + step
-            f_plus = _loss(work, x, labels, pos, neg, hyper).total
-            flat[j] = original - step
-            f_minus = _loss(work, x, labels, pos, neg, hyper).total
-            flat[j] = original
-            checked += 1
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            analytic = float(grad_flat[j])
-            if not math.isfinite(numeric):
-                passed = False
-                worst = f"{name}[{j}]"
-                max_rel = math.inf
-                continue
-            diff = abs(analytic - numeric)
-            denom = max(abs(analytic), abs(numeric))
-            if denom >= denom_floor:
-                rel = diff / denom
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = f"{name}[{j}]"
-                if rel > GRAD_CHECK_REL_TOL:
-                    passed = False
-            else:
-                if diff > max_abs:
-                    max_abs = diff
-                    worst = f"{name}[{j}]"
-                if diff > GRAD_CHECK_ABS_TOL:
-                    passed = False
+    with np.errstate(invalid="ignore", over="ignore"):
+        denom = np.maximum(np.abs(analytic), np.abs(numeric))
+        relative = ~(denom < denom_floor)  # so is a NaN gradient, its error set to inf below
+        error = np.abs(analytic - numeric) / np.where(relative, denom, 1.0)
+    error[np.isnan(error)] = math.inf
+    tolerance = np.where(relative, GRAD_CHECK_REL_TOL, GRAD_CHECK_ABS_TOL)
+    worst = int(np.argmax(error / tolerance))
+    names = [f"{name}[{i}]" for name, arr in work.parameters().items() for i in range(arr.size)]
     return GradCheckReport(
-        passed=passed, finite=True, max_rel_error=max_rel, max_abs_error=max_abs,
-        num_checked=checked, resample_attempts=resamples, worst_param=worst,
+        passed=bool((error <= tolerance).all()), finite=True,
+        max_rel_error=float(error[relative].max(initial=0.0)),
+        max_abs_error=float(error[~relative].max(initial=0.0)),
+        num_checked=weights.size, resample_attempts=resamples,
+        worst_param=names[worst] if error[worst] > 0.0 else None,
     )
 
 
@@ -459,9 +451,9 @@ def train(
     its pairs in one call; the weights and their gradients each live in one
     flat buffer, so a step is one update.
     """
-    if len(data) == 0:
-        raise ValueError("training data must be non-empty")
-    all_labels = np.array([ex.label for ex in data], dtype=np.int64)
+    rng = np.random.default_rng(hyper.seed)
+    model, weights = _flat_model(Model.initialize(model_config, rng))
+    all_x, all_labels = _pooled(model, data)
     distinct = np.unique(all_labels)
     if distinct[-1] >= model_config.num_labels:
         raise ValueError(
@@ -471,14 +463,7 @@ def train(
     if model_config.triplet_enabled and hyper.triplet_weight > 0.0 and distinct.size < 2:
         raise ValueError("triplet training needs at least two distinct labels")
 
-    rng = np.random.default_rng(hyper.seed)
-    model = Model.initialize(model_config, rng)
-    weights, views = _flat_buffer(model)
-    for name, view in views.items():
-        view[...] = getattr(model, name)
-        setattr(model, name, view)
     grad_flat, grads = _flat_buffer(model)
-    all_x = model.pool_batch([ex.tokens for ex in data])
     n = len(data)
     log: list[EpochStats] = []
     for epoch in range(hyper.epochs):

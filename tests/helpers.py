@@ -6,7 +6,9 @@ extended precision instead of float64, so agreement is meaningful. The
 training oracles keep the library's earlier step: pairs drawn batch by batch,
 each gradient accumulated into its own zeroed array, and one update per
 weight array; the library must reproduce them bit for bit. So must the
-per-row synthetic generator and the `np.add.at` neighbor vote.
+per-row synthetic generator and the `np.add.at` neighbor vote. The gradient
+check oracle perturbs a copy of the model array by array, one scalar at a
+time, and judges each entry as it goes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 from knnblend.core import squared_l2
 from knnblend.data import Dataset, TrainExample, _random_orthogonal
 from knnblend.model import ACTIVATIONS, Model
-from knnblend.training import CE_PROB_FLOOR
+from knnblend.training import (CE_PROB_FLOOR, GRAD_CHECK_ABS_TOL, GRAD_CHECK_MAX_RESAMPLES,
+                               GRAD_CHECK_REL_TOL, GradCheckReport, _flat_buffer, _hinge,
+                               _loss, _pair_indices, _term_weights)
 
 
 def full_sort_hits(store, query, k):
@@ -359,3 +363,82 @@ def batch_train(data, hyper, model_config):
                 sums[i] += value * rows.shape[0]
         means.append(tuple(value / n for value in sums))
     return model, means
+
+
+def scalar_grad_check(model, batch, hyper, step=1e-5):
+    """`grad_check` on a model copy, array by array with scalar comparisons.
+
+    Returns the report and, per checked entry, ("name[i]", error, tolerance):
+    the relative or absolute error under its criterion, inf where the
+    numeric gradient is not finite. Its worst_param follows the scalar rule
+    (the last entry to raise either running maximum), not the library's.
+    """
+    rng = np.random.default_rng(hyper.seed)
+    work = model.copy()
+    x = work.pool_batch([ex.tokens for ex in batch])
+    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    pos, neg = _pair_indices(labels, labels.shape[0], rng)
+    _, trip_weight = _term_weights(work.config, hyper)
+    resamples = 0
+    if trip_weight != 0.0:
+        while True:
+            _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
+            if not (np.abs(raw[np.isfinite(raw)]) < 100.0 * step).any():
+                break
+            if resamples >= GRAD_CHECK_MAX_RESAMPLES:
+                return GradCheckReport(
+                    passed=False, finite=True, max_rel_error=math.inf,
+                    max_abs_error=math.inf, num_checked=0, resample_attempts=resamples,
+                    worst_param=None,
+                    note="could not move all hinge margins away from the kink",
+                ), []
+            resamples += 1
+            for arr in work.parameters().values():
+                arr += rng.normal(0.0, 1e-2, size=arr.shape)
+
+    _, grads = _flat_buffer(work)
+    terms = _loss(work, x, labels, pos, neg, hyper, grads)
+    if not math.isfinite(terms.total):
+        return GradCheckReport(
+            passed=False, finite=False, max_rel_error=math.inf, max_abs_error=math.inf,
+            num_checked=0, resample_attempts=resamples, worst_param=None,
+            note=f"non-finite loss {terms.total}",
+        ), []
+    max_rel = max_abs = 0.0
+    worst, checked, passed, entries = None, 0, True, []
+    for name, arr in work.parameters().items():
+        flat = arr.reshape(-1)
+        grad_flat = grads[name].reshape(-1)
+        for j in range(flat.size):
+            original = flat[j]
+            flat[j] = original + step
+            f_plus = _loss(work, x, labels, pos, neg, hyper).total
+            flat[j] = original - step
+            f_minus = _loss(work, x, labels, pos, neg, hyper).total
+            flat[j] = original
+            checked += 1
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            analytic = float(grad_flat[j])
+            if not math.isfinite(numeric):
+                passed, worst, max_rel = False, f"{name}[{j}]", math.inf
+                entries.append((f"{name}[{j}]", math.inf, GRAD_CHECK_REL_TOL))
+                continue
+            diff = abs(analytic - numeric)
+            denom = max(abs(analytic), abs(numeric))
+            if denom >= 1e-4:
+                rel = diff / denom
+                entries.append((f"{name}[{j}]", rel, GRAD_CHECK_REL_TOL))
+                if rel > max_rel:
+                    max_rel, worst = rel, f"{name}[{j}]"
+                if rel > GRAD_CHECK_REL_TOL:
+                    passed = False
+            else:
+                entries.append((f"{name}[{j}]", diff, GRAD_CHECK_ABS_TOL))
+                if diff > max_abs:
+                    max_abs, worst = diff, f"{name}[{j}]"
+                if diff > GRAD_CHECK_ABS_TOL:
+                    passed = False
+    return GradCheckReport(
+        passed=passed, finite=True, max_rel_error=max_rel, max_abs_error=max_abs,
+        num_checked=checked, resample_attempts=resamples, worst_param=worst,
+    ), entries

@@ -143,8 +143,7 @@ def test_criterion_4_analytic_gradients_match_finite_differences():
             for weight in (0.0, 0.3, 0.5, 1.0):
                 model = Model.initialize(config, np.random.default_rng(11))
                 report = grad_check(
-                    model, batch, Hyperparams(triplet_weight=weight, seed=11),
-                    step=1e-5, seed=11,
+                    model, batch, Hyperparams(triplet_weight=weight, seed=11), step=1e-5,
                 )
                 assert report.finite, (decouple, weight, report)
                 assert report.passed, (decouple, weight, report)

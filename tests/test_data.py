@@ -225,9 +225,11 @@ def test_load_rejects_integer_label_beyond_declared_names(tmp_path):
     path = write_lines(
         tmp_path,
         '{"label_names": ["a", "b"]}',
+        '{"label": 1, "features": [1.0]}',
+        '{"label": "a", "features": [1.0]}',
         '{"label": 5, "features": [1.0]}',
     )
-    with pytest.raises(DatasetFormatError, match="out of range"):
+    with pytest.raises(DatasetFormatError, match=r"^line 4: label 5 out of range for 2 labels$"):
         load_jsonl(path)
 
 
@@ -315,20 +317,44 @@ def test_dataset_rejects_arrays_that_do_not_fit(tokens, token_counts, labels):
         Dataset(tokens, token_counts, labels, 2, tokens.shape[-1])
 
 
-def test_dataset_adopts_only_arrays_that_own_their_data():
-    owned = np.arange(6.0).reshape(3, 2).copy()
-    ds = Dataset(owned, np.ones(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 2, 2)
-    assert ds.tokens is owned and not owned.flags.writeable
+def test_dataset_copies_the_arrays_it_is_given():
     base = np.arange(8.0).reshape(4, 2)
-    for tokens in (base[1:], np.asfortranarray(base), base.astype(np.float32), base.tolist()):
-        ds = Dataset(tokens, np.ones(len(tokens), dtype=np.int64), [0] * len(tokens), 2, 2)
-        assert ds.tokens.flags.owndata and ds.tokens.flags.c_contiguous
-        assert not ds.tokens.flags.writeable
     counts, labels = np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
-    ds = Dataset(base, counts, labels, 2, 2)  # a view; counts and labels are always copied
+    for tokens in (base, base[:], np.asfortranarray(base), base.astype(np.float32),
+                   base.tolist()):
+        ds = Dataset(tokens, counts, labels, 2, 2)
+        assert ds.tokens.flags.c_contiguous and not ds.tokens.flags.writeable
+        assert not np.shares_memory(ds.tokens, base)
+    assert base.flags.writeable and counts.flags.writeable and labels.flags.writeable
     base[0, 0], counts[0], labels[0] = 99.0, 7, 1
     assert ds.tokens[0, 0] == 0.0 and ds.token_counts[0] == 1 and ds.labels()[0] == 0
-    assert not ds.token_counts.flags.writeable and counts.flags.writeable
+    # What it shows are read-only views: no one can turn writing back on to
+    # put a non-finite token, or a count that no longer sums to the rows, past the checks.
+    for arr in (ds.tokens, ds.token_counts):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    assert ds.tokens[0, 0] == 0.0 and ds.token_counts.tolist() == [1, 1, 1, 1]
+
+
+def test_generated_and_loaded_arrays_cannot_be_made_writeable(tmp_path):
+    # The loaders hand their fresh matrix over uncopied (the memory-per-row
+    # tests hold them to that), and still show only read-only views of it.
+    train, _ = generate_synthetic(SyntheticSpec(num_classes=2, dim=3, per_class_count=5))
+    write_jsonl(train, tmp_path / "train.jsonl")
+    for ds in (train, load_jsonl(tmp_path / "train.jsonl")):
+        for arr in (ds.tokens, ds.token_counts):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+
+def test_an_example_copies_its_tokens():
+    tokens = np.arange(6.0).reshape(2, 3)
+    ex = TrainExample(tokens=tokens, label=0, id=0)
+    assert tokens.flags.writeable and not np.shares_memory(ex.tokens, tokens)
+    tokens[0, 0] = np.nan
+    assert ex.tokens[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        ex.tokens.setflags(write=True)
 
 
 def test_a_label_must_fit_the_int64_label_array(tmp_path):
@@ -444,7 +470,7 @@ def test_load_jsonl_memory_per_row(tmp_path):
 
 @pytest.mark.parametrize("token_counts", [[2, 2, 2], [1, 2, 3]], ids=["equal", "mixed"])
 def test_token_views_cannot_be_made_writeable(token_counts):
-    tokens = np.arange(12.0).reshape(6, 2).copy()  # a matrix that owns its data, so adopted
+    tokens = np.arange(12.0).reshape(6, 2)
     ds = Dataset(tokens, np.array(token_counts), np.array([0, 1, 0]), 2, 2)
     assert not ds.tokens.flags.writeable
     assert [ex.tokens.shape for ex in ds.examples] == [(c, 2) for c in token_counts]

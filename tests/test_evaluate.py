@@ -3,7 +3,7 @@ import pytest
 
 from knnblend import evaluate, retrieval
 from knnblend.data import Dataset, TrainExample
-from knnblend.datastore import RetrievalUnavailableError
+from knnblend.datastore import Datastore, RetrievalUnavailableError
 from knnblend.evaluate import (
     CSV_HEADER,
     EvalReport,
@@ -184,6 +184,7 @@ def test_run_sweep_requires_a_store_for_positive_weights():
 
 @pytest.mark.parametrize("entry", ["predict_batch", "evaluate_config", "run_sweep"])
 def test_a_missing_store_is_one_error_raised_before_encoding(entry, monkeypatch):
+    # An empty store is as good as none: both are reported before any encode.
     model, dataset, _ = toy_setup()
     other_store = toy_setup(num_labels=2, seed=91)[2]
 
@@ -203,6 +204,8 @@ def test_a_missing_store_is_one_error_raised_before_encoding(entry, monkeypatch)
         score(None)
     assert type(missing.value) is RetrievalUnavailableError
     assert str(missing.value) == "a datastore is required when knn_weight > 0"
+    with pytest.raises(RetrievalUnavailableError, match="^cannot search an empty datastore$"):
+        score(Datastore(np.empty((0, model.config.key_dim)), [], model.config.num_labels))
     with pytest.raises(ValueError, match="labels but the model has"):
         score(other_store)
 

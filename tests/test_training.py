@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -10,6 +12,7 @@ from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
 from knnblend.model import Model, ModelConfig
 from knnblend.training import (
     CE_PROB_FLOOR,
+    GradCheckReport,
     Hyperparams,
     TrainingDivergedError,
     combined_loss,
@@ -26,6 +29,7 @@ from helpers import (
     batch_train,
     make_batch,
     scalar_batch_loss,
+    scalar_grad_check,
 )
 
 
@@ -348,7 +352,7 @@ def test_grad_check_passes_small_configs(decouple, tw):
     cfg = tiny_config(decouple_enabled=decouple)
     model = Model.initialize(cfg, 17)
     batch = make_batch(np.random.default_rng(17), 6, 5, 3)
-    report = grad_check(model, batch, Hyperparams(triplet_weight=tw), seed=17)
+    report = grad_check(model, batch, Hyperparams(triplet_weight=tw, seed=17))
     assert report.finite
     assert report.passed, report
     assert report.num_checked == sum(a.size for a in model.parameters().values())
@@ -358,7 +362,7 @@ def test_grad_check_passes_with_hinge_disabled():
     cfg = tiny_config(triplet_enabled=False)
     model = Model.initialize(cfg, 3)
     batch = make_batch(np.random.default_rng(3), 5, 5, 3)
-    report = grad_check(model, batch, Hyperparams(triplet_weight=0.9), seed=3)
+    report = grad_check(model, batch, Hyperparams(triplet_weight=0.9, seed=3))
     assert report.passed, report
 
 
@@ -366,7 +370,7 @@ def test_grad_check_leaves_the_model_untouched():
     model = Model.initialize(tiny_config(), 23)
     before = {name: arr.copy() for name, arr in model.parameters().items()}
     batch = make_batch(np.random.default_rng(23), 6, 5, 3)
-    grad_check(model, batch, Hyperparams(triplet_weight=0.5), seed=23)
+    grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=23))
     for name, arr in model.parameters().items():
         np.testing.assert_array_equal(arr, before[name])
 
@@ -382,11 +386,11 @@ def test_grad_check_dead_input_column_has_exactly_zero_gradient():
         TrainExample(tokens=tokens[i], label=i % 3, id=i) for i in range(6)
     ]
     model = Model.initialize(tiny_config(), 29)
-    hyper = Hyperparams(triplet_weight=0.5)
+    hyper = Hyperparams(triplet_weight=0.5, seed=29)
     pairs = select_pairs(batch, np.random.default_rng(29))
     _, grads = loss_and_gradients(model, batch, pairs, hyper)
     np.testing.assert_array_equal(grads["enc_w1"][:, 2], np.zeros(4))
-    report = grad_check(model, batch, hyper, seed=29)
+    report = grad_check(model, batch, hyper)
     assert report.passed, report
 
 
@@ -394,7 +398,7 @@ def test_grad_check_reports_non_finite_loss_instead_of_raising():
     model = Model.initialize(tiny_config(), 31)
     model.dec_w2.fill(1e200)
     batch = make_batch(np.random.default_rng(31), 4, 5, 3)
-    report = grad_check(model, batch, Hyperparams(triplet_weight=0.5), seed=31)
+    report = grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=31))
     assert not report.finite
     assert not report.passed
     assert "non-finite" in report.note
@@ -403,9 +407,77 @@ def test_grad_check_reports_non_finite_loss_instead_of_raising():
 def test_grad_check_is_deterministic_for_a_seed():
     model = Model.initialize(tiny_config(), 37)
     batch = make_batch(np.random.default_rng(37), 5, 5, 3)
-    a = grad_check(model, batch, Hyperparams(triplet_weight=0.5), seed=5)
-    b = grad_check(model, batch, Hyperparams(triplet_weight=0.5), seed=5)
+    a = grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=5))
+    b = grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=5))
     assert a == b
+
+
+def test_grad_check_matches_the_scalar_oracle():
+    # Every field but worst_param equals the array-by-array oracle's over a
+    # grid that resamples and fails in places. worst_param is checked against
+    # its own rule: the largest error over tolerance, the first of equals.
+    resampled = failed = 0
+    for decouple, hinge, tw, step, seed in itertools.product(
+            (True, False), (True, False), (0.0, 0.5, 1.0), (1e-5, 3e-3), range(12)):
+        model = Model.initialize(
+            tiny_config(decouple_enabled=decouple, triplet_enabled=hinge), seed)
+        batch = make_batch(np.random.default_rng(seed), 6, 5, 3)
+        hyper = Hyperparams(triplet_weight=tw, seed=seed)
+        got = grad_check(model, batch, hyper, step=step)
+        want, entries = scalar_grad_check(model, batch, hyper, step=step)
+        case = (decouple, hinge, tw, step, seed)
+        assert (dataclasses.replace(got, worst_param=None)
+                == dataclasses.replace(want, worst_param=None)), case
+        largest, worst = 0.0, None
+        for name, error, tolerance in entries:
+            if error / tolerance > largest:
+                largest, worst = error / tolerance, name
+        assert got.worst_param == worst, case
+        resampled += got.resample_attempts > 0
+        failed += not got.passed
+    assert resampled and failed
+
+
+def test_grad_check_jitters_off_a_hinge_kink_and_then_passes():
+    model = Model.initialize(tiny_config(emb_dim=4, decouple_enabled=False), 3)
+    before = {name: arr.copy() for name, arr in model.parameters().items()}
+    batch = make_batch(np.random.default_rng(3), 6, 5, 3)
+    report = grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=3), step=1e-3)
+    assert report.resample_attempts == 1 and report.passed, report
+    assert report.num_checked == 56
+    for name, arr in model.parameters().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
+def test_grad_check_gives_up_when_jitter_cannot_clear_the_kink():
+    model = Model.initialize(tiny_config(emb_dim=4, decouple_enabled=False), 0)
+    batch = make_batch(np.random.default_rng(0), 6, 5, 3)
+    report = grad_check(model, batch, Hyperparams(triplet_weight=0.5, seed=0), step=1.0)
+    assert report == GradCheckReport(
+        passed=False, finite=True, max_rel_error=math.inf, max_abs_error=math.inf,
+        num_checked=0, resample_attempts=25, worst_param=None,
+        note="could not move all hinge margins away from the kink",
+    )
+
+
+def test_grad_check_fails_a_non_finite_difference_as_an_infinite_relative_error():
+    # A finite loss whose (w + step) side overflows: two same-label points
+    # whose squared distance sits just under the float64 maximum, on a
+    # shared identity model with a zero head.
+    cfg = ModelConfig(input_dim=1, hidden_dim=1, emb_dim=1, num_labels=2,
+                      activation="identity", decouple_enabled=False)
+    model = Model(config=cfg, enc_w1=[[1.0]], enc_b1=[0.0], enc_w2=[[1.0]], enc_b2=[0.0],
+                  head_w=[[0.0], [0.0]])
+    far = math.sqrt(np.finfo(np.float64).max * (1.0 - 1e-5))
+    batch = [TrainExample(tokens=[x], label=label, id=i)
+             for i, (x, label) in enumerate([(0.0, 0), (far, 0), (0.0, 1)])]
+    hyper = Hyperparams(triplet_weight=1.0, seed=0)
+    report = grad_check(model, batch, hyper)
+    want, _ = scalar_grad_check(model, batch, hyper)
+    assert dataclasses.replace(report, worst_param=None) == dataclasses.replace(
+        want, worst_param=None)
+    assert report.finite and not report.passed and report.max_rel_error == math.inf
+    assert report.worst_param == "enc_w1[0]"  # the first of two infinite errors
 
 
 def test_grad_check_rejects_empty_batch():
