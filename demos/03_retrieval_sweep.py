@@ -64,7 +64,7 @@ print(f"best row: k={best.k} T={best.temperature} knn_weight={best.knn_weight} "
 # baseline the best row should never fall below.
 
 out = Path(tempfile.mkdtemp()) / "sweep.csv"
-write_report_csv(report, out)
+write_report_csv(report.rows, out)
 print(f"\nwrote {out} ({out.stat().st_size} bytes); first lines:")
 for line in out.read_text().splitlines()[:4]:
     print(" ", line)

@@ -35,28 +35,13 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    SyntheticSpec,
-    TrainExample,
-    generate_synthetic,
-    load_jsonl,
-    write_jsonl,
-)
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_jsonl, write_jsonl
 from .datastore import Datastore
-from .evaluate import (
-    CSV_HEADER,
-    EvalReport,
-    SweepSpec,
-    evaluate_config,
-    run_sweep,
-    write_report_csv,
-)
+from .evaluate import CSV_HEADER, SweepSpec, evaluate_config, run_sweep, write_report_csv
 from .model import Model, ModelConfig
 from .retrieval import RetrievalParams, build_datastore, predict_batch
 from .training import Hyperparams, grad_check, train
@@ -256,11 +241,9 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
     _, params = _hyper(cfg, args)
-    started = time.perf_counter()
     row = evaluate_config(model, store, dataset, params)
-    report = EvalReport(rows=(row,), wall_ms=(time.perf_counter() - started) * 1000.0)
     if args.out is not None:
-        write_report_csv(report, args.out)
+        write_report_csv((row,), args.out)
     print(CSV_HEADER)
     print(row.csv_line())
     print(f"accuracy={row.accuracy!r}")
@@ -274,7 +257,7 @@ def _cmd_sweep(args) -> int:
         SweepSpec, {f"{key}_values": values for key, values in section.items()}, "sweep spec"
     )
     report = run_sweep(model, store, dataset, sweep)
-    write_report_csv(report, args.out)
+    write_report_csv(report.rows, args.out)
     best = report.best
     print(f"wrote {len(report.rows)} rows to {args.out}")
     print(
@@ -295,15 +278,9 @@ def _cmd_grad_check(args) -> int:
         {"input_dim": 8, "hidden_dim": 8, "emb_dim": 8, "num_labels": 3, **section},
         "model config",
     )
-    rng = np.random.default_rng(base.seed)
-    batch = [
-        TrainExample(
-            tokens=rng.normal(size=(1, probe.input_dim)),
-            label=i % probe.num_labels,
-            id=i,
-        )
-        for i in range(8)
-    ]
+    tokens = np.random.default_rng(base.seed).normal(size=(8, probe.input_dim))
+    labels = np.arange(8) % probe.num_labels
+    batch = Dataset(tokens, np.ones(8), labels, probe.num_labels, probe.input_dim).examples
     all_passed = True
     for decouple in (True, False):
         config = dataclasses.replace(probe, decouple_enabled=decouple)

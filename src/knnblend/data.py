@@ -12,9 +12,9 @@ non-negative integers and the label count is ``max(label) + 1``.
 A `Dataset` is built from three arrays: one read-only (total_tokens, dim)
 token matrix, a token count per example and a label per example. `load_jsonl`
 parses each record into its token rows and label, checks them, and
-concatenates the rows once. `TrainExample` objects, views of the matrix, are
-made only when `Dataset.examples` is read, so a dataset that only feeds
-`build_datastore` or the scorers never makes one.
+concatenates the rows once. `TrainExample`s, read-only views of the matrix,
+are made only by `Dataset.examples`, on its first read, so a dataset that
+only feeds `build_datastore` or the scorers never makes one.
 """
 
 from __future__ import annotations
@@ -38,29 +38,16 @@ __all__ = [
 ]
 
 
-def _check_label(label: int) -> None:
-    if label < 0:
-        raise ValueError(f"label must be non-negative, got {label}")
-    if label >= 2**63:  # a `Dataset` keeps its labels as int64
-        raise ValueError(f"label must be below 2**63, got {label}")
-
-
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class TrainExample:
-    """One labeled instance: a read-only copy of its token matrix
-    (`core.as_tokens`), a label, an id."""
+    """One labeled row of a `Dataset`: a read-only view of its token rows,
+    its label and its id. Only `Dataset.examples` makes them; the dataset has
+    already checked the arrays they view, so `TrainExample(...)` raises
+    `TypeError`."""
 
     tokens: np.ndarray
     label: int
     id: int
-
-    def __post_init__(self):
-        arr = as_tokens(self.tokens).copy()  # no caller holds it, so none can write to it
-        arr.setflags(write=False)
-        object.__setattr__(self, "tokens", arr.view())  # a view numpy won't make writeable
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "id", int(self.id))
-        _check_label(self.label)
 
     @classmethod
     def _views(cls, tokens: np.ndarray, token_counts: np.ndarray,
@@ -98,6 +85,13 @@ class TrainExample:
 
 class DatasetFormatError(ValueError):
     """A dataset file violated the JSONL record schema."""
+
+
+def _int64s(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} must fit in int64: {exc}") from exc
 
 
 @dataclass(init=False, eq=False)
@@ -151,8 +145,8 @@ class Dataset:
         if tokens.ndim != 2 or tokens.shape[1] != self.input_dim:
             raise ValueError(f"tokens have shape {tokens.shape}, "
                              f"expected (total_tokens, {self.input_dim})")
-        counts = np.array(token_counts, dtype=np.int64)
-        labels = self._labels = np.array(labels, dtype=np.int64)
+        counts = _int64s(token_counts, "token counts")
+        labels = self._labels = _int64s(labels, "labels")
         if (counts.ndim != 1 or labels.shape != counts.shape or (counts < 1).any()
                 or counts.sum() != len(tokens)):
             raise ValueError(f"need a label and a positive token count per example, "
@@ -216,8 +210,12 @@ def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
         label = label_names.index(label)
     elif isinstance(label, bool) or not isinstance(label, int):
         raise ValueError("label must be an integer or name")
+    elif label < 0:
+        raise ValueError(f"label must be non-negative, got {label}")
     elif label_names is not None and label >= len(label_names):
         raise ValueError(f"label {label} out of range for {len(label_names)} labels")
+    elif label >= 2**63:  # a `Dataset` keeps its labels as int64
+        raise ValueError(f"label must be below 2**63, got {label}")
 
     has_features = "features" in obj
     if has_features == ("tokens" in obj):
@@ -228,25 +226,32 @@ def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("\"features\" must be an array" if has_features
                          else "\"tokens\" must be an array of arrays")
-    rows = as_tokens(rows)
-    _check_label(label)
-    return label, rows
+    return label, as_tokens(rows)
+
+
+def _lines(path):
+    """(line number, text) of each line of a UTF-8 file, read one at a time."""
+    with open(path, "rb") as file:
+        for line_no, raw in enumerate(file, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"line {line_no}: not UTF-8 text ({exc.reason} "
+                                         f"at byte {exc.start} of the line)") from exc
+            yield line_no, line
 
 
 def load_jsonl(path) -> Dataset:
     """Read a dataset file, reporting schema problems with their line number.
 
-    Each record's token rows and label are checked as they are parsed; the
-    rows are concatenated once, into the dataset's token matrix."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    Lines are read one at a time, so no copy of the whole file is held. Each
+    record's token rows and label are checked as they are parsed; the rows are
+    concatenated once, into the dataset's token matrix."""
     label_names: list[str] | None = None
     records: list[np.ndarray] = []
     labels: list[int] = []
     first_dim_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _lines(path):
         if not line.strip():
             continue
         try:

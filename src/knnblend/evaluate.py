@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -156,8 +157,8 @@ def _row(k, temperature, knn_weight, predicted: np.ndarray, gold: np.ndarray) ->
     )
 
 
-def write_report_csv(report: EvalReport, path) -> None:
-    """Fixed-header CSV, one line per grid row, reproducible byte for byte."""
+def write_report_csv(rows: Sequence[EvalRow], path) -> None:
+    """Fixed-header CSV, one line per row, reproducible byte for byte."""
     lines = [CSV_HEADER]
-    lines.extend(row.csv_line() for row in report.rows)
+    lines.extend(row.csv_line() for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -82,7 +82,7 @@ def pool(tokens, mode: str) -> np.ndarray:
     """Reduce a token sequence (n_tokens, dim) to a single vector.
 
     cls: first token; mean: elementwise mean; max: elementwise maximum.
-    Tokens follow `core.as_tokens` (1-d is one token); the one-row `Model.pool_batch`.
+    Tokens follow `core.as_tokens` (1-d is one token); `_pool_rows` of one sequence.
     """
     return _pool_rows(*_token_matrix([tokens]), mode)[0]
 
@@ -254,12 +254,9 @@ class Model:
     def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode a sequence of instances in one forward pass;
         returns (h0, r) with one row per instance (zero rows for none)."""
-        cache = self.features(self.pool_batch(token_seqs))
+        tokens, token_counts = _token_matrix(token_seqs, self.config.input_dim)
+        cache = self.features(_pool_rows(tokens, token_counts, self.config.pooling))
         return cache.h0, cache.r
-
-    def pool_batch(self, token_seqs) -> np.ndarray:
-        """Pool each instance with the config's mode; (B, input_dim) for B instances."""
-        return _pool_rows(*_token_matrix(token_seqs, self.config.input_dim), self.config.pooling)
 
     def classify(self, h0) -> np.ndarray:
         """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""
@@ -278,10 +275,6 @@ class Model:
     def parameters(self) -> dict[str, np.ndarray]:
         """Live references to every present weight array, in layout order."""
         return {name: getattr(self, name) for name in _layout(self.config)}
-
-    def copy(self) -> "Model":
-        kwargs = {name: arr.copy() for name, arr in self.parameters().items()}
-        return Model(config=self.config, **kwargs)
 
     # -- persistence -----------------------------------------------------
 

@@ -8,8 +8,9 @@ squared-L2 distances between retrieval representations:
 Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
-(batch, label)-sorted order. One adapter turns examples into pooled inputs and
-labels; `train` pools the dataset through it once. The weights live in one flat
+(batch, label)-sorted order. The examples are rows of datasets, which checked
+their tokens; one adapter pools them as stored into inputs and labels, and
+`train` pools the dataset through it once. The weights live in one flat
 vector, which `train` steps and `grad_check` perturbs, on a copy, entry by
 entry. One function, `_loss`, computes a batch's loss terms and, on request,
 their gradients into one flat buffer; `combined_loss`, `loss_and_gradients`,
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import coerce_fields
 from .data import TrainExample
-from .model import ACTIVATIONS, Model, ModelConfig
+from .model import ACTIVATIONS, Model, ModelConfig, _pool_rows
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -288,10 +289,13 @@ def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
 
 
 def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled inputs and int64 labels of examples; pooling checks the tokens are finite."""
+    """Pooled inputs and int64 labels of examples. They are rows of datasets,
+    which checked their tokens, so the rows are pooled as they are stored."""
     if len(examples) == 0:
         raise ValueError("examples must be non-empty")
-    x = model.pool_batch([ex.tokens for ex in examples])
+    tokens = np.concatenate([ex.tokens for ex in examples])
+    counts = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
+    x = _pool_rows(tokens, counts, model.config.pooling)
     return x, np.array([ex.label for ex in examples], dtype=np.int64)
 
 

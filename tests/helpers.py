@@ -18,9 +18,9 @@ import math
 import mpmath
 import numpy as np
 
-from knnblend.core import squared_l2
-from knnblend.data import Dataset, TrainExample, _random_orthogonal
-from knnblend.model import ACTIVATIONS, Model
+from knnblend.core import squared_l2, token_shape
+from knnblend.data import Dataset, _random_orthogonal
+from knnblend.model import ACTIVATIONS, Model, _pool_rows, _token_matrix
 from knnblend.training import (CE_PROB_FLOOR, GRAD_CHECK_ABS_TOL, GRAD_CHECK_MAX_RESAMPLES,
                                GRAD_CHECK_REL_TOL, GradCheckReport, _flat_buffer, _hinge,
                                _loss, _pair_indices, _term_weights)
@@ -189,7 +189,7 @@ def nearest_centroid_accuracy(train_ds, test_ds):
 
 def per_row_synthetic(spec):
     """`generate_synthetic` one row at a time: each class's points drawn in
-    their own array, and each example built and checked by `TrainExample`."""
+    their own array, and each split's rows gathered one by one."""
     rng = np.random.default_rng(spec.seed)
     rotation = _random_orthogonal(spec.dim, rng)
     class_points = []
@@ -204,21 +204,20 @@ def per_row_synthetic(spec):
         train_rows.extend((points[pos], c) for pos in order[n_test:])
         test_rows.extend((points[pos], c) for pos in order[:n_test])
     return tuple(
-        dataset_of([TrainExample(tokens=row[None, :], label=label, id=i)
-                    for i, (row, label) in enumerate(rows)],
+        dataset_of([row for row, _ in rows], [label for _, label in rows],
                    num_labels=spec.num_classes, input_dim=spec.dim)
         for rows in (train_rows, test_rows)
     )
 
 
-def dataset_of(examples, num_labels, input_dim, label_names=None):
-    """The `Dataset` of a list of examples, built from their arrays: the
-    tokens concatenated in order, each example's token count, its label.
-    Its own examples number 0..n-1 whatever ids the given ones carry."""
-    tokens = (np.concatenate([ex.tokens for ex in examples]) if examples
-              else np.empty((0, input_dim)))
-    return Dataset(tokens, [len(ex.tokens) for ex in examples],
-                   [ex.label for ex in examples], num_labels, input_dim, label_names)
+def dataset_of(token_seqs, labels, num_labels, input_dim, label_names=None):
+    """The `Dataset` of token sequences (a 1-d one is one token) and their
+    labels: the sequences concatenated in order, each one's token count, its
+    label. Its examples, ids 0..n-1, are the rows a test trains on."""
+    seqs = [token_shape(seq) for seq in token_seqs]
+    tokens = np.concatenate(seqs) if seqs else np.empty((0, input_dim))
+    return Dataset(tokens, [len(seq) for seq in seqs], labels, num_labels, input_dim,
+                   label_names)
 
 
 def add_at_vote(labels, distances, temperature, num_labels):
@@ -231,15 +230,9 @@ def add_at_vote(labels, distances, temperature, num_labels):
 
 
 def make_batch(rng, n, dim, num_labels, n_tokens=1):
-    """Random labeled examples with labels cycling through the label set."""
-    return [
-        TrainExample(
-            tokens=rng.normal(size=(n_tokens, dim)),
-            label=i % num_labels,
-            id=i,
-        )
-        for i in range(n)
-    ]
+    """The rows of a random dataset, with labels cycling through the label set."""
+    return Dataset(rng.normal(size=(n * n_tokens, dim)), np.full(n, n_tokens),
+                   np.arange(n) % num_labels, num_labels, dim).examples
 
 
 def random_distribution(rng, length):
@@ -345,7 +338,7 @@ def batch_train(data, hyper, model_config):
     rng = np.random.default_rng(hyper.seed)
     model = Model.initialize(model_config, rng)
     params = model.parameters()
-    all_x = model.pool_batch([ex.tokens for ex in data])
+    all_x = _pool_rows(*_token_matrix([ex.tokens for ex in data]), model_config.pooling)
     n = len(data)
     means = []
     for _ in range(hyper.epochs):
@@ -365,6 +358,12 @@ def batch_train(data, hyper, model_config):
     return model, means
 
 
+def copy_model(model):
+    """A model with copies of `model`'s weights."""
+    kwargs = {name: arr.copy() for name, arr in model.parameters().items()}
+    return Model(config=model.config, **kwargs)
+
+
 def scalar_grad_check(model, batch, hyper, step=1e-5):
     """`grad_check` on a model copy, array by array with scalar comparisons.
 
@@ -374,8 +373,8 @@ def scalar_grad_check(model, batch, hyper, step=1e-5):
     (the last entry to raise either running maximum), not the library's.
     """
     rng = np.random.default_rng(hyper.seed)
-    work = model.copy()
-    x = work.pool_batch([ex.tokens for ex in batch])
+    work = copy_model(model)
+    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), work.config.pooling)
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
     pos, neg = _pair_indices(labels, labels.shape[0], rng)
     _, trip_weight = _term_weights(work.config, hyper)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from knnblend.cli import main
-from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
+from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
 from knnblend.datastore import (
     BadMagicError,
     Datastore,
@@ -131,10 +131,7 @@ def test_criterion_4_analytic_gradients_match_finite_differences():
     with criterion(4, "analytic gradients agree with central differences"):
         started = time.perf_counter()
         rng = np.random.default_rng(104)
-        batch = [
-            TrainExample(tokens=rng.normal(size=(1, 16)), label=i % 4, id=i)
-            for i in range(8)
-        ]
+        batch = Dataset(rng.normal(size=(8, 16)), np.ones(8), np.arange(8) % 4, 4, 16).examples
         for decouple in (True, False):
             config = ModelConfig(
                 input_dim=16, hidden_dim=32, emb_dim=32, num_labels=4,

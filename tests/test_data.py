@@ -239,14 +239,13 @@ def test_load_rejects_integer_label_beyond_declared_names(tmp_path):
 
 def rand_dataset(rng, with_names=False, multi_token=False):
     n_labels = 3
-    examples = []
-    for i in range(10):
+    seqs = []
+    for _ in range(10):
         shape = (int(rng.integers(2, 5)), 4) if multi_token else (1, 4)
-        examples.append(
-            TrainExample(tokens=rng.normal(size=shape) * 10, label=i % n_labels, id=i)
-        )
+        seqs.append(rng.normal(size=shape) * 10)
     names = ["red", "green", "blue"] if with_names else None
-    return dataset_of(examples, num_labels=n_labels, input_dim=4, label_names=names)
+    return dataset_of(seqs, [i % n_labels for i in range(10)], num_labels=n_labels,
+                      input_dim=4, label_names=names)
 
 
 def test_write_load_round_trip_is_lossless(tmp_path):
@@ -281,16 +280,15 @@ def test_write_emits_header_before_records(tmp_path):
 
 
 def test_dataset_validates_members():
-    ok = TrainExample(tokens=np.zeros(3), label=0, id=0)
+    ok = [np.zeros(3)]
     with pytest.raises(ValueError):
-        dataset_of([ok], num_labels=0, input_dim=3)
+        dataset_of(ok, [0], num_labels=0, input_dim=3)
     with pytest.raises(ValueError):
-        dataset_of([ok], num_labels=1, input_dim=2)
-    bad_label = TrainExample(tokens=np.zeros(3), label=4, id=0)
+        dataset_of(ok, [0], num_labels=1, input_dim=2)
     with pytest.raises(ValueError):
-        dataset_of([bad_label], num_labels=2, input_dim=3)
+        dataset_of(ok, [4], num_labels=2, input_dim=3)
     with pytest.raises(ValueError):
-        dataset_of([ok], num_labels=2, input_dim=3, label_names=["only-one"])
+        dataset_of(ok, [0], num_labels=2, input_dim=3, label_names=["only-one"])
 
 
 def test_dataset_checks_name_the_first_offending_example():
@@ -347,24 +345,39 @@ def test_generated_and_loaded_arrays_cannot_be_made_writeable(tmp_path):
                 arr.setflags(write=True)
 
 
-def test_an_example_copies_its_tokens():
-    tokens = np.arange(6.0).reshape(2, 3)
-    ex = TrainExample(tokens=tokens, label=0, id=0)
-    assert tokens.flags.writeable and not np.shares_memory(ex.tokens, tokens)
-    tokens[0, 0] = np.nan
-    assert ex.tokens[0, 0] == 0.0
-    with pytest.raises(ValueError):
-        ex.tokens.setflags(write=True)
+def test_train_example_cannot_be_constructed():
+    # Its rows come only from `Dataset.examples`, over arrays the dataset checked.
+    with pytest.raises(TypeError):
+        TrainExample(tokens=np.zeros((1, 3)), label=0, id=0)
+    [ex] = Dataset(np.zeros((1, 3)), [1], [0], 1, 3).examples
+    assert type(ex) is TrainExample
 
 
 def test_a_label_must_fit_the_int64_label_array(tmp_path):
-    TrainExample(tokens=[1.0], label=2**63 - 1, id=0)
-    with pytest.raises(ValueError, match="below 2"):
-        TrainExample(tokens=[1.0], label=2**63, id=0)
+    [ex] = Dataset(np.zeros((1, 1)), [1], [2**63 - 1], 2**63, 1).examples
+    assert ex.label == 2**63 - 1
+    with pytest.raises(ValueError, match="^labels must fit in int64"):
+        Dataset(np.zeros((1, 1)), [1], [2**63], 2**64, 1)
     path = write_lines(tmp_path, '{"label": 0, "features": [1.0]}',
                        '{"label": %d, "features": [1.0]}' % 2**63)
     with pytest.raises(DatasetFormatError, match=r"^line 2: label must be below 2\*\*63"):
         load_jsonl(path)
+    path = write_lines(tmp_path, '{"label": 0, "features": [1.0]}',
+                       '{"label": -1, "features": [1.0]}')
+    with pytest.raises(DatasetFormatError, match=r"^line 2: label must be non-negative, got -1$"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("token_counts, labels, field", [
+    pytest.param([1], [2**63], "labels", id="label-2**63"),
+    pytest.param([1], [-2**70], "labels", id="label--2**70"),
+    pytest.param([2**63], [0], "token counts", id="count-2**63"),
+])
+def test_dataset_rejects_integers_beyond_int64_as_value_errors(token_counts, labels, field):
+    # A `ValueError` is what the CLI reports as a runtime error (exit 2);
+    # numpy's own `OverflowError` would escape it.
+    with pytest.raises(ValueError, match=f"^{field} must fit in int64"):
+        Dataset(np.zeros((1, 2)), token_counts, labels, num_labels=3, input_dim=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,14 +429,11 @@ def test_a_loaded_dataset_equals_the_written_one(seed, n, dim, mixed, pooling):
 
 
 def _spy_on_examples(monkeypatch):
-    """Record each `TrainExample._views` call as "views" and each example
-    built one at a time, through `__post_init__`, as "init"."""
+    """Record each `TrainExample._views` call, the one maker of examples, as "views"."""
     made = []
-    views, post_init = TrainExample._views, TrainExample.__post_init__
+    views = TrainExample._views
     monkeypatch.setattr(TrainExample, "_views",
                         classmethod(lambda cls, *arrays: made.append("views") or views(*arrays)))
-    monkeypatch.setattr(TrainExample, "__post_init__",
-                        lambda self: made.append("init") or post_init(self))
     return made
 
 
@@ -458,14 +468,18 @@ def test_load_jsonl_memory_per_row(tmp_path):
     tracemalloc.start()
     try:
         loaded = load_jsonl(path)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(loaded) == 2000
     # The token matrix holds 128 B/row and the counts and labels 16 more:
-    # about 145 B/row in all. A `TrainExample` with its own (1, 16) array per
-    # row, kept beside a copy of its tokens in the matrix, held about 500.
+    # about 145 B/row in all. A copy of each row kept beside the matrix
+    # would hold about 500.
     assert held / len(loaded) < 250
+    # Parsing holds each record's rows until the one concatenate, about
+    # 440 B/row at the peak. A loader that also held the file's whole text
+    # and its list of lines would peak at about 1,040.
+    assert peak / len(loaded) < 600
 
 
 @pytest.mark.parametrize("token_counts", [[2, 2, 2], [1, 2, 3]], ids=["equal", "mixed"])

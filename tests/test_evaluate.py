@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from knnblend import evaluate, retrieval
-from knnblend.data import Dataset, TrainExample
+from knnblend.data import Dataset
 from knnblend.datastore import Datastore, RetrievalUnavailableError
 from knnblend.evaluate import (
     CSV_HEADER,
@@ -29,11 +29,8 @@ def toy_setup(n=12, num_labels=3, seed=90):
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=num_labels)
     model = Model.initialize(cfg, 7)
-    examples = [
-        TrainExample(tokens=rng.normal(size=4) * 2, label=i % num_labels, id=i)
-        for i in range(n)
-    ]
-    dataset = dataset_of(examples, num_labels=num_labels, input_dim=4)
+    dataset = Dataset(rng.normal(size=(n, 4)) * 2, np.ones(n), np.arange(n) % num_labels,
+                      num_labels, 4)
     return model, dataset, build_datastore(model, dataset)
 
 
@@ -219,7 +216,7 @@ def test_run_sweep_rejects_label_count_mismatch():
 
 def test_run_sweep_rejects_empty_examples():
     model, _, store = toy_setup()
-    empty = dataset_of([], num_labels=3, input_dim=4)
+    empty = dataset_of([], [], num_labels=3, input_dim=4)
     with pytest.raises(ValueError, match="zero examples"):
         run_sweep(model, store, empty, SweepSpec())
     with pytest.raises(ValueError, match="zero examples"):
@@ -267,7 +264,7 @@ def test_write_report_csv_layout(tmp_path):
                      knn_weight_values=(0.0, 1.0))
     report = run_sweep(model, store, dataset, spec)
     path = tmp_path / "sweep.csv"
-    write_report_csv(report, path)
+    write_report_csv(report.rows, path)
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -283,6 +280,6 @@ def test_write_report_csv_is_byte_deterministic(tmp_path):
     report_b = run_sweep(model, store, dataset, SweepSpec())
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_report_csv(report_a, path_a)
-    write_report_csv(report_b, path_b)
+    write_report_csv(report_a.rows, path_a)
+    write_report_csv(report_b.rows, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()

@@ -1,4 +1,9 @@
-"""Module layering: lower layers import nothing above them."""
+"""Module layering: lower layers import nothing above them.
+
+`core` imports no package module; `data`, `model` and `datastore` import
+`core` only. `retrieval` imports neither `data` nor `training` nor
+`evaluate`; `training` imports none of `datastore`, `retrieval` and
+`evaluate`; and `evaluate` does not import `training`."""
 
 import dataclasses
 import subprocess
@@ -9,11 +14,27 @@ import pytest
 from knnblend.training import Hyperparams
 
 
+MODULES = ("core", "data", "model", "datastore", "retrieval", "training", "evaluate")
+
+
+def _package(*names):
+    return tuple(f"knnblend.{name}" for name in names)
+
+
+def _all_but(*names):
+    return _package(*(name for name in MODULES if name not in names))
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("knnblend.data", ("knnblend.training", "knnblend.retrieval")),
-        ("knnblend.training", ("knnblend.retrieval",)),
+        ("knnblend.data", _all_but("core", "data")),
+        ("knnblend.training", _package("datastore", "retrieval", "evaluate")),
+        ("knnblend.core", _all_but("core")),
+        ("knnblend.model", _all_but("core", "model")),
+        ("knnblend.datastore", _all_but("core", "datastore")),
+        ("knnblend.retrieval", _package("data", "training", "evaluate")),
+        ("knnblend.evaluate", _package("training")),
     ],
 )
 def test_import_leaves_higher_layers_unloaded(module, absent):

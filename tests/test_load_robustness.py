@@ -138,6 +138,14 @@ def test_non_utf8_jsonl_raises_dataset_format_error(tmp_path):
     assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
+def test_non_utf8_jsonl_error_names_its_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"label": 0, "features": [1.0]}\n\n{"label": 0, "features": [\xff]}\n')
+    with pytest.raises(DatasetFormatError, match=r"^line 3: not UTF-8 text "
+                       r"\(invalid start byte at byte 26 of the line\)$"):
+        load_jsonl(path)
+
+
 def test_unrepresentable_feature_raises_dataset_format_error(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"label": 0, "features": [1%s]}\n' % ("0" * 400), encoding="utf-8")

@@ -15,10 +15,12 @@ from knnblend.model import (
     ModelShapeError,
     ModelVersionError,
     POOLING_MODES,
+    _pool_rows,
+    _token_matrix,
     pool,
 )
 
-from helpers import scalar_forward
+from helpers import copy_model, scalar_forward
 
 
 def small_config(**overrides):
@@ -72,7 +74,7 @@ def _error_text(fn, *args):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_pool_batch_matches_the_per_row_rule_bit_for_bit(data):
+def test_pool_rows_matches_the_per_row_rule_bit_for_bit(data):
     mode = data.draw(st.sampled_from(POOLING_MODES))
     dim = data.draw(st.integers(1, 5))
     lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=10))
@@ -81,9 +83,8 @@ def test_pool_batch_matches_the_per_row_rule_bit_for_bit(data):
     seqs = [rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, dim))
             for n in lengths]
     seqs = [seq[0] if len(seq) == 1 and rng.random() < 0.5 else seq for seq in seqs]
-    model = Model.initialize(small_config(input_dim=dim, pooling=mode), 0)
     want = np.array([_pool_one(seq, mode) for seq in seqs])
-    got = model.pool_batch(seqs)
+    got = _pool_rows(*_token_matrix(seqs, dim), mode)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     bad = data.draw(st.integers(0, len(seqs) - 1))
@@ -96,7 +97,7 @@ def test_pool_batch_matches_the_per_row_rule_bit_for_bit(data):
     else:
         broken = [] if flaw == "empty" else [broken]
     seqs[bad] = broken
-    assert _error_text(model.pool_batch, seqs) == _error_text(as_tokens, broken)
+    assert _error_text(_token_matrix, seqs) == _error_text(as_tokens, broken)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +489,6 @@ def test_model_file_key_order(tmp_path):
 
 def test_copy_is_independent():
     model = Model.initialize(small_config(), 3)
-    clone = model.copy()
+    clone = copy_model(model)
     clone.enc_w1[0, 0] += 1.0
     assert model.enc_w1[0, 0] != clone.enc_w1[0, 0]

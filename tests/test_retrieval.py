@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from knnblend import NonFiniteDistanceError
 from knnblend.core import DimensionMismatchError, softmax, squared_l2, validate_distribution
-from knnblend.data import TrainExample
+from knnblend.data import Dataset
 from knnblend.datastore import Datastore, NeighborHit, RetrievalUnavailableError
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import (
@@ -249,11 +249,8 @@ def toy_setup(decouple=True, num_labels=3, n=12, seed=50):
         decouple_enabled=decouple,
     )
     model = Model.initialize(cfg, int(rng.integers(1 << 30)))
-    examples = [
-        TrainExample(tokens=rng.normal(size=4) * 2, label=i % num_labels, id=i)
-        for i in range(n)
-    ]
-    dataset = dataset_of(examples, num_labels=num_labels, input_dim=4)
+    dataset = Dataset(rng.normal(size=(n, 4)) * 2, np.ones(n), np.arange(n) % num_labels,
+                      num_labels, 4)
     return model, dataset
 
 
@@ -271,7 +268,7 @@ def test_predict_without_retrieval_needs_no_datastore():
 
 def test_predict_weight_zero_ignores_even_an_empty_store():
     model, dataset = toy_setup()
-    empty = dataset_of([], num_labels=3, input_dim=4)
+    empty = dataset_of([], [], num_labels=3, input_dim=4)
     store = build_datastore(model, empty)
     pred = predict(model, store, dataset.examples[0].tokens,
                    RetrievalParams(knn_weight=0.0))
@@ -283,7 +280,7 @@ def test_predict_requires_a_store_when_blending():
     with pytest.raises(RetrievalUnavailableError):
         predict(model, None, dataset.examples[0].tokens,
                 RetrievalParams(knn_weight=0.5))
-    empty_store = build_datastore(model, dataset_of([], num_labels=3, input_dim=4))
+    empty_store = build_datastore(model, dataset_of([], [], num_labels=3, input_dim=4))
     with pytest.raises(RetrievalUnavailableError):
         predict(model, empty_store, dataset.examples[0].tokens,
                 RetrievalParams(knn_weight=0.5))
@@ -359,9 +356,8 @@ def test_build_datastore_respects_a_narrow_retrieval_dim():
     cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=2,
                       retrieval_dim=2)
     model = Model.initialize(cfg, 1)
-    examples = [TrainExample(tokens=rng.normal(size=4), label=i % 2, id=i)
-                for i in range(6)]
-    store = build_datastore(model, dataset_of(examples, num_labels=2, input_dim=4))
+    dataset = Dataset(rng.normal(size=(6, 4)), np.ones(6), np.arange(6) % 2, 2, 4)
+    store = build_datastore(model, dataset)
     assert store.dim == 2
 
 
@@ -376,7 +372,7 @@ def test_build_datastore_without_decoupling_keys_on_h0():
 
 def test_build_datastore_empty_dataset_gives_searchless_store():
     model, _ = toy_setup()
-    store = build_datastore(model, dataset_of([], num_labels=3, input_dim=4))
+    store = build_datastore(model, dataset_of([], [], num_labels=3, input_dim=4))
     assert store.count == 0
     assert store.dim == model.config.key_dim
     with pytest.raises(RetrievalUnavailableError):
@@ -385,16 +381,10 @@ def test_build_datastore_empty_dataset_gives_searchless_store():
 
 def test_build_datastore_validates_compatibility():
     model, dataset = toy_setup()
-    narrow = dataset_of([TrainExample(tokens=np.zeros(3), label=0, id=0)],
-        num_labels=3,
-        input_dim=3,
-    )
+    narrow = dataset_of([np.zeros(3)], [0], num_labels=3, input_dim=3)
     with pytest.raises(DimensionMismatchError):
         build_datastore(model, narrow)
-    fewer_labels = dataset_of([TrainExample(tokens=np.zeros(4), label=0, id=0)],
-        num_labels=2,
-        input_dim=4,
-    )
+    fewer_labels = dataset_of([np.zeros(4)], [0], num_labels=2, input_dim=4)
     with pytest.raises(ValueError):
         build_datastore(model, fewer_labels)
 
@@ -404,18 +394,16 @@ def test_build_datastore_pools_multi_token_examples():
                       pooling="mean")
     model = Model.initialize(cfg, 9)
     rng = np.random.default_rng(9)
-    examples = [TrainExample(tokens=rng.normal(size=(4, 3)), label=i % 2, id=i)
-                for i in range(5)]
-    store = build_datastore(model, dataset_of(examples, num_labels=2, input_dim=3))
-    _, r = model.encode(examples[2].tokens)
+    dataset = Dataset(rng.normal(size=(20, 3)), np.full(5, 4), np.arange(5) % 2, 2, 3)
+    store = build_datastore(model, dataset)
+    _, r = model.encode(dataset.examples[2].tokens)
     np.testing.assert_array_equal(store.keys[2], r.astype(np.float32))
 
 
 def _single_token_dataset(count, dim=4, num_labels=3):
     rng = np.random.default_rng(count)
-    examples = [TrainExample(tokens=row, label=i % num_labels, id=i)
-                for i, row in enumerate(rng.normal(size=(count, dim)))]
-    return dataset_of(examples, num_labels=num_labels, input_dim=dim)
+    return Dataset(rng.normal(size=(count, dim)), np.ones(count), np.arange(count) % num_labels,
+                   num_labels, dim)
 
 
 @pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
 from knnblend.core import softmax, sq_dists
-from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
+from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
 from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import Model, ModelConfig
@@ -251,22 +251,22 @@ def overflow_setup():
     cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3,
                       activation="identity")
     model = Model.initialize(cfg, 60)
-    examples = [TrainExample(tokens=rng.normal(size=4), label=i % 3, id=i) for i in range(12)]
-    store = build_datastore(model, dataset_of(examples, num_labels=3, input_dim=4))
-    huge = [TrainExample(tokens=np.full(4, 1e200), label=0, id=0)]
-    _, r = model.encode(huge[0].tokens)
+    dataset = Dataset(rng.normal(size=(12, 4)), np.ones(12), np.arange(12) % 3, 3, 4)
+    store = build_datastore(model, dataset)
+    huge_ds = dataset_of([np.full(4, 1e200)], [0], num_labels=3, input_dim=4)
+    _, r = model.encode(huge_ds.examples[0].tokens)
     assert np.all(np.isfinite(r)) and np.max(np.abs(r)) > 1e160
-    return model, store, huge
+    return model, store, huge_ds
 
 
 def test_scoring_entry_points_raise_on_overflowing_distances(overflow_setup):
-    model, store, huge = overflow_setup
+    model, store, huge_ds = overflow_setup
+    huge = huge_ds.examples
     params = RetrievalParams(k=4, temperature=10.0, knn_weight=0.5)
     with pytest.raises(NonFiniteDistanceError):
         predict(model, store, huge[0].tokens, params)
     with pytest.raises(NonFiniteDistanceError):
         predict_batch(model, store, [ex.tokens for ex in huge], params)
-    huge_ds = dataset_of(huge, num_labels=3, input_dim=4)
     with pytest.raises(NonFiniteDistanceError):
         evaluate_config(model, store, huge_ds, params)
     sweep = SweepSpec(k_values=(1, 4), temperature_values=(1.0,), knn_weight_values=(0.0, 0.5))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnblend.data import SyntheticSpec, TrainExample, generate_synthetic
-from knnblend.model import Model, ModelConfig
+from knnblend.data import SyntheticSpec, generate_synthetic
+from knnblend.model import Model, ModelConfig, _pool_rows, _token_matrix
 from knnblend.training import (
     CE_PROB_FLOOR,
     GradCheckReport,
@@ -27,6 +27,7 @@ from helpers import (
     batch_loss_and_gradients,
     batch_pair_indices,
     batch_train,
+    dataset_of,
     make_batch,
     scalar_batch_loss,
     scalar_grad_check,
@@ -56,13 +57,13 @@ def ce_of(head_w, label):
     pass-through classifier's scores are the first column of head_w."""
     model = pass_through_model(triplet_enabled=False)
     model.head_w[...] = head_w
-    batch = [TrainExample(tokens=[1.0, 0.0], label=label, id=0)]
+    batch = dataset_of([[1.0, 0.0]], [label], num_labels=2, input_dim=2).examples
     return combined_loss(model, batch, [(0, None)], Hyperparams())[1].ce
 
 
 def triplet_of(tokens, pairs, margin):
     """Mean hinge term of a batch whose retrieval vectors are `tokens`."""
-    batch = [TrainExample(tokens=row, label=0, id=i) for i, row in enumerate(tokens)]
+    batch = dataset_of(tokens, [0] * len(tokens), num_labels=1, input_dim=len(tokens[0])).examples
     hyper = Hyperparams(triplet_weight=1.0, margin=margin)
     return combined_loss(pass_through_model(len(tokens[0])), batch, pairs, hyper)[1].triplet
 
@@ -72,27 +73,20 @@ def triplet_of(tokens, pairs, margin):
 
 
 def test_train_example_normalizes_tokens():
-    ex = TrainExample(tokens=[1.0, 2.0], label=1, id=0)
-    assert ex.tokens.shape == (1, 2)
+    [ex] = dataset_of([[1, 2]], np.array([1], dtype=np.int32), num_labels=2,
+                      input_dim=2).examples
+    assert ex.tokens.shape == (1, 2) and ex.tokens.dtype == np.float64
     assert not ex.tokens.flags.writeable
-    assert isinstance(ex.label, int)
-
-
-def test_train_example_rejects_bad_input():
-    with pytest.raises(ValueError):
-        TrainExample(tokens=[1.0, np.inf], label=0, id=0)
-    with pytest.raises(ValueError):
-        TrainExample(tokens=[1.0], label=-1, id=0)
-    with pytest.raises(ValueError):
-        TrainExample(tokens=np.zeros((0, 3)), label=0, id=0)
+    assert type(ex.label) is int and type(ex.id) is int
 
 
 def test_train_example_equality_is_by_value():
-    a = TrainExample(tokens=[1.0, 2.0], label=0, id=7)
-    b = TrainExample(tokens=[1.0, 2.0], label=0, id=7)
-    c = TrainExample(tokens=[1.0, 2.5], label=0, id=7)
-    assert a == b
+    a, b = (dataset_of([[1.0, 2.0]], [0], num_labels=1, input_dim=2).examples[0]
+            for _ in range(2))
+    c, d = dataset_of([[1.0, 2.5], [1.0, 2.0]], [0, 0], num_labels=1, input_dim=2).examples
+    assert a is not b and a == b
     assert a != c
+    assert a != d  # the same tokens and label under another id
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +139,25 @@ def test_triplet_loss_is_non_negative():
 # pair selection
 
 
-def ex(label, id_):
-    return TrainExample(tokens=np.zeros(3), label=label, id=id_)
+def labelled(*labels):
+    """Rows of a dataset of zero tokens with the given labels, ids 0..n-1."""
+    return dataset_of(np.zeros((len(labels), 3)), labels, num_labels=max(labels) + 1,
+                      input_dim=3).examples
 
 
 def test_select_pairs_two_same_label():
     rng = np.random.default_rng(0)
-    assert select_pairs([ex(0, 0), ex(0, 1)], rng) == [(1, 1), (0, 0)]
+    assert select_pairs(labelled(0, 0), rng) == [(1, 1), (0, 0)]
 
 
 def test_select_pairs_two_different_labels():
     rng = np.random.default_rng(0)
-    assert select_pairs([ex(0, 0), ex(1, 1)], rng) == [(0, 1), (1, 0)]
+    assert select_pairs(labelled(0, 1), rng) == [(0, 1), (1, 0)]
 
 
 def test_select_pairs_mixed_batch():
     rng = np.random.default_rng(0)
-    pairs = select_pairs([ex(0, 0), ex(0, 1), ex(1, 2)], rng)
+    pairs = select_pairs(labelled(0, 0, 1), rng)
     assert pairs[0] == (1, 2)
     assert pairs[1] == (0, 2)
     pos2, neg2 = pairs[2]
@@ -171,14 +167,14 @@ def test_select_pairs_mixed_batch():
 
 def test_select_pairs_singleton_batch_has_no_negative():
     rng = np.random.default_rng(0)
-    assert select_pairs([ex(0, 0)], rng) == [(0, None)]
+    assert select_pairs(labelled(0), rng) == [(0, None)]
 
 
 def test_select_pairs_respects_label_constraints():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(2, 12))
-        batch = [ex(int(rng.integers(3)), i) for i in range(n)]
+        batch = labelled(*[int(rng.integers(3)) for _ in range(n)])
         labels = [e.label for e in batch]
         for i, (pos, neg) in enumerate(select_pairs(batch, rng)):
             assert labels[pos] == labels[i]
@@ -198,7 +194,7 @@ def test_select_pairs_draws_uniformly_among_candidates(labels):
     # Each candidate's count is Binomial(draws, 1/m) for m candidates; it
     # must lie within 5 standard deviations of draws/m. A selection that
     # favours any position among the candidates (e.g. always the first) fails.
-    batch = [ex(label, i) for i, label in enumerate(labels)]
+    batch = labelled(*labels)
     n, draws = len(labels), 3000
     pos_counts = np.zeros((n, n), dtype=np.int64)
     neg_counts = np.zeros((n, n), dtype=np.int64)
@@ -335,7 +331,7 @@ def test_loss_and_gradients_equal_zero_started_accumulation(decouple, triplet, t
     hyper = Hyperparams(triplet_weight=tw)
     pairs = select_pairs(batch, np.random.default_rng(41))
     terms, grads = loss_and_gradients(model, batch, pairs, hyper)
-    x = model.pool_batch([ex.tokens for ex in batch])
+    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), model.config.pooling)
     labels = np.array([ex.label for ex in batch])
     pos = np.array([p for p, _ in pairs])
     neg = np.array([-1 if q is None else q for _, q in pairs])
@@ -382,9 +378,7 @@ def test_grad_check_dead_input_column_has_exactly_zero_gradient():
     rng = np.random.default_rng(29)
     tokens = rng.normal(size=(6, 1, 5))
     tokens[:, :, 2] = 0.0
-    batch = [
-        TrainExample(tokens=tokens[i], label=i % 3, id=i) for i in range(6)
-    ]
+    batch = dataset_of(tokens, [i % 3 for i in range(6)], num_labels=3, input_dim=5).examples
     model = Model.initialize(tiny_config(), 29)
     hyper = Hyperparams(triplet_weight=0.5, seed=29)
     pairs = select_pairs(batch, np.random.default_rng(29))
@@ -469,8 +463,7 @@ def test_grad_check_fails_a_non_finite_difference_as_an_infinite_relative_error(
     model = Model(config=cfg, enc_w1=[[1.0]], enc_b1=[0.0], enc_w2=[[1.0]], enc_b2=[0.0],
                   head_w=[[0.0], [0.0]])
     far = math.sqrt(np.finfo(np.float64).max * (1.0 - 1e-5))
-    batch = [TrainExample(tokens=[x], label=label, id=i)
-             for i, (x, label) in enumerate([(0.0, 0), (far, 0), (0.0, 1)])]
+    batch = dataset_of([[0.0], [far], [0.0]], [0, 0, 1], num_labels=2, input_dim=1).examples
     hyper = Hyperparams(triplet_weight=1.0, seed=0)
     report = grad_check(model, batch, hyper)
     want, _ = scalar_grad_check(model, batch, hyper)
@@ -500,14 +493,15 @@ def test_grad_check_rejects_a_step_that_is_not_positive_and_finite(step):
 
 def two_blob_data(n_per_class=100, dim=4, offset=3.0, seed=19):
     rng = np.random.default_rng(seed)
-    data = []
+    vecs = []
     for label in (0, 1):
         sign = 1.0 if label == 0 else -1.0
         for _ in range(n_per_class):
             vec = rng.normal(size=dim)
             vec[0] += sign * offset
-            data.append(TrainExample(tokens=vec, label=label, id=len(data)))
-    return data
+            vecs.append(vec)
+    labels = [0] * n_per_class + [1] * n_per_class
+    return dataset_of(vecs, labels, num_labels=2, input_dim=dim).examples
 
 
 def model_accuracy(model, data):
@@ -575,8 +569,11 @@ def test_train_is_deterministic_for_a_seed():
 def _mixed_length_data(n, seed=43):
     """n examples over three labels, with one to three tokens each."""
     rng = np.random.default_rng(seed)
-    return [TrainExample(tokens=rng.normal(size=(1 + i % 3, 5)), label=int(rng.integers(3)), id=i)
-            for i in range(n)]
+    seqs, labels = [], []
+    for i in range(n):
+        seqs.append(rng.normal(size=(1 + i % 3, 5)))
+        labels.append(int(rng.integers(3)))
+    return dataset_of(seqs, labels, num_labels=3, input_dim=5).examples
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 32, 33, 34], ids=lambda b: f"batch{b}")
@@ -603,11 +600,8 @@ def test_train_raises_on_divergence():
     # absurd learning rate the weights grow until the loss leaves the floats.
     rng = np.random.default_rng(19)
     tokens = rng.normal(size=(12, 4))
-    data = [
-        TrainExample(tokens=row, label=label, id=label * 12 + i)
-        for label in (0, 1)
-        for i, row in enumerate(tokens)
-    ]
+    data = dataset_of([*tokens, *tokens], [0] * 12 + [1] * 12, num_labels=2,
+                      input_dim=4).examples
     config = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=2)
     hyper = Hyperparams(epochs=10, batch_size=8, learning_rate=1e25, seed=0)
     with pytest.raises(TrainingDivergedError):
@@ -629,8 +623,8 @@ def test_divergence_is_a_typed_error_when_warnings_are_errors():
 
 
 def test_train_single_label_is_fine_without_the_hinge():
-    data = [TrainExample(tokens=np.random.default_rng(i).normal(size=4), label=0, id=i)
-            for i in range(8)]
+    data = dataset_of([np.random.default_rng(i).normal(size=4) for i in range(8)], [0] * 8,
+                      num_labels=2, input_dim=4).examples
     config = ModelConfig(input_dim=4, hidden_dim=4, emb_dim=4, num_labels=2)
     model, log = train(data, Hyperparams(epochs=2, triplet_weight=0.0, seed=0), config)
     assert len(log) == 2
@@ -642,10 +636,10 @@ def test_train_validates_inputs():
     config = ModelConfig(input_dim=4, hidden_dim=4, emb_dim=4, num_labels=2)
     with pytest.raises(ValueError):
         train([], Hyperparams(), config)
-    bad = [TrainExample(tokens=np.zeros(4), label=5, id=0)]
+    bad = dataset_of([np.zeros(4)], [5], num_labels=6, input_dim=4).examples
     with pytest.raises(ValueError):
         train(bad, Hyperparams(), config)
-    single = [TrainExample(tokens=np.zeros(4), label=0, id=i) for i in range(4)]
+    single = dataset_of(np.zeros((4, 4)), [0] * 4, num_labels=1, input_dim=4).examples
     with pytest.raises(ValueError):
         train(single, Hyperparams(triplet_weight=0.5), config)
 
