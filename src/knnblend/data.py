@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,11 +42,14 @@ class TrainExample:
     """One labeled row of a `Dataset`: a read-only view of its token rows,
     its label and its id. Only `Dataset.examples` makes them; the dataset has
     already checked the arrays they view, so `TrainExample(...)` raises
-    `TypeError`."""
+    `TypeError`, with or without arguments; `_views` bypasses `__init__`."""
 
     tokens: np.ndarray
     label: int
     id: int
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a TrainExample is a row of a Dataset; read Dataset.examples")
 
     @classmethod
     def _views(cls, tokens: np.ndarray, token_counts: np.ndarray,
@@ -297,21 +299,26 @@ def load_jsonl(path) -> Dataset:
 def write_jsonl(dataset: Dataset, path) -> None:
     """Symmetric emitter: load_jsonl(write_jsonl(ds)) reproduces ds exactly.
 
-    Floats survive because JSON uses shortest round-trip formatting.
+    It reads the dataset's arrays, not its examples: the token matrix is
+    turned into Python floats once and split by the token counts, and each
+    line is written as it is made. Floats survive because JSON uses shortest
+    round-trip formatting.
     """
-    lines = []
-    if dataset.label_names is not None:
-        lines.append(json.dumps({"label_names": dataset.label_names}))
-    for ex in dataset.examples:
-        label = (
-            dataset.label_names[ex.label] if dataset.label_names is not None else ex.label
-        )
-        if ex.tokens.shape[0] == 1:
-            record = {"label": label, "features": ex.tokens[0].tolist()}
-        else:
-            record = {"label": label, "tokens": ex.tokens.tolist()}
-        lines.append(json.dumps(record))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    names = dataset.label_names
+    labels = dataset.labels().tolist()
+    if names is not None:
+        labels = [names[label] for label in labels]
+    rows = dataset.tokens.tolist()
+    with open(path, "w", encoding="utf-8") as file:
+        if names is not None:
+            file.write(json.dumps({"label_names": names}) + "\n")
+        at = 0
+        for label, count in zip(labels, dataset.token_counts.tolist()):
+            seq = rows[at : at + count]
+            at += count
+            record = ({"label": label, "features": seq[0]} if count == 1
+                      else {"label": label, "tokens": seq})
+            file.write(json.dumps(record) + "\n")
 
 
 @dataclass(frozen=True)

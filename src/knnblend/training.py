@@ -10,12 +10,18 @@ negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
 (batch, label)-sorted order. The examples are rows of datasets, which checked
 their tokens; one adapter pools them as stored into inputs and labels, and
-`train` pools the dataset through it once. The weights live in one flat
-vector, which `train` steps and `grad_check` perturbs, on a copy, entry by
-entry. One function, `_loss`, computes a batch's loss terms and, on request,
-their gradients into one flat buffer; `combined_loss`, `loss_and_gradients`,
-`train` and `grad_check` all go through it. A diverging model's loss turns
-non-finite without a warning; `train` raises `TrainingDivergedError`.
+`train` pools the dataset through it once. Each epoch gathers the pooled rows
+and labels into shuffled order once; a batch is a contiguous slice of them.
+The weights live in one flat vector, which `train` steps and `grad_check`
+perturbs, on a copy, entry by entry. One function, `_loss`, computes a
+batch's loss terms and, on request, their gradients into one flat buffer;
+`combined_loss`, `loss_and_gradients`, `train` and `grad_check` all go
+through it. Its hinge holds the differences to the positives and to the
+negatives as one stacked (2, anchors, width) array, and its backward sums
+every anchor, positive and negative contribution with one `np.bincount`, in
+that order per cell. The bits match a batch-by-batch loop with `np.add.at`.
+A diverging model's loss turns non-finite without a warning; `train` raises
+`TrainingDivergedError`.
 """
 
 from __future__ import annotations
@@ -155,25 +161,30 @@ def _term_weights(config: ModelConfig, hyper: Hyperparams) -> tuple[float, float
 
 
 def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def _hinge(r: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
-    """Anchor rows that have a negative, their differences to the positive
-    and to the negative, and the raw margins d(a,p) - d(a,n) + margin.
+    """The (3, m) rows of the m anchors that have a negative, of their
+    positives and of their negatives; the anchors' differences to the
+    positive and to the negative, stacked as one (2, m, width) array; and the
+    raw margins d(a,p) - d(a,n) + margin.
 
-    A diverged model's distances may overflow here; that is not warned about,
-    because callers test the resulting loss with `isfinite` and report it.
+    All three row sets are gathered in one index and both squared distances
+    taken in one `einsum`. A diverged model's distances may overflow here;
+    that is not warned about, because callers test the resulting loss with
+    `isfinite` and report it.
     """
-    anchors = np.flatnonzero(neg >= 0)
+    anchors = (neg >= 0).nonzero()[0]
+    trio = np.concatenate([anchors, pos[anchors], neg[anchors]])
+    rows = r[trio].reshape(3, -1, r.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        diff_p = r[anchors] - r[pos[anchors]]
-        diff_n = r[anchors] - r[neg[anchors]]
-        raw = (np.einsum("ij,ij->i", diff_p, diff_p)
-               - np.einsum("ij,ij->i", diff_n, diff_n) + margin)
-    return anchors, diff_p, diff_n, raw
+        diff = rows[0] - rows[1:]
+        sq = np.einsum("kij,kij->ki", diff, diff)
+        raw = sq[0] - sq[1] + margin
+    return trio.reshape(3, -1), diff, raw
 
 
 def _mix_total(ce_weight: float, ce_mean: float, trip_weight: float, trip_mean: float) -> float:
@@ -193,24 +204,29 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     pos and neg index the batch; a negative of -1 skips that hinge term. Given
     `grads` (weight name -> array, zeroed or left by a call with the same
     config and hyper), each gradient that a term reaches is written into it.
+    Products call `np.dot` and sums `np.add.reduce`, the BLAS product and the
+    reduction that `@` and `ndarray.sum` reach through more dispatch, with
+    the same bits.
     """
     cfg = model.config
     ce_weight, trip_weight = _term_weights(cfg, hyper)
     act = ACTIVATIONS[cfg.activation]
     n = x.shape[0]
+    rows = np.arange(n)
 
     cache = model.features(x)
-    head_out = act.fn(cache.h0 @ model.head_w.T)
+    head_out = act.fn(np.dot(cache.h0, model.head_w.T))
     probs = _row_softmax(head_out)
-    gold = probs[np.arange(n), labels]
-    ce_mean = float(np.mean(-np.log(np.maximum(gold, CE_PROB_FLOOR))))
+    gold = probs[rows, labels]
+    # The negated sum over n is np.mean of the negated logs, bit for bit.
+    ce_mean = -float(np.add.reduce(np.log(np.maximum(gold, CE_PROB_FLOOR)))) / n
 
     if cfg.triplet_enabled:
-        anchors, diff_p, diff_n, raw = _hinge(cache.r, pos, neg, hyper.margin)
+        trio, diff, raw = _hinge(cache.r, pos, neg, hyper.margin)
         # np.maximum, unlike a comparison, carries a NaN margin into the loss;
         # margins that sum past float64 give an inf loss, reported by the caller.
         with np.errstate(over="ignore"):
-            trip_mean = float(np.maximum(raw, 0.0).sum()) / n
+            trip_mean = float(np.add.reduce(np.maximum(raw, 0.0))) / n
     else:
         trip_mean = 0.0
     terms = LossTerms(
@@ -224,48 +240,52 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     d_h0 = 0.0  # an array once a term adds to it; at least one term does
 
     # Cross-entropy path: softmax+log gradient, then back through the head
-    # activation. Rows where the probability floor clipped the log get zero
-    # gradient, matching the clamped forward value.
+    # activation, in place in `probs` (`gold` is a copy). Rows where the
+    # probability floor clipped the log get zero gradient, matching the
+    # clamped forward value.
     if ce_weight != 0.0:
-        d_scores = probs.copy()
-        d_scores[np.arange(n), labels] -= 1.0
-        d_scores[gold <= CE_PROB_FLOOR] = 0.0
-        d_scores *= ce_weight / n
-        d_head_pre = d_scores * act.grad_from_output(head_out)
-        np.matmul(d_head_pre.T, cache.h0, out=grads["head_w"])
-        d_h0 = d_head_pre @ model.head_w
+        d_head_pre = probs
+        d_head_pre[rows, labels] -= 1.0
+        d_head_pre[gold <= CE_PROB_FLOOR] = 0.0
+        d_head_pre *= ce_weight / n
+        d_head_pre *= act.grad_from_output(head_out)
+        np.dot(d_head_pre.T, cache.h0, out=grads["head_w"])
+        d_h0 = np.dot(d_head_pre, model.head_w)
 
     # Hinge path: only strictly positive margins carry gradient (the kink at
-    # exactly zero uses the inactive branch). Each (row, column) cell of d_r
-    # sums its contributions from 0.0 in index order (anchors, then positives,
-    # then negatives), as np.add.at would, through one bincount.
+    # exactly zero uses the inactive branch). The active columns of the
+    # stacked rows and differences give every contribution at once. Each
+    # (row, column) cell of d_r sums its contributions from 0.0 in index order
+    # (anchors, then positives, then negatives), as np.add.at would, through
+    # one bincount. Scaling after the negation is exact: (2 scale) * -dp is
+    # -2 scale * dp.
     if trip_weight != 0.0:
         active = raw > 0.0
-        a, dp, dn = anchors[active], diff_p[active], diff_n[active]
-        scale = trip_weight / n
-        rows, width = np.concatenate([a, pos[a], neg[a]]), cache.r.shape[1]
-        cells = (rows[:, None] * width + np.arange(width)).ravel()
-        contributions = np.concatenate([scale * 2.0 * (dp - dn), scale * (-2.0) * dp,
-                                        scale * 2.0 * dn])
+        width = cache.r.shape[1]
+        targets = trio.compress(active, axis=1).ravel()
+        cells = np.arange(n * width).reshape(n, width).take(targets, axis=0).ravel()
+        dp, dn = diff.compress(active, axis=1)
+        contributions = np.concatenate([dp - dn, -dp, dn])
+        contributions *= (trip_weight / n) * 2.0
         d_r = np.bincount(cells, contributions.ravel(), minlength=n * width)
         d_r = d_r.astype(np.float64, copy=False).reshape(n, width)  # int zeros if none is active
         if cfg.decouple_enabled:
-            np.matmul(d_r.T, cache.d1, out=grads["dec_w2"])
-            d_r.sum(axis=0, out=grads["dec_b2"])
-            d_d1 = d_r @ model.dec_w2
-            d_g1 = d_d1 * act.grad_from_output(cache.d1)
-            np.matmul(d_g1.T, cache.h0, out=grads["dec_w1"])
-            d_g1.sum(axis=0, out=grads["dec_b1"])
-            d_r = d_g1 @ model.dec_w1  # the hinge's gradient, carried back to h0
+            np.dot(d_r.T, cache.d1, out=grads["dec_w2"])
+            np.add.reduce(d_r, axis=0, out=grads["dec_b2"])
+            d_g1 = np.dot(d_r, model.dec_w2)
+            d_g1 *= act.grad_from_output(cache.d1)
+            np.dot(d_g1.T, cache.h0, out=grads["dec_w1"])
+            np.add.reduce(d_g1, axis=0, out=grads["dec_b1"])
+            d_r = np.dot(d_g1, model.dec_w1)  # the hinge's gradient, carried back to h0
         d_h0 = d_h0 + d_r
 
     # Encoder backward, shared by both paths.
-    np.matmul(d_h0.T, cache.a1, out=grads["enc_w2"])
-    d_h0.sum(axis=0, out=grads["enc_b2"])
-    d_a1 = d_h0 @ model.enc_w2
-    d_z1 = d_a1 * act.grad_from_output(cache.a1)
-    np.matmul(d_z1.T, cache.x, out=grads["enc_w1"])
-    d_z1.sum(axis=0, out=grads["enc_b1"])
+    np.dot(d_h0.T, cache.a1, out=grads["enc_w2"])
+    np.add.reduce(d_h0, axis=0, out=grads["enc_b2"])
+    d_z1 = np.dot(d_h0, model.enc_w2)
+    d_z1 *= act.grad_from_output(cache.a1)
+    np.dot(d_z1.T, cache.x, out=grads["enc_w1"])
+    np.add.reduce(d_z1, axis=0, out=grads["enc_b1"])
     return terms
 
 
@@ -377,7 +397,7 @@ def grad_check(
     _, trip_weight = _term_weights(work.config, hyper)
     resamples = 0
     while trip_weight != 0.0:
-        _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
+        _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
         if not (np.abs(raw[np.isfinite(raw)]) < 100.0 * step).any():
             break
         if resamples >= GRAD_CHECK_MAX_RESAMPLES:
@@ -451,9 +471,10 @@ def train(
     One generator (seeded with hyper.seed) drives initialization, the
     per-epoch shuffle, and pair selection, so the whole trajectory is a pure
     function of (data, hyper, model_config). Every example is pooled once,
-    up front, and each batch is a set of rows of that matrix. Each epoch draws
-    its pairs in one call; the weights and their gradients each live in one
-    flat buffer, so a step is one update.
+    up front. Each epoch gathers the pooled rows and labels into its shuffled
+    order once, so each batch is a contiguous slice, and draws its pairs in
+    one call; the weights and their gradients each live in one flat buffer,
+    so a step is one update.
     """
     rng = np.random.default_rng(hyper.seed)
     model, weights = _flat_model(Model.initialize(model_config, rng))
@@ -469,24 +490,29 @@ def train(
 
     grad_flat, grads = _flat_buffer(model)
     n = len(data)
+    # Each epoch's rows, in its order. The order is a permutation, so no index
+    # is clipped; with mode="clip", `take` writes into the buffer directly
+    # instead of through a second copy.
+    epoch_x = np.empty_like(all_x)
     log: list[EpochStats] = []
     for epoch in range(hyper.epochs):
         started = time.perf_counter()
         order = rng.permutation(n)
-        epoch_pos, epoch_neg = _pair_indices(all_labels[order], hyper.batch_size, rng)
+        np.take(all_x, order, axis=0, out=epoch_x, mode="clip")
+        epoch_labels = all_labels[order]
+        epoch_pos, epoch_neg = _pair_indices(epoch_labels, hyper.batch_size, rng)
         sum_ce = sum_trip = sum_total = 0.0
         for start in range(0, n, hyper.batch_size):
-            end = start + hyper.batch_size
-            rows = order[start:end]
-            terms = _loss(model, all_x[rows], all_labels[rows], epoch_pos[start:end],
-                          epoch_neg[start:end], hyper, grads)
+            end = min(start + hyper.batch_size, n)
+            terms = _loss(model, epoch_x[start:end], epoch_labels[start:end],
+                          epoch_pos[start:end], epoch_neg[start:end], hyper, grads)
             if not math.isfinite(terms.total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}, batch starting at "
                     f"{start}: total={terms.total} ce={terms.ce} triplet={terms.triplet}"
                 )
             weights -= hyper.learning_rate * grad_flat
-            b = rows.shape[0]
+            b = end - start
             sum_ce += terms.ce * b
             sum_trip += terms.triplet * b
             sum_total += terms.total * b

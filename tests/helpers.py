@@ -6,14 +6,17 @@ extended precision instead of float64, so agreement is meaningful. The
 training oracles keep the library's earlier step: pairs drawn batch by batch,
 each gradient accumulated into its own zeroed array, and one update per
 weight array; the library must reproduce them bit for bit. So must the
-per-row synthetic generator and the `np.add.at` neighbor vote. The gradient
-check oracle perturbs a copy of the model array by array, one scalar at a
-time, and judges each entry as it goes.
+per-row synthetic generator, the `np.add.at` neighbor vote and the JSONL
+writer that goes example by example. The gradient check oracle perturbs a
+copy of the model array by array, one scalar at a time, and judges each
+entry as it goes.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -220,6 +223,24 @@ def dataset_of(token_seqs, labels, num_labels, input_dim, label_names=None):
                    label_names)
 
 
+def per_example_jsonl(dataset, path):
+    """`write_jsonl` example by example: each row's tokens turned into Python
+    floats on their own, every line joined into one text and written at once."""
+    lines = []
+    if dataset.label_names is not None:
+        lines.append(json.dumps({"label_names": dataset.label_names}))
+    for ex in dataset.examples:
+        label = (
+            dataset.label_names[ex.label] if dataset.label_names is not None else ex.label
+        )
+        if ex.tokens.shape[0] == 1:
+            record = {"label": label, "features": ex.tokens[0].tolist()}
+        else:
+            record = {"label": label, "tokens": ex.tokens.tolist()}
+        lines.append(json.dumps(record))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def add_at_vote(labels, distances, temperature, num_labels):
     """The neighbor vote with `np.add.at` into a zeroed (B, num_labels) matrix."""
     scaled = -distances / temperature
@@ -381,7 +402,7 @@ def scalar_grad_check(model, batch, hyper, step=1e-5):
     resamples = 0
     if trip_weight != 0.0:
         while True:
-            _, _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
+            _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
             if not (np.abs(raw[np.isfinite(raw)]) < 100.0 * step).any():
                 break
             if resamples >= GRAD_CHECK_MAX_RESAMPLES:

@@ -20,7 +20,7 @@ from knnblend.data import (
 from knnblend.model import POOLING_MODES, Model, ModelConfig
 from knnblend.retrieval import build_datastore
 
-from helpers import dataset_of, nearest_centroid_accuracy, per_row_synthetic
+from helpers import dataset_of, nearest_centroid_accuracy, per_example_jsonl, per_row_synthetic
 
 
 def write_lines(tmp_path, *lines, name="data.jsonl"):
@@ -275,6 +275,19 @@ def test_write_emits_header_before_records(tmp_path):
     assert json.loads(lines[1])["label"] in ("red", "green", "blue")
 
 
+@pytest.mark.parametrize("names", [["ham", "spam", "eggs"], None], ids=["named", "numbered"])
+def test_write_jsonl_matches_the_per_example_writer_byte_for_byte(tmp_path, monkeypatch, names):
+    rng = np.random.default_rng(45)
+    counts = [1, 3, 3, 1, 1, 3, 1]
+    ds = dataset_of([rng.normal(size=(c, 4)) * 10 for c in counts], [2, 0, 1, 1, 0, 2, 2],
+                    num_labels=3, input_dim=4, label_names=names)
+    made = _spy_on_examples(monkeypatch)
+    write_jsonl(ds, tmp_path / "arrays.jsonl")
+    assert made == []  # written from the arrays: no example is made
+    per_example_jsonl(ds, tmp_path / "examples.jsonl")
+    assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "examples.jsonl").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # dataset container
 
@@ -351,6 +364,12 @@ def test_train_example_cannot_be_constructed():
         TrainExample(tokens=np.zeros((1, 3)), label=0, id=0)
     [ex] = Dataset(np.zeros((1, 3)), [1], [0], 1, 3).examples
     assert type(ex) is TrainExample
+
+
+def test_train_example_cannot_be_constructed_without_arguments():
+    # An empty call must not make a row with no tokens, label or id.
+    with pytest.raises(TypeError):
+        TrainExample()
 
 
 def test_a_label_must_fit_the_int64_label_array(tmp_path):

@@ -123,7 +123,7 @@ def test_triplet_loss_equal_pair_distances_give_margin():
     for _ in range(20):
         r = rng.normal(size=(2, 4))
         m = float(rng.uniform(0.1, 3.0))
-        _, _, _, raw = _hinge(r, np.array([1, 0]), np.array([1, -1]), m)
+        _, _, raw = _hinge(r, np.array([1, 0]), np.array([1, -1]), m)
         assert raw.tolist() == [m]
 
 
@@ -340,6 +340,41 @@ def test_loss_and_gradients_equal_zero_started_accumulation(decouple, triplet, t
     assert list(grads) == list(want)
     for name, grad in grads.items():
         np.testing.assert_array_equal(grad, want[name], err_msg=name)
+
+
+# Rows 0, 2 and 5 have no negative. With each row its own positive, every
+# distance to a positive is zero, so a tiny margin leaves no hinge active.
+HAND_PAIRS = {
+    "mixed": [(1, None), (0, 2), (3, None), (2, 5), (6, 1), (5, None), (4, 0)],
+    "self": [(0, None), (1, 2), (2, None), (3, 5), (4, 1), (5, None), (6, 0)],
+}
+
+
+@pytest.mark.parametrize("pairs", list(HAND_PAIRS))
+@pytest.mark.parametrize("margin", [1.0, 1e-9])
+@pytest.mark.parametrize("triplet", [True, False], ids=["triplet", "no-triplet"])
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
+@pytest.mark.parametrize("tw", [0.0, 0.5, 1.0])
+def test_loss_and_gradients_with_rows_lacking_negatives(decouple, triplet, tw, margin, pairs):
+    model = Model.initialize(tiny_config(decouple_enabled=decouple, triplet_enabled=triplet), 43)
+    batch = make_batch(np.random.default_rng(43), 7, 5, 3)
+    hyper = Hyperparams(triplet_weight=tw, margin=margin)
+    terms, grads = loss_and_gradients(model, batch, HAND_PAIRS[pairs], hyper)
+    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), model.config.pooling)
+    labels = np.array([ex.label for ex in batch])
+    pos = np.array([p for p, _ in HAND_PAIRS[pairs]])
+    neg = np.array([-1 if q is None else q for _, q in HAND_PAIRS[pairs]])
+    _, _, raw = _hinge(model.features(x).r, pos, neg, margin)
+    assert raw.shape == (4,)  # the hinge skips the rows without a negative
+    if pairs == "self" and margin == 1e-9:
+        assert not (raw > 0.0).any()
+    if pairs == "mixed" and margin == 1.0:
+        assert (raw > 0.0).any()
+    want_terms, want = batch_loss_and_gradients(model, x, labels, pos, neg, hyper)
+    assert (terms.total, terms.ce, terms.triplet) == want_terms
+    assert list(grads) == list(want)
+    for name, grad in grads.items():
+        assert grad.tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize("decouple", [True, False])
