@@ -39,9 +39,10 @@ model = Model.initialize(config, seed=0)
 store = build_datastore(model, dataset)
 print(f"datastore: {store.count} keys of dimension {store.dim}")
 
-# Every step takes a batch; this one holds a single query.
+# Every step takes a batch, given as a dataset; this one holds a single query.
 query = np.array([-1.5, 0.3])  # clearly in cluster 0 territory
-h0, r = model.encode_batch([query])
+queries = Dataset(query[None, :], [1], [0], num_labels=2, input_dim=2)
+h0, r = model.encode_batch(queries)
 print(f"\nquery {query} -> retrieval representation {np.round(r[0], 3)}")
 
 indices, distances = store.search_batch(r, k=5)
@@ -61,7 +62,7 @@ for temperature in (0.0001, 0.001, 0.01, 0.1, 1.0):
 
 print("\nblending vote and classifier (k=5, T=1):")
 for weight in (0.0, 0.2, 0.5, 1.0):
-    pred = predict_batch(model, store, [query],
+    pred = predict_batch(model, store, queries,
                          RetrievalParams(k=5, temperature=1.0, knn_weight=weight))
     print(
         f"  knn_weight={weight:<4} classifier={np.round(pred.classifier_probs[0], 4)}"

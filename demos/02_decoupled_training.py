@@ -31,7 +31,7 @@ from knnblend import (
 spec = SyntheticSpec(num_classes=4, dim=8, per_class_count=40,
                      class_separation=4.0, noise_sigma=1.5, seed=3)
 train_ds, test_ds = generate_synthetic(spec)
-print(f"data: {len(train_ds.examples)} train / {len(test_ds.examples)} test, "
+print(f"data: {len(train_ds)} train / {len(test_ds)} test, "
       f"{spec.num_classes} classes in {spec.dim}-d, noise sigma {spec.noise_sigma}")
 
 hyper = Hyperparams(epochs=12, batch_size=16, learning_rate=0.1,
@@ -59,7 +59,7 @@ for name, config in configs.items():
 
 def class_separation_report(model, dataset):
     """Mean squared distance between keys of same-label vs different-label pairs."""
-    keys = model.encode_batch([ex.tokens for ex in dataset.examples])[1]
+    keys = model.encode_batch(dataset)[1]
     labels = dataset.labels()
     intra, inter = [], []
     for i in range(len(keys) - 1):

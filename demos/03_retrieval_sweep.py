@@ -33,7 +33,7 @@ hyper = Hyperparams(epochs=10, batch_size=16, learning_rate=0.1,
                     triplet_weight=0.5, seed=4)
 model, _ = train(train_ds.examples, hyper, config)
 store = build_datastore(model, train_ds)
-print(f"trained on {len(train_ds.examples)} examples; store holds {store.count} keys")
+print(f"trained on {len(train_ds)} examples; store holds {store.count} keys")
 
 sweep = SweepSpec(
     k_values=(1, 8, 32),

@@ -231,9 +231,9 @@ def _scoring_inputs(args) -> tuple[dict, Model, Datastore | None, Dataset]:
 def _cmd_predict(args) -> int:
     cfg, model, store, dataset = _scoring_inputs(args)
     _, params = _hyper(cfg, args)
-    batch = predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
+    batch = predict_batch(model, store, dataset, params)
     lines = ["id,predicted_label"]
-    lines.extend(f"{ex.id},{label}" for ex, label in zip(dataset.examples, batch.labels))
+    lines.extend(f"{i},{label}" for i, label in enumerate(batch.labels))  # ids 0..n-1
     _write_lines(lines, args.out)
     return 0
 

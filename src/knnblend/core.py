@@ -7,7 +7,7 @@ All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 comes from it (the datastore's float32 prefilter only picks the keys to
 recheck), and `squared_l2` is its one-row case.
 
-Two input rules are written here once: `as_tokens` (`token_shape`, then
+Two input rules are written here once: `as_tokens` (its shape, then
 `check_finite_tokens`), for every token sequence, and `coerce_fields`, for the
 numeric and boolean fields of each config dataclass, whose `__post_init__`
 calls it before its range checks.
@@ -56,21 +56,16 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 
 
 def as_tokens(values) -> np.ndarray:
-    """Coerce a token sequence to a finite, non-empty (n_tokens, dim) float64
-    array; a 1-d input counts as one token. Raises ValueError otherwise."""
-    return check_finite_tokens(token_shape(values))
-
-
-def token_shape(values) -> np.ndarray:
-    """The shape step of `as_tokens`: its array, without the finiteness check."""
+    """Copy a token sequence into a fresh, finite, non-empty (n_tokens, dim)
+    float64 array; a 1-d input counts as one token. Raises ValueError otherwise."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"tokens are not numeric: {exc}") from exc
     arr = arr[None, :] if arr.ndim == 1 else arr
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
-    return arr
+    return check_finite_tokens(arr)
 
 
 def check_finite_tokens(arr: np.ndarray) -> np.ndarray:

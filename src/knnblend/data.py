@@ -89,6 +89,14 @@ class DatasetFormatError(ValueError):
     """A dataset file violated the JSONL record schema."""
 
 
+def _label_names(names) -> list[str]:
+    """A copy of `names`, which must be a non-empty list of distinct strings."""
+    if not (isinstance(names, list) and names and all(isinstance(s, str) for s in names)
+            and len(set(names)) == len(names)):
+        raise ValueError("label_names must be a list of distinct strings")
+    return list(names)
+
+
 def _int64s(values, what: str) -> np.ndarray:
     try:
         return np.array(values, dtype=np.int64)
@@ -108,6 +116,7 @@ class Dataset:
     writeable, so nothing outside the dataset can change it. `load_jsonl` and
     `generate_synthetic` hand over the fresh matrix they built instead
     (`_adopt`). The token rule's finiteness step checks the matrix once.
+    `label_names` copies a list of `num_labels` distinct strings, if given.
     `examples` is built from the arrays on first read, once, as a list of
     `TrainExample`s over views of `tokens` with ids 0..n-1.
     """
@@ -133,7 +142,8 @@ class Dataset:
     def _own(self, tokens: np.ndarray, token_counts, labels, num_labels, input_dim,
              label_names) -> None:
         """Check and keep a float64 token matrix no one else holds, with copies
-        of the counts and labels."""
+        of the counts, labels and label names."""
+        label_names = None if label_names is None else _label_names(label_names)
         self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
         coerce_fields(self)
         if self.num_labels < 1:
@@ -261,19 +271,12 @@ def load_jsonl(path) -> Dataset:
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
         if not records and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
-            names = obj["label_names"]
-            if (
-                not isinstance(names, list)
-                or not names
-                or not all(isinstance(s, str) for s in names)
-                or len(set(names)) != len(names)
-            ):
-                raise DatasetFormatError(
-                    f"line {line_no}: label_names must be a list of distinct strings"
-                )
             if label_names is not None:
                 raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
-            label_names = list(names)
+            try:
+                label_names = _label_names(obj["label_names"])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {line_no}: {exc}") from exc
             continue
         try:
             label, rows = _parse_record(obj, label_names)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .datastore import Datastore
+from .model import _check_labels
 from .retrieval import (
     RetrievalParams,
     _neighbor_step,
@@ -119,17 +120,19 @@ def run_sweep(
     """Evaluate the full grid on a dataset; searches once per query at max(k).
 
     Rows appear in k-major, then temperature, then knn_weight order. A store
-    is only required when some knn_weight in the grid is positive.
+    is only required when some knn_weight in the grid is positive. A gold
+    label the model has no output for raises ValueError.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on zero examples")
+    gold = dataset.labels()
+    _check_labels(model, gold)
     started = time.perf_counter()
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
     p_cls, indices, distances = _neighbor_step(
         model, store, dataset.tokens, dataset.token_counts,
         max(sweep.k_values) if need_search else None,
     )
-    gold = dataset.labels()
     neighbor_probs = None
     rows = []
     for k in sweep.k_values:

@@ -17,8 +17,8 @@ and load all iterate it.
 
 The `Model` constructor is the one weight check: it raises `ModelShapeError`,
 or `ValueError` for a non-finite entry. `Model.load` checks only the document
-around the weights. Tokens follow `core.as_tokens`, checked once per batch by
-`_token_matrix`.
+around the weights. `pool` and `encode` take one sequence through
+`core.as_tokens`; `encode_batch` pools a dataset's checked token matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (DimensionMismatchError, as_vector, check_finite_tokens, coerce_fields,
-                   softmax, token_shape)
+from .core import DimensionMismatchError, as_tokens, as_vector, coerce_fields, softmax
 
 __all__ = [
     "ACTIVATIONS",
@@ -82,9 +81,10 @@ def pool(tokens, mode: str) -> np.ndarray:
     """Reduce a token sequence (n_tokens, dim) to a single vector.
 
     cls: first token; mean: elementwise mean; max: elementwise maximum.
-    Tokens follow `core.as_tokens` (1-d is one token); `_pool_rows` of one sequence.
+    Tokens follow `core.as_tokens` (1-d is one token); `_pool_rows` of their copy.
     """
-    return _pool_rows(*_token_matrix([tokens]), mode)[0]
+    seq = as_tokens(tokens)
+    return _pool_rows(seq, np.array([len(seq)]), mode)[0]
 
 
 # "mean" does the arithmetic of `seq.mean(axis=0)` bit for bit; `np.add.reduceat` / n does not.
@@ -97,8 +97,9 @@ POOLING_MODES = tuple(_POOLERS)
 
 
 def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.ndarray:
-    """The one pooling step: fresh (B, dim) rows for the B sequences that
-    split a finite (total_tokens, dim) matrix by `token_counts`, in order.
+    """The one pooling step: (B, dim) rows for the B sequences that split a
+    finite (total_tokens, dim) matrix by `token_counts`, in order. Under cls
+    they may view `tokens`; the other modes make fresh rows.
 
     Sequences of one count are stacked and reduced together, so each row is
     bit-identical to pooling its sequence alone.
@@ -117,14 +118,11 @@ def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.nd
     return pooled
 
 
-def _token_matrix(token_seqs, dim: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """A sequence of token sequences as one (total_tokens, dim) matrix and
-    their int64 token counts, the form `_pool_rows` reads: the shape step per
-    sequence, one concatenate and one finiteness check. No sequences give
-    a (0, dim) matrix."""
-    seqs = [token_shape(tokens) for tokens in token_seqs]
-    tokens = check_finite_tokens(np.concatenate(seqs)) if seqs else np.empty((0, dim))
-    return tokens, np.array([len(seq) for seq in seqs], dtype=np.int64)
+def _check_labels(model: "Model", labels: np.ndarray) -> None:
+    """Refuse a non-empty array of gold labels if the model lacks an output for one."""
+    if labels.max() >= model.config.num_labels:
+        raise ValueError(f"data contains label {labels.max()} but the model has "
+                         f"{model.config.num_labels} labels")
 
 
 @dataclass(frozen=True)
@@ -154,13 +152,11 @@ class ModelConfig:
             )
 
     @property
-    def resolved_retrieval_dim(self) -> int:
-        return self.retrieval_dim if self.retrieval_dim is not None else self.emb_dim
-
-    @property
     def key_dim(self) -> int:
         """Dimension of the retrieval representation actually used as key/query."""
-        return self.resolved_retrieval_dim if self.decouple_enabled else self.emb_dim
+        if self.decouple_enabled and self.retrieval_dim is not None:
+            return self.retrieval_dim
+        return self.emb_dim
 
 
 @dataclass
@@ -248,14 +244,16 @@ class Model:
         r is the retrieval representation: the decouple MLP output when
         decoupling is enabled, otherwise h0 itself.
         """
-        h0, r = self.encode_batch([tokens])
-        return h0[0], r[0]
+        seq = as_tokens(tokens)
+        cache = self.features(_pool_rows(seq, np.array([len(seq)]), self.config.pooling))
+        return cache.h0[0], cache.r[0]
 
-    def encode_batch(self, token_seqs) -> tuple[np.ndarray, np.ndarray]:
-        """Pool and encode a sequence of instances in one forward pass;
-        returns (h0, r) with one row per instance (zero rows for none)."""
-        tokens, token_counts = _token_matrix(token_seqs, self.config.input_dim)
-        cache = self.features(_pool_rows(tokens, token_counts, self.config.pooling))
+    def encode_batch(self, dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Pool and encode every example of a dataset in one forward pass,
+        from its `tokens` and `token_counts`; returns (h0, r) with one row
+        per example (zero rows for none)."""
+        pooled = _pool_rows(dataset.tokens, dataset.token_counts, self.config.pooling)
+        cache = self.features(pooled)
         return cache.h0, cache.r
 
     def classify(self, h0) -> np.ndarray:
@@ -338,7 +336,7 @@ def _layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
         "head_w": ((cfg.num_labels, emb), emb),
     }
     if cfg.decouple_enabled:
-        rdim = cfg.resolved_retrieval_dim
+        rdim = cfg.key_dim
         layout.update(
             dec_w1=((hidden, emb), emb),
             dec_b1=((hidden,), emb),

@@ -7,11 +7,11 @@ distribution is mixed with the classifier's own output by a fixed weight.
 Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
 its token counts: given k, the store checks (`RetrievalUnavailableError`
 without one or for an empty one), one pooling, encode and classify, then,
-given k, one `Datastore.search_batch`. `predict_batch` stacks its token
-sequences into that form and adds one vote (`knn_distribution_batch`) and one
-blend (`interpolate_batch`) over (B, k) arrays; `evaluate.run_sweep` takes the
-step once on a `Dataset`'s arrays and votes and blends per grid cell.
-`predict`, `knn_distribution` and `interpolate` are one-row forms.
+given k, one `Datastore.search_batch`. `_score` adds one vote and one blend
+(`knn_distribution_batch`, `interpolate_batch`) over (B, k) arrays, for
+`predict_batch` on a dataset's arrays and `predict` on one `as_tokens`
+sequence; `evaluate.run_sweep` takes the step once and votes and blends per
+grid cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, coerce_fields, validate_distribution
+from .core import DimensionMismatchError, as_tokens, coerce_fields, validate_distribution
 from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
-from .model import _pool_rows, _token_matrix
+from .model import _pool_rows
 
 __all__ = [
     "BatchPrediction",
@@ -189,16 +189,10 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
     return (p_cls, *store.search_batch(cache.r, k))
 
 
-def predict_batch(
-    model, store: Datastore | None, token_seqs, params: RetrievalParams
-) -> BatchPrediction:
-    """Classify a sequence of instances, optionally blending in the neighbor vote.
-
-    With knn_weight == 0 the datastore is never consulted (it may be empty or
-    None). Label ties break to the lowest index.
-    """
+def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.ndarray,
+           params: RetrievalParams) -> BatchPrediction:
+    """The neighbor step, one vote and one blend over a `_neighbor_step` batch."""
     k = params.k if params.knn_weight > 0.0 else None
-    tokens, token_counts = _token_matrix(token_seqs, model.config.input_dim)
     p_cls, indices, distances = _neighbor_step(model, store, tokens, token_counts, k)
     p_knn = None if k is None else knn_distribution_batch(
         store.labels[indices], distances, params.temperature, store.num_labels
@@ -214,9 +208,18 @@ def predict_batch(
     )
 
 
+def predict_batch(model, store: Datastore | None, dataset,
+                  params: RetrievalParams) -> BatchPrediction:
+    """Classify each example of a dataset, read from its `tokens` and `token_counts`.
+    The store is consulted only when knn_weight > 0 (it may be empty or None
+    otherwise). Label ties break to the lowest index."""
+    return _score(model, store, dataset.tokens, dataset.token_counts, params)
+
+
 def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> Prediction:
-    """Classify one instance; the one-row `predict_batch`."""
-    batch = predict_batch(model, store, [tokens], params)
+    """Classify one token sequence; the one-row `predict_batch`."""
+    seq = as_tokens(tokens)
+    batch = _score(model, store, seq, np.array([len(seq)]), params)
     return Prediction(
         label=int(batch.labels[0]),
         probs=batch.probs[0],

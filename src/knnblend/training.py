@@ -9,9 +9,10 @@ Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
 (batch, label)-sorted order. The examples are rows of datasets, which checked
-their tokens; one adapter pools them as stored into inputs and labels, and
-`train` pools the dataset through it once. Each epoch gathers the pooled rows
-and labels into shuffled order once; a batch is a contiguous slice of them.
+their tokens; one adapter pools them as stored into inputs and labels,
+refusing a label the model has no output for, and `train` pools the dataset
+through it once. Each epoch gathers the pooled rows and labels into shuffled
+order once; a batch is a contiguous slice of them.
 The weights live in one flat vector, which `train` steps and `grad_check`
 perturbs, on a copy, entry by entry. One function, `_loss`, computes a
 batch's loss terms and, on request, their gradients into one flat buffer;
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import coerce_fields
 from .data import TrainExample
-from .model import ACTIVATIONS, Model, ModelConfig, _pool_rows
+from .model import ACTIVATIONS, Model, ModelConfig, _check_labels, _pool_rows
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -309,14 +310,16 @@ def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
 
 
 def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled inputs and int64 labels of examples. They are rows of datasets,
-    which checked their tokens, so the rows are pooled as they are stored."""
+    """Pooled inputs and int64 labels of examples, rows of datasets that checked
+    their tokens, pooled as stored. A label the model has no output for raises ValueError."""
     if len(examples) == 0:
         raise ValueError("examples must be non-empty")
     tokens = np.concatenate([ex.tokens for ex in examples])
     counts = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
     x = _pool_rows(tokens, counts, model.config.pooling)
-    return x, np.array([ex.label for ex in examples], dtype=np.int64)
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    _check_labels(model, labels)
+    return x, labels
 
 
 def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
@@ -479,13 +482,7 @@ def train(
     rng = np.random.default_rng(hyper.seed)
     model, weights = _flat_model(Model.initialize(model_config, rng))
     all_x, all_labels = _pooled(model, data)
-    distinct = np.unique(all_labels)
-    if distinct[-1] >= model_config.num_labels:
-        raise ValueError(
-            f"data contains label {distinct[-1]} but the model has "
-            f"{model_config.num_labels} labels"
-        )
-    if model_config.triplet_enabled and hyper.triplet_weight > 0.0 and distinct.size < 2:
+    if _term_weights(model_config, hyper)[1] > 0.0 and np.unique(all_labels).size < 2:
         raise ValueError("triplet training needs at least two distinct labels")
 
     grad_flat, grads = _flat_buffer(model)

@@ -21,9 +21,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from knnblend.core import squared_l2, token_shape
-from knnblend.data import Dataset, _random_orthogonal
-from knnblend.model import ACTIVATIONS, Model, _pool_rows, _token_matrix
+from knnblend.core import as_tokens, squared_l2
+from knnblend.data import Dataset, TrainExample, _random_orthogonal
+from knnblend.model import ACTIVATIONS, Model, _pool_rows
 from knnblend.training import (CE_PROB_FLOOR, GRAD_CHECK_ABS_TOL, GRAD_CHECK_MAX_RESAMPLES,
                                GRAD_CHECK_REL_TOL, GradCheckReport, _flat_buffer, _hinge,
                                _loss, _pair_indices, _term_weights)
@@ -217,10 +217,26 @@ def dataset_of(token_seqs, labels, num_labels, input_dim, label_names=None):
     """The `Dataset` of token sequences (a 1-d one is one token) and their
     labels: the sequences concatenated in order, each one's token count, its
     label. Its examples, ids 0..n-1, are the rows a test trains on."""
-    seqs = [token_shape(seq) for seq in token_seqs]
+    seqs = [as_tokens(seq) for seq in token_seqs]
     tokens = np.concatenate(seqs) if seqs else np.empty((0, input_dim))
     return Dataset(tokens, [len(seq) for seq in seqs], labels, num_labels, input_dim,
                    label_names)
+
+
+def spy_on_examples(monkeypatch):
+    """Record each `TrainExample._views` call, the one maker of examples, as "views"."""
+    made = []
+    views = TrainExample._views
+    monkeypatch.setattr(TrainExample, "_views",
+                        classmethod(lambda cls, *arrays: made.append("views") or views(*arrays)))
+    return made
+
+
+def pool_examples(examples, mode):
+    """Pooled inputs of dataset rows: their token rows stacked in order,
+    split by each row's token count, through the library's one pooling step."""
+    tokens = np.concatenate([ex.tokens for ex in examples])
+    return _pool_rows(tokens, np.array([len(ex.tokens) for ex in examples]), mode)
 
 
 def per_example_jsonl(dataset, path):
@@ -359,7 +375,7 @@ def batch_train(data, hyper, model_config):
     rng = np.random.default_rng(hyper.seed)
     model = Model.initialize(model_config, rng)
     params = model.parameters()
-    all_x = _pool_rows(*_token_matrix([ex.tokens for ex in data]), model_config.pooling)
+    all_x = pool_examples(data, model_config.pooling)
     n = len(data)
     means = []
     for _ in range(hyper.epochs):
@@ -395,7 +411,7 @@ def scalar_grad_check(model, batch, hyper, step=1e-5):
     """
     rng = np.random.default_rng(hyper.seed)
     work = copy_model(model)
-    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), work.config.pooling)
+    x = pool_examples(batch, work.config.pooling)
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
     pos, neg = _pair_indices(labels, labels.shape[0], rng)
     _, trip_weight = _term_weights(work.config, hyper)

@@ -13,6 +13,8 @@ from knnblend.datastore import Datastore
 from knnblend.evaluate import CSV_HEADER
 from knnblend.model import Model
 
+from helpers import spy_on_examples
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -138,6 +140,16 @@ def test_predict_writes_output_file(pipeline, tmp_path):
                  "--datastore", str(pipeline["store"]),
                  "--data", str(pipeline["test"]), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "id,predicted_label"
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
+def test_scoring_commands_make_no_examples(pipeline, tmp_path, monkeypatch, command):
+    made = spy_on_examples(monkeypatch)
+    assert main([command, "--config", str(pipeline["cfg"]),
+                 "--model", str(pipeline["model"]),
+                 "--datastore", str(pipeline["store"]),
+                 "--data", str(pipeline["test"]), "--out", str(tmp_path / "out.csv")]) == 0
+    assert made == []
 
 
 def test_predict_classifier_only_needs_no_datastore(pipeline, capsys):

@@ -20,7 +20,8 @@ from knnblend.data import (
 from knnblend.model import POOLING_MODES, Model, ModelConfig
 from knnblend.retrieval import build_datastore
 
-from helpers import dataset_of, nearest_centroid_accuracy, per_example_jsonl, per_row_synthetic
+from helpers import (dataset_of, nearest_centroid_accuracy, per_example_jsonl, per_row_synthetic,
+                     spy_on_examples)
 
 
 def write_lines(tmp_path, *lines, name="data.jsonl"):
@@ -281,7 +282,7 @@ def test_write_jsonl_matches_the_per_example_writer_byte_for_byte(tmp_path, monk
     counts = [1, 3, 3, 1, 1, 3, 1]
     ds = dataset_of([rng.normal(size=(c, 4)) * 10 for c in counts], [2, 0, 1, 1, 0, 2, 2],
                     num_labels=3, input_dim=4, label_names=names)
-    made = _spy_on_examples(monkeypatch)
+    made = spy_on_examples(monkeypatch)
     write_jsonl(ds, tmp_path / "arrays.jsonl")
     assert made == []  # written from the arrays: no example is made
     per_example_jsonl(ds, tmp_path / "examples.jsonl")
@@ -302,6 +303,29 @@ def test_dataset_validates_members():
         dataset_of(ok, [4], num_labels=2, input_dim=3)
     with pytest.raises(ValueError):
         dataset_of(ok, [0], num_labels=2, input_dim=3, label_names=["only-one"])
+
+
+@pytest.mark.parametrize("names", [["a", "a"], [1, 2], [], "ab"],
+                         ids=["repeated", "numbers", "empty", "string"])
+def test_dataset_label_names_follow_the_header_rule(names, tmp_path):
+    # The constructor refuses what `load_jsonl` would refuse in a header, so
+    # `write_jsonl` never writes a file that cannot be read back.
+    with pytest.raises(ValueError, match="^label_names must be a list of distinct strings$"):
+        Dataset(np.zeros((2, 3)), [1, 1], [0, 1], 2, 3, label_names=names)
+    header = json.dumps({"label_names": names})
+    path = write_lines(tmp_path, header, '{"label": 0, "features": [0.0]}')
+    with pytest.raises(DatasetFormatError,
+                       match="^line 1: label_names must be a list of distinct strings$"):
+        load_jsonl(path)
+
+
+def test_dataset_keeps_a_copy_of_its_label_names(tmp_path):
+    names = ["ham", "spam"]
+    ds = Dataset(np.zeros((2, 3)), [1, 1], [0, 1], 2, 3, label_names=names)
+    names.append("eggs")
+    assert ds.label_names == ["ham", "spam"]
+    write_jsonl(ds, tmp_path / "named.jsonl")
+    assert load_jsonl(tmp_path / "named.jsonl") == ds
 
 
 def test_dataset_checks_name_the_first_offending_example():
@@ -440,24 +464,15 @@ def test_a_loaded_dataset_equals_the_written_one(seed, n, dim, mixed, pooling):
     model = Model.initialize(ModelConfig(input_dim=dim, hidden_dim=5, emb_dim=4,
                                          num_labels=num_labels, retrieval_dim=3,
                                          pooling=pooling), seed)
-    _, r = model.encode_batch([ex.tokens for ex in written.examples])  # the per-example path
+    _, r = model.encode_batch(written)  # one unblocked encode
     for ds in (loaded, written):
         store = build_datastore(model, ds)
         assert store.keys.tobytes() == r.astype(np.float32).tobytes()
         assert store.labels.tobytes() == labels.astype(np.int64).tobytes()
 
 
-def _spy_on_examples(monkeypatch):
-    """Record each `TrainExample._views` call, the one maker of examples, as "views"."""
-    made = []
-    views = TrainExample._views
-    monkeypatch.setattr(TrainExample, "_views",
-                        classmethod(lambda cls, *arrays: made.append("views") or views(*arrays)))
-    return made
-
-
 def test_synthetic_data_reaches_the_store_without_examples(monkeypatch):
-    made = _spy_on_examples(monkeypatch)
+    made = spy_on_examples(monkeypatch)
     train, _ = generate_synthetic(SyntheticSpec(per_class_count=30, seed=3))
     store = build_datastore(Model.initialize(ModelConfig(input_dim=16, num_labels=4), 3), train)
     assert store.count == len(train) == 96
@@ -471,7 +486,7 @@ def test_synthetic_data_reaches_the_store_without_examples(monkeypatch):
 def test_loaded_data_makes_no_examples_until_they_are_read(tmp_path, monkeypatch):
     train, _ = generate_synthetic(SyntheticSpec(per_class_count=10, seed=4))
     write_jsonl(train, tmp_path / "train.jsonl")
-    made = _spy_on_examples(monkeypatch)
+    made = spy_on_examples(monkeypatch)
     loaded = load_jsonl(tmp_path / "train.jsonl")
     store = build_datastore(Model.initialize(ModelConfig(input_dim=16, num_labels=4), 4), loaded)
     assert store.count == len(loaded) == 32

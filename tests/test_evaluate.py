@@ -102,22 +102,21 @@ def test_run_sweep_rows_match_per_config_evaluation_exactly():
                      knn_weight_values=(0.0, 0.3, 1.0))
     report = run_sweep(model, store, dataset, spec)
     assert len(report.rows) == len(spec)
-    tokens = [ex.tokens for ex in dataset.examples]
     gold = dataset.labels()
     for row in report.rows:
         params = RetrievalParams(k=row.k, temperature=row.temperature,
                                  knn_weight=row.knn_weight)
         single = evaluate_config(model, store, dataset, params)
         assert row == single
-        labels = predict_batch(model, store, tokens, params).labels
+        labels = predict_batch(model, store, dataset, params).labels
         assert row.n_correct == np.count_nonzero(labels == gold)
 
 
 @pytest.mark.parametrize("pooling", POOLING_MODES)
-def test_scoring_a_dataset_from_its_arrays_matches_its_token_sequences(pooling, monkeypatch):
+def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     # Mixed token counts take the pooling step's grouped path; each cell's
     # blended distributions and labels must be those `predict_batch` gives
-    # for the same rows as token sequences, bit for bit.
+    # for the same dataset, bit for bit.
     rng = np.random.default_rng(93)
     token_counts = np.array([1, 3, 2, 3, 1, 1, 2, 4, 3, 1], dtype=np.int64)
     dataset = Dataset(rng.normal(size=(int(token_counts.sum()), 4)) * 2, token_counts,
@@ -135,10 +134,9 @@ def test_scoring_a_dataset_from_its_arrays_matches_its_token_sequences(pooling, 
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
     report = run_sweep(model, store, dataset, spec)
-    seqs = [ex.tokens for ex in dataset.examples]
     assert len(blends) == len(labels) == len(report.rows) == len(spec)
     for row, blend, predicted in zip(report.rows, blends, labels):
-        batch = predict_batch(model, store, seqs, RetrievalParams(
+        batch = predict_batch(model, store, dataset, RetrievalParams(
             k=row.k, temperature=row.temperature, knn_weight=row.knn_weight))
         assert blend.tobytes() == batch.probs.tobytes()
         assert predicted.tobytes() == batch.labels.tobytes()
@@ -188,7 +186,7 @@ def test_a_missing_store_is_one_error_raised_before_encoding(entry, monkeypatch)
     def score(store):
         params = RetrievalParams(k=4, temperature=1.0, knn_weight=0.5)
         if entry == "predict_batch":
-            return predict_batch(model, store, [ex.tokens for ex in dataset.examples], params)
+            return predict_batch(model, store, dataset, params)
         if entry == "evaluate_config":
             return evaluate_config(model, store, dataset, params)
         return run_sweep(model, store, dataset, SweepSpec())
@@ -212,6 +210,18 @@ def test_run_sweep_rejects_label_count_mismatch():
     other_model, other_dataset, other_store = toy_setup(num_labels=2, seed=91)
     with pytest.raises(ValueError):
         run_sweep(model, other_store, dataset, SweepSpec())
+
+
+def test_scoring_refuses_gold_labels_past_the_model():
+    # The classifier of a 2-label model never predicts labels 2 and 3, so an
+    # accuracy over them would be a silent undercount.
+    model = toy_setup(num_labels=2)[0]
+    dataset = Dataset(np.zeros((6, 4)), np.ones(6), [0, 1, 2, 3, 2, 3], 4, 4)
+    message = "^data contains label 3 but the model has 2 labels$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_config(model, None, dataset, RetrievalParams(knn_weight=0.0))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(model, None, dataset, SweepSpec(knn_weight_values=(0.0,)))
 
 
 def test_run_sweep_rejects_empty_examples():

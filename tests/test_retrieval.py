@@ -415,7 +415,7 @@ def test_blocked_build_keys_equal_one_unblocked_encode(count, decouple):
     model = Model.initialize(cfg, count)
     dataset = _single_token_dataset(count)
     store = build_datastore(model, dataset)
-    _, r = model.encode_batch([ex.tokens for ex in dataset.examples])
+    _, r = model.encode_batch(dataset)
     assert store.keys.dtype == np.float32
     assert store.keys.tobytes() == r.astype(np.float32).tobytes()
     np.testing.assert_array_equal(store.labels, dataset.labels())

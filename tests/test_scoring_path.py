@@ -266,7 +266,7 @@ def test_scoring_entry_points_raise_on_overflowing_distances(overflow_setup):
     with pytest.raises(NonFiniteDistanceError):
         predict(model, store, huge[0].tokens, params)
     with pytest.raises(NonFiniteDistanceError):
-        predict_batch(model, store, [ex.tokens for ex in huge], params)
+        predict_batch(model, store, huge_ds, params)
     with pytest.raises(NonFiniteDistanceError):
         evaluate_config(model, store, huge_ds, params)
     sweep = SweepSpec(k_values=(1, 4), temperature_values=(1.0,), knn_weight_values=(0.0, 0.5))
@@ -307,13 +307,11 @@ def test_every_sweep_cell_matches_a_per_example_oracle():
     config = ModelConfig(input_dim=16, hidden_dim=32, emb_dim=32, num_labels=8)
     model, _ = train(train_ds.examples, Hyperparams(epochs=10, seed=17), config)
     store = build_datastore(model, train_ds)
-    examples = test_ds.examples
-    tokens = [ex.tokens for ex in examples]
-    gold = [ex.label for ex in examples]
+    gold = test_ds.labels().tolist()
     sweep = SweepSpec(k_values=(1, 8, 64), temperature_values=(0.3, 10.0, 100.0),
                       knn_weight_values=(0.0, 0.3, 1.0))
 
-    h0, r = model.encode_batch(tokens)
+    h0, r = model.encode_batch(test_ds)
     classifier_probs = model.classify(h0)
     ranked = [full_sort_hits(store, row, max(sweep.k_values)) for row in r]
     report = run_sweep(model, store, test_ds, sweep)
@@ -322,7 +320,7 @@ def test_every_sweep_cell_matches_a_per_example_oracle():
         oracle = oracle_cell_labels(ranked, store.labels, classifier_probs, row.k,
                                     row.temperature, row.knn_weight, store.num_labels)
         exempt = [gap <= 1e-12 for _, gap in oracle]
-        labels = predict_batch(model, store, tokens, RetrievalParams(
+        labels = predict_batch(model, store, test_ds, RetrievalParams(
             k=row.k, temperature=row.temperature, knn_weight=row.knn_weight)).labels
         for got, (want, _), skip in zip(labels, oracle, exempt):
             assert skip or got == want, row

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnblend.data import SyntheticSpec, generate_synthetic
-from knnblend.model import Model, ModelConfig, _pool_rows, _token_matrix
+from knnblend.model import Model, ModelConfig
 from knnblend.training import (
     CE_PROB_FLOOR,
     GradCheckReport,
@@ -29,6 +29,7 @@ from helpers import (
     batch_train,
     dataset_of,
     make_batch,
+    pool_examples,
     scalar_batch_loss,
     scalar_grad_check,
 )
@@ -331,7 +332,7 @@ def test_loss_and_gradients_equal_zero_started_accumulation(decouple, triplet, t
     hyper = Hyperparams(triplet_weight=tw)
     pairs = select_pairs(batch, np.random.default_rng(41))
     terms, grads = loss_and_gradients(model, batch, pairs, hyper)
-    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), model.config.pooling)
+    x = pool_examples(batch, model.config.pooling)
     labels = np.array([ex.label for ex in batch])
     pos = np.array([p for p, _ in pairs])
     neg = np.array([-1 if q is None else q for _, q in pairs])
@@ -360,7 +361,7 @@ def test_loss_and_gradients_with_rows_lacking_negatives(decouple, triplet, tw, m
     batch = make_batch(np.random.default_rng(43), 7, 5, 3)
     hyper = Hyperparams(triplet_weight=tw, margin=margin)
     terms, grads = loss_and_gradients(model, batch, HAND_PAIRS[pairs], hyper)
-    x = _pool_rows(*_token_matrix([ex.tokens for ex in batch]), model.config.pooling)
+    x = pool_examples(batch, model.config.pooling)
     labels = np.array([ex.label for ex in batch])
     pos = np.array([p for p, _ in HAND_PAIRS[pairs]])
     neg = np.array([-1 if q is None else q for _, q in HAND_PAIRS[pairs]])
@@ -677,6 +678,27 @@ def test_train_validates_inputs():
     single = dataset_of(np.zeros((4, 4)), [0] * 4, num_labels=1, input_dim=4).examples
     with pytest.raises(ValueError):
         train(single, Hyperparams(triplet_weight=0.5), config)
+
+
+@pytest.mark.parametrize("entry", ["train", "grad_check", "combined_loss",
+                                   "loss_and_gradients"])
+def test_every_training_entry_refuses_labels_past_the_model(entry):
+    # Rows of a 4-label dataset that use label 3, for a 2-label model: the
+    # one batch adapter refuses them before any loss is formed.
+    rows = dataset_of(np.random.default_rng(8).normal(size=(6, 4)), [0, 1, 2, 3, 0, 1],
+                      num_labels=4, input_dim=4).examples
+    config = ModelConfig(input_dim=4, hidden_dim=4, emb_dim=4, num_labels=2)
+    model = Model.initialize(config, 8)
+    hyper = Hyperparams(epochs=1, seed=8)
+    pairs = select_pairs(rows, np.random.default_rng(8))
+    calls = {
+        "train": lambda: train(rows, hyper, config),
+        "grad_check": lambda: grad_check(model, rows, hyper),
+        "combined_loss": lambda: combined_loss(model, rows, pairs, hyper),
+        "loss_and_gradients": lambda: loss_and_gradients(model, rows, pairs, hyper),
+    }
+    with pytest.raises(ValueError, match="^data contains label 3 but the model has 2 labels$"):
+        calls[entry]()
 
 
 def test_hyperparams_validation():
