@@ -7,15 +7,18 @@ All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 comes from it (the datastore's float32 prefilter only picks the keys to
 recheck), and `squared_l2` is its one-row case.
 
-Two input rules are written here once: `as_tokens` (its shape, then
-`check_finite_tokens`), for every token sequence, and `coerce_fields`, for the
-numeric and boolean fields of each config dataclass, whose `__post_init__`
-calls it before its range checks.
+Three input rules are written here once: `as_tokens` (its shape, then
+`check_finite_tokens`), for every token sequence; `as_int64s`, for the label
+and count arrays of datasets and stores; and `coerce_fields`, for the numeric
+and boolean fields of each config dataclass, whose `__post_init__` calls it
+before its range checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 
@@ -23,6 +26,7 @@ __all__ = [
     "DISTRIBUTION_ATOL",
     "DimensionMismatchError",
     "argmax_label",
+    "as_int64s",
     "as_tokens",
     "as_vector",
     "coerce_fields",
@@ -59,13 +63,41 @@ def as_tokens(values) -> np.ndarray:
     """Copy a token sequence into a fresh, finite, non-empty (n_tokens, dim)
     float64 array; a 1-d input counts as one token. Raises ValueError otherwise."""
     try:
-        arr = np.array(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64, order="C")
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"tokens are not numeric: {exc}") from exc
     arr = arr[None, :] if arr.ndim == 1 else arr
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"tokens must be a non-empty 2-d array, got shape {arr.shape}")
     return check_finite_tokens(arr)
+
+
+def as_int64s(values, name: str) -> np.ndarray:
+    """Copy integers into a fresh int64 array of the same shape.
+
+    An integer-typed numpy array converts as a whole; any other input is
+    judged entry by entry, where a float counts only if it is whole (2.0 is
+    2). A fractional, non-finite, boolean, string or other non-numeric entry
+    raises ValueError, and so does an integer beyond int64; `np.array(...,
+    dtype=np.int64)` would truncate 1.9 to 1 and read True as 1.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind in "iu":
+        if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"{name} must fit in int64, got {arr.max()}")
+        return arr.astype(np.int64)
+    entries = arr.ravel().tolist()
+    for value in entries:
+        whole = isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
+        if isinstance(value, bool) or not whole:
+            raise ValueError(f"{name} must be integers, got {value!r}")
+    try:
+        out = np.array([int(value) for value in entries], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} must fit in int64: {exc}") from exc
+    out.shape = arr.shape  # in place, so `out` keeps owning its memory
+    return out
 
 
 def check_finite_tokens(arr: np.ndarray) -> np.ndarray:

@@ -11,20 +11,22 @@ non-negative integers and the label count is ``max(label) + 1``.
 
 A `Dataset` is built from three arrays: one read-only (total_tokens, dim)
 token matrix, a token count per example and a label per example. `load_jsonl`
-parses each record into its token rows and label, checks them, and
-concatenates the rows once. `TrainExample`s, read-only views of the matrix,
-are made only by `Dataset.examples`, on its first read, so a dataset that
-only feeds `build_datastore` or the scorers never makes one.
+checks each record's label and shape as it parses it, appends its token
+values to one buffer, and makes the token matrix from that buffer once.
+`TrainExample`s, read-only views of the matrix, are made only by
+`Dataset.examples`, on its first read, so a dataset that only feeds
+`build_datastore` or the scorers never makes one.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_tokens, check_finite_tokens, coerce_fields
+from .core import as_int64s, as_tokens, check_finite_tokens, coerce_fields
 
 __all__ = [
     "Dataset",
@@ -97,13 +99,6 @@ def _label_names(names) -> list[str]:
     return list(names)
 
 
-def _int64s(values, what: str) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"{what} must fit in int64: {exc}") from exc
-
-
 @dataclass(init=False, eq=False)
 class Dataset:
     """Labeled examples with a fixed label set and uniform token dimension.
@@ -157,8 +152,8 @@ class Dataset:
         if tokens.ndim != 2 or tokens.shape[1] != self.input_dim:
             raise ValueError(f"tokens have shape {tokens.shape}, "
                              f"expected (total_tokens, {self.input_dim})")
-        counts = _int64s(token_counts, "token counts")
-        labels = self._labels = _int64s(labels, "labels")
+        counts = as_int64s(token_counts, "token counts")
+        labels = self._labels = as_int64s(labels, "labels")
         if (counts.ndim != 1 or labels.shape != counts.shape or (counts < 1).any()
                 or counts.sum() != len(tokens)):
             raise ValueError(f"need a label and a positive token count per example, "
@@ -207,8 +202,9 @@ class Dataset:
         return self._labels.copy()
 
 
-def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
-    """(label, token rows) of a record, the rows checked by the token rule."""
+def _parse_record(obj, label_names: list[str] | None) -> tuple[int, list]:
+    """(label, token rows) of a record: the label checked, the rows a list of
+    lists whose values the token rule has yet to check."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     if "label" not in obj:
@@ -233,12 +229,22 @@ def _parse_record(obj, label_names: list[str] | None) -> tuple[int, np.ndarray]:
     if has_features == ("tokens" in obj):
         raise ValueError("record needs exactly one of \"features\" or \"tokens\"")
     # "features" is one token and "tokens" a list of them; each token is an
-    # array, and `as_tokens` rejects deeper nesting and ragged rows.
+    # array, and the token rule rejects deeper nesting and ragged rows.
     rows = [obj["features"]] if has_features else obj["tokens"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("\"features\" must be an array" if has_features
                          else "\"tokens\" must be an array of arrays")
-    return label, as_tokens(rows)
+    return label, rows
+
+
+def _record_tokens(rows: list) -> np.ndarray:
+    """The token rule for one record's rows: `as_tokens`, after refusing a
+    string or null value, which numpy would parse as a number or read as NaN."""
+    for row in rows:
+        for value in row:
+            if value is None or isinstance(value, str):
+                raise ValueError(f"token values must be numbers, got {json.dumps(value)}")
+    return as_tokens(rows)
 
 
 def _lines(path):
@@ -253,50 +259,111 @@ def _lines(path):
             yield line_no, line
 
 
+class _TokenBuffer:
+    """A file's token values, appended record by record to one float64 buffer.
+
+    A record whose rows all have the file's dimension goes in without a
+    numpy call. Any other record, and the first, goes through the token rule
+    (`_record_tokens`) and the dimension check instead, so a fault there is
+    reported with the rule's own message. Finiteness is left to the one check
+    of the whole matrix; `check_finite` then names the line it fails on."""
+
+    def __init__(self):
+        self.values = array("d")
+        self.dim = 0
+        self.lines: list[int] = []  # each record's line number
+        self.counts: list[int] = []  # and its token count
+
+    def add(self, line_no: int, rows: list) -> None:
+        mark = len(self.values)
+        try:
+            if not (self.lines and rows):
+                raise ValueError("the first record, or one without rows")
+            for row in rows:
+                if len(row) != self.dim:
+                    raise ValueError("a row of another dimension")
+                self.values.extend(row)
+        except (TypeError, ValueError, OverflowError):
+            del self.values[mark:]
+            tokens = _record_tokens(rows)
+            if not self.lines:
+                self.dim = tokens.shape[1]
+            elif tokens.shape[1] != self.dim:
+                raise ValueError(f"dimension {tokens.shape[1]} does not match "
+                                 f"dimension {self.dim} from line {self.lines[0]}") from None
+            self.values.frombytes(tokens.tobytes())
+        self.lines.append(line_no)
+        self.counts.append(len(rows))
+
+    def matrix(self) -> np.ndarray:
+        """A fresh (total_tokens, dim) copy of the values."""
+        return np.frombuffer(self.values).reshape(-1, self.dim).copy()
+
+    def check_finite(self, tokens: np.ndarray | None = None) -> None:
+        """Raise the token rule's error, at its line, for the first record
+        with a non-finite token in `tokens` (by default, the values so far)."""
+        if not self.lines:
+            return
+        if tokens is None:
+            tokens = np.frombuffer(self.values).reshape(-1, self.dim)
+        bad = ~np.isfinite(tokens).all(axis=1)
+        if bad.any():
+            ends = np.cumsum(self.counts)
+            i = int(np.searchsorted(ends, bad.argmax(), side="right"))
+            try:
+                check_finite_tokens(tokens[ends[i] - self.counts[i] : ends[i]])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {self.lines[i]}: {exc}") from exc
+
+
 def load_jsonl(path) -> Dataset:
     """Read a dataset file, reporting schema problems with their line number.
 
     Lines are read one at a time, so no copy of the whole file is held. Each
-    record's token rows and label are checked as they are parsed; the rows are
-    concatenated once, into the dataset's token matrix."""
+    record's label and structure are checked as it is parsed, and its token
+    values go into one buffer (`_TokenBuffer`). The file's token matrix is
+    made from that buffer once and checked once, by the dataset. Every fault
+    is reported at its line, the earliest first: a fault found while parsing
+    is raised only once the records before it are known to be finite."""
     label_names: list[str] | None = None
-    records: list[np.ndarray] = []
+    tokens = _TokenBuffer()
     labels: list[int] = []
-    first_dim_line = 0
-    for line_no, line in _lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-        if not records and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
-            if label_names is not None:
-                raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
+    try:
+        for line_no, line in _lines(path):
+            if not line.strip():
+                continue
             try:
-                label_names = _label_names(obj["label_names"])
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            if not labels and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
+                if label_names is not None:
+                    raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
+                try:
+                    label_names = _label_names(obj["label_names"])
+                except ValueError as exc:
+                    raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+                continue
+            try:
+                label, rows = _parse_record(obj, label_names)
+                tokens.add(line_no, rows)
             except ValueError as exc:
                 raise DatasetFormatError(f"line {line_no}: {exc}") from exc
-            continue
-        try:
-            label, rows = _parse_record(obj, label_names)
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {line_no}: {exc}") from exc
-        if not records:
-            first_dim_line = line_no
-        elif rows.shape[1] != records[0].shape[1]:
-            raise DatasetFormatError(
-                f"line {line_no}: dimension {rows.shape[1]} does not match "
-                f"dimension {records[0].shape[1]} from line {first_dim_line}"
-            )
-        records.append(rows)
-        labels.append(label)
-    if not records:
+            labels.append(label)
+    except DatasetFormatError:
+        tokens.check_finite()
+        raise
+    if not labels:
         raise DatasetFormatError("no records found")
     num_labels = len(label_names) if label_names is not None else max(labels) + 1
-    tokens = np.concatenate(records)
-    return Dataset._adopt(tokens, [len(rows) for rows in records], labels, num_labels,
-                          tokens.shape[1], label_names)
+    matrix = tokens.matrix()
+    try:
+        return Dataset._adopt(matrix, np.array(tokens.counts, dtype=np.int64),
+                              np.array(labels, dtype=np.int64), num_labels, tokens.dim,
+                              label_names)
+    except ValueError:
+        tokens.check_finite(matrix)
+        raise
 
 
 def write_jsonl(dataset: Dataset, path) -> None:

@@ -2,20 +2,24 @@
 
 Keys are held in float32 (storage precision); every distance a search returns
 is `core.sq_dists` of the float32 key against the float64 query, which widens
-the key exactly. Search is exact and runs in two stages for each chunk of
-`QUERY_CHUNK` queries. A prefilter computes approximate distances with one
-float32 matrix product against the keys, together with a rigorous bound on
-their error whose constants are fixed when the store is built; every key that
-the bound cannot rule out of the top k is a candidate. The candidate limit
-starts from any value at or above the k-th smallest approximate distance: on
-a store of at least 64 k keys, the k-th smallest of the minima of strided
-groups of `GROUP_SIZE` keys, so only a sixteenth of the row is partitioned.
-The exact recheck then runs `sq_dists` over the candidate rows, `KEY_BLOCK`
-rows at a time, and keeps the first k of one stable sort by distance; the
-candidates are in ascending index order, so that is the (distance, index)
-order and ties stay exact. When a query and the keys are large enough that
-the float32 pass could overflow, every key is a candidate. The rule and the
-bound are written out in `Datastore.search_batch`.
+the key exactly. Search is exact and runs on chunks of queries, each chunk as
+large as keeps its (queries, count) float32 block within `CHUNK_BYTES` and at
+least `MIN_CHUNK` queries (`chunk_rows`). The numpy calls of a chunk do not
+grow with its query count. A prefilter computes approximate distances
+with one float32 matrix product against the keys, together with a rigorous
+bound on their error whose constants are fixed when the store is built; every
+key that the bound cannot rule out of a query's top k is a candidate. The
+candidate limit starts from any value at or above the k-th smallest
+approximate distance: on a store of at least 64 k keys, the k-th smallest of
+the minima of strided groups of `GROUP_SIZE` keys, so only a sixteenth of the
+row is partitioned, and the candidate scan visits only the groups whose
+minimum is within the limit. The exact recheck then runs `sq_dists` over the
+chunk's candidates together, `RECHECK_BLOCK` at a time, and keeps each
+query's first k of one stable sort by distance; each query's candidates are
+in ascending index order, so that is the (distance, index) order and ties
+stay exact. When a query and the keys are large enough that the float32 pass
+could overflow, every key is a candidate. The rule and the bound are written
+out in `Datastore.search_batch`.
 
 File format (little-endian)::
 
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionMismatchError, sq_dists
+from .core import DimensionMismatchError, as_int64s, sq_dists
 
 __all__ = [
     "BadMagicError",
@@ -54,15 +58,25 @@ __all__ = [
 MAGIC = b"KNNDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
-# The recheck's float64 differences for one block of candidate keys stay in
-# cache (1 MiB at dim 32); a chunk bounds the (queries, count) float32 matrix
-# of one prefilter pass.
+# Rows of one block when a store is built from encoded examples.
 KEY_BLOCK = 4096
-QUERY_CHUNK = 8
+# The exact recheck gathers and differences this many candidates at a time,
+# so its float64 work arrays stay small (64 KiB each at dim 32).
+RECHECK_BLOCK = 256
+# A chunk of queries shares one prefilter product: as many rows as keep its
+# (rows, count) float32 block within CHUNK_BYTES, and never fewer than MIN_CHUNK.
+CHUNK_BYTES = 2**18
+MIN_CHUNK = 8
 # Keys i and i + g share a strided group of the prefilter's threshold step,
 # for g = count // GROUP_SIZE.
 GROUP_SIZE = 16
 _U32 = 2.0**-24  # unit roundoff of float32
+_INF32 = np.float32(np.inf)
+
+
+def chunk_rows(count: int) -> int:
+    """Queries per chunk of `Datastore.search_batch` on a store of `count` keys."""
+    return max(MIN_CHUNK, CHUNK_BYTES // (4 * max(count, 1)))
 
 
 class DatastoreLoadError(ValueError):
@@ -122,7 +136,7 @@ class Datastore:
         norms = np.einsum("ij,ij->i", keys_arr, keys_arr, dtype=np.float64)
         if not np.all(np.isfinite(norms)):
             raise ValueError("keys contain non-finite entries")
-        labels_arr = np.array(labels, dtype=np.int64, copy=True)
+        labels_arr = as_int64s(labels, "labels")
         if labels_arr.ndim != 1 or labels_arr.shape[0] != keys_arr.shape[0]:
             raise ValueError(
                 f"labels shape {labels_arr.shape} does not match {keys_arr.shape[0]} keys"
@@ -138,8 +152,8 @@ class Datastore:
         self._keys = keys_arr
         # Prefilter constants: squared key norms (float64, then rounded to
         # float32, inf where they overflow it), the largest key norm M, and the
-        # coefficients of the bound E = c0 + c1 n + c2 (M + n)^2 for a query of
-        # norm n, with the float32 dot-product error factor
+        # coefficients of the margin 2E = c0 + c1 n + c2 (M + n)^2 for a query
+        # of norm n, with the float32 dot-product error factor
         # gamma_d = d*u / (1 - d*u).
         with np.errstate(over="ignore"):
             self._norms32 = norms.astype(np.float32)
@@ -148,10 +162,14 @@ class Datastore:
         du = d * _U32
         gamma = du / (1.0 - du) if du < 1.0 else np.inf
         self._max_norm = m
-        self._bound = (
-            2.0 * (3.0 * _U32 * m * m + d * (m + 1.0) * 2.0**-120),
-            2.0 * (4.0 * _U32 + 3.0 * gamma) * m,
-            2.0 * (d + 3) * 2.0**-52,
+        # A query's span (M + n)^2 at or beyond this makes every key a
+        # candidate: the float32 pass may overflow, or (d u >= 1) its error
+        # has no bound.
+        self._span_limit = 2.0**126 if du < 1.0 else 0.0
+        self._margin = (
+            4.0 * (3.0 * _U32 * m * m + d * (m + 1.0) * 2.0**-120),
+            4.0 * (4.0 * _U32 + 3.0 * gamma) * m,
+            4.0 * (d + 3) * 2.0**-52,
         )
         self._labels = labels_arr
         self._num_labels = int(num_labels)
@@ -226,12 +244,24 @@ class Datastore:
         candidates are in ascending index order, so the first k of one stable
         sort of their distances is that top k.
 
+        Chunks. Queries run in chunks of `chunk_rows(count)`. Each chunk
+        takes one matrix product, one partition for its taus, one scan for
+        every query's candidates, one recheck of all of them and one sort of
+        a (queries, width) matrix that holds each query's rechecked
+        candidates in a row, padded with inf after the last. The float32
+        rounding of A can change with the chunk's row count and with the
+        BLAS thread count, and so can the candidates, but the argument above
+        holds for any A within the bound, so the results never change: row b
+        is the same for every batch and every split of it.
+
         Choosing tau. Let g = count // GROUP_SIZE. Key i < GROUP_SIZE g lies
         in strided group i mod g, and the fewer than GROUP_SIZE tail keys
         beyond stand alone. When g >= 4k, tau is the k-th smallest of the g
         group minima and the tail's A: those k smallest values are the A of k
         distinct keys, so tau >= kth(A). That takes one elementwise minimum
-        and a partition of about count / GROUP_SIZE values, not of all count.
+        and a partition of about count / GROUP_SIZE values, not of all count,
+        and a group whose minimum exceeds the limit holds no candidate, so
+        the scan reads only the members of the groups within it.
         Strided groups keep adjacent keys, often rows of one class and so
         neighbors of one query, apart; the k nearest keys then mostly lie in
         distinct groups, and tau stays close to kth(A). Smaller stores take
@@ -244,7 +274,7 @@ class Datastore:
             E = 2 [(4u + 3 gamma) M n + 3u M^2
                    + (d + 3) 2^-52 (M + n)^2 + d (M + 1) 2^-120],
 
-        held as E = c0 + c1 n + c2 (M + n)^2 with c0, c1 and c2 fixed when
+        held as 2E = c0 + c1 n + c2 (M + n)^2 with c0, c1 and c2 fixed when
         the store is built. In the first term, 2u M n covers rounding -2q to
         float32, 2 gamma M n the float32 product in any summation order, with
         or without fused multiply-add (|fl(k.p) - k.p| <= gamma sum_j |k_j p_j|
@@ -260,16 +290,17 @@ class Datastore:
         Overflow. If (M + n)^2 < 2^126, no A_i overflows float32: the exact
         terms sum to at most M^2 + 2 M n <= (M + n)^2 in magnitude, and with
         d u < 1 the float32 pass enlarges that by less than e. Otherwise (a
-        query or keys near or beyond float32 range), and whenever E or the
-        limit is not finite, every key is a candidate, and the recheck runs
-        over them all.
+        query or keys near or beyond float32 range), and for every query
+        when d u >= 1 leaves gamma and the bound infinite, every key is a
+        candidate, and the recheck runs over them all. A limit beyond float32
+        range rounds to inf, which every finite A passes.
         """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
         if int(k) < 1:
             raise ValueError("k must be at least 1")
         qs = np.asarray(queries, dtype=np.float64)
-        if qs.ndim != 2 or not np.all(np.isfinite(qs)):
+        if qs.ndim != 2 or not np.isfinite(qs).all():
             raise ValueError(f"queries must be a finite (batch, dim) array, got {qs.shape}")
         if qs.shape[1] != self.dim:
             raise DimensionMismatchError(
@@ -278,37 +309,55 @@ class Datastore:
         kk = min(int(k), self.count)
         indices = np.empty((qs.shape[0], kk), dtype=np.int64)
         distances = np.empty((qs.shape[0], kk))
-        for lo in range(0, qs.shape[0], QUERY_CHUNK):
-            chunk = qs[lo : lo + QUERY_CHUNK]
-            approx, limit = self._prefilter(chunk, kk)
-            for row, q in enumerate(chunk):
-                if np.isfinite(limit[row]):
-                    cand = np.flatnonzero(approx[row] <= limit[row])
-                else:
-                    cand = np.arange(self.count)
-                dists = np.empty(cand.shape[0])
-                for start in range(0, cand.shape[0], KEY_BLOCK):
-                    block = cand[start : start + KEY_BLOCK]
-                    dists[start : start + block.shape[0]] = sq_dists(self._keys[block], q)
-                # cand is in ascending index order, so a stable sort by
-                # distance orders the candidates by (distance, index).
-                top = np.argsort(dists, kind="stable")[:kk]
-                indices[lo + row] = cand[top]
-                distances[lo + row] = dists[top]
+        step = chunk_rows(self.count)
+        for lo in range(0, qs.shape[0], step):
+            chunk = qs[lo : lo + step]
+            nq = chunk.shape[0]
+            rows, cand = self._prefilter(chunk, kk)
+            dists = np.concatenate([
+                sq_dists(np.take(self._keys, cand[at : at + RECHECK_BLOCK], axis=0),
+                         chunk if rows is None
+                         else np.take(chunk, rows[at : at + RECHECK_BLOCK], axis=0))
+                for at in range(0, cand.shape[0], RECHECK_BLOCK)
+            ])
+            # Sort each row of an (nq, width) matrix whose row b holds query
+            # b's candidates in ascending index order: a stable sort by
+            # distance orders them by (distance, index). Rows with fewer than
+            # `width` candidates are padded after their last one with inf,
+            # which that sort keeps after every candidate. One query's
+            # candidates are that matrix as they stand.
+            if rows is None:
+                top = np.argsort(dists, kind="stable")[None, :kk]
+            else:
+                counts = np.bincount(rows, minlength=nq)
+                width = int(counts.max())
+                if width * nq != cand.shape[0]:
+                    at = rows * width + np.arange(cand.shape[0]) - (np.cumsum(counts) - counts)[rows]
+                    pad_dists = np.full(nq * width, np.inf)
+                    pad_cand = np.zeros(nq * width, dtype=np.int64)
+                    pad_dists[at], pad_cand[at] = dists, cand
+                    dists, cand = pad_dists, pad_cand
+                top = np.argsort(dists.reshape(nq, width), axis=1, kind="stable")[:, :kk]
+                top += np.arange(0, nq * width, width)[:, None]
+            indices[lo : lo + nq] = cand[top]
+            distances[lo : lo + nq] = dists[top]
         return indices, distances
 
-    def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float32 approximate distances A, shape (queries, count), and each
-        query's candidate limit tau + 2E (not finite: every key is a
-        candidate). See `search_batch` for the rule, tau and the bound."""
-        m = self._max_norm
-        c0, c1, c2 = self._bound
+    def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """The candidates of a chunk of queries, as (rows, keys): the chunk row
+        and the key index of each, ordered by row and then by index (rows is
+        None for a chunk of one query). Row b's are the keys whose float32
+        approximate distance A is within its limit tau + 2E, or every key
+        when its span reaches `_span_limit`. See `search_batch` for the rule,
+        tau and the bound."""
+        c0, c1, c2 = self._margin
+        count = self.count
+        groups = count // GROUP_SIZE
         with np.errstate(over="ignore", invalid="ignore"):
             approx = (chunk * -2.0).astype(np.float32) @ self._keys.T
             approx += self._norms32
             n = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
-            span = (m + n) ** 2
-            groups = self.count // GROUP_SIZE
+            span = (self._max_norm + n) ** 2
             if groups >= 4 * k:
                 body = approx[:, : GROUP_SIZE * groups].reshape(len(chunk), GROUP_SIZE, groups)
                 tail = approx[:, GROUP_SIZE * groups :]
@@ -316,11 +365,25 @@ class Datastore:
             else:
                 pool = approx
             tau = np.partition(pool, k - 1, axis=1)[:, k - 1]
-            limit = np.nextafter(
-                (tau + 2.0 * (c0 + c1 * n + c2 * span)).astype(np.float32), np.float32(np.inf)
-            )
-            limit[~(span < 2.0**126)] = np.inf
-        return approx, limit
+            limit = np.nextafter((tau + (c0 + c1 * n + c2 * span)).astype(np.float32), _INF32)
+            if not span.max() < self._span_limit:
+                full = ~(span < self._span_limit)
+                limit[full] = np.inf
+                approx[full] = pool[full] = 0.0
+        if pool is approx:
+            flat = np.flatnonzero(approx <= limit[:, None])
+        else:
+            # Scan only the units of the pool within the limit. Unit u <
+            # groups is the group of keys u + groups j, for j < GROUP_SIZE; a
+            # tail unit u >= groups is the one key u + groups (GROUP_SIZE - 1),
+            # the last of those. `members` are flat positions in `approx`.
+            r, u = np.divmod(np.flatnonzero(pool <= limit[:, None]), pool.shape[1])
+            members = (r * count + u)[:, None] + np.arange(0, GROUP_SIZE * groups, groups)
+            hit = approx.ravel()[members] <= limit[r, None]
+            if pool.shape[1] > groups:
+                hit[u >= groups, :-1] = False
+            flat = np.sort(members[hit])
+        return (None, flat) if len(chunk) == 1 else np.divmod(flat, count)
 
     def save(self, path) -> None:
         """Write the store in the binary format documented in the module docstring."""

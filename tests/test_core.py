@@ -6,6 +6,7 @@ import pytest
 from knnblend.core import (
     DimensionMismatchError,
     argmax_label,
+    as_int64s,
     as_tokens,
     as_vector,
     coerce_fields,
@@ -190,6 +191,39 @@ def test_as_tokens_counts_a_flat_input_as_one_token():
 def test_as_tokens_rejects_with_value_error(values):
     with pytest.raises(ValueError):
         as_tokens(values)
+
+
+# ---------------------------------------------------------------------------
+# as_int64s
+
+
+@pytest.mark.parametrize("values, expected", [
+    pytest.param([3, 0, 7], [3, 0, 7], id="ints"),
+    pytest.param([2.0, -1.0], [2, -1], id="whole-floats"),
+    pytest.param(np.array([4, 5], dtype=np.uint8), [4, 5], id="uint8"),
+    pytest.param(np.array([2**63 - 1], dtype=np.uint64), [2**63 - 1], id="uint64-max-int64"),
+    pytest.param([], [], id="empty"),
+])
+def test_as_int64s_copies_integers(values, expected):
+    out = as_int64s(values, "x")
+    assert out.dtype == np.int64 and out.tolist() == expected
+    assert out.flags.owndata and not np.shares_memory(out, np.asarray(values))
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param([1.9], "must be integers, got 1.9", id="fractional"),
+    pytest.param(np.array([0.5]), "must be integers, got 0.5", id="fractional-array"),
+    pytest.param([np.inf], "must be integers, got inf", id="inf"),
+    pytest.param([True, 2], "must be integers, got True", id="boolean"),
+    pytest.param(np.array([False]), "must be integers, got False", id="boolean-array"),
+    pytest.param(["3"], "must be integers, got '3'", id="string"),
+    pytest.param([None], "must be integers, got None", id="none"),
+    pytest.param([2**63], "must fit in int64", id="beyond-int64"),
+    pytest.param(np.array([2**63], dtype=np.uint64), "must fit in int64", id="beyond-int64-uint64"),
+])
+def test_as_int64s_rejects_what_is_not_an_int64_integer(values, message):
+    with pytest.raises(ValueError, match=f"^x {message}"):
+        as_int64s(values, "x")
 
 
 # ---------------------------------------------------------------------------

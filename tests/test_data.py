@@ -200,6 +200,33 @@ def test_token_rule_violation_names_its_line_and_cause(tmp_path, payload):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("value, shown", [('"1.5"', '"1.5"'), ("null", "null")],
+                         ids=["string", "null"])
+def test_a_string_or_null_token_value_names_its_line(tmp_path, value, shown):
+    # numpy would read "1.5" as 1.5, and null as NaN ("non-finite").
+    path = write_lines(tmp_path, '{"label": 0, "features": [1.0, 2.0]}',
+                       '{"label": 0, "features": [%s, 2.0]}' % value)
+    with pytest.raises(DatasetFormatError,
+                       match=f"^line 2: token values must be numbers, got {shown}$") as info:
+        load_jsonl(path)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_the_first_faulty_line_is_reported_whatever_the_fault(tmp_path):
+    # Finiteness is checked over the whole matrix once, yet a non-finite
+    # token still comes before a later line's fault of any other kind.
+    good = '{"label": 0, "features": [1.0, 2.0]}'
+    for late in ('{"label": 0, "features": [1.0', '{"label": 0, "features": [1.0]}',
+                 '{"label": 0, "features": ["x", 1.0]}', '{"label": -1, "features": [1.0, 2.0]}',
+                 '{"label": 0, "features": [1.0, NaN]}', good):
+        path = write_lines(tmp_path, good, '{"label": 0, "tokens": [[1.0, 2.0], [Infinity, 0.0]]}',
+                           good, late)
+        with pytest.raises(DatasetFormatError,
+                           match="^line 2: tokens contain non-finite entries$") as info:
+            load_jsonl(path)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_load_rejects_empty_input(tmp_path):
     path = write_lines(tmp_path, "")
     with pytest.raises(DatasetFormatError, match="no records"):
@@ -409,6 +436,25 @@ def test_a_label_must_fit_the_int64_label_array(tmp_path):
                        '{"label": -1, "features": [1.0]}')
     with pytest.raises(DatasetFormatError, match=r"^line 2: label must be non-negative, got -1$"):
         load_jsonl(path)
+
+
+@pytest.mark.parametrize("token_counts, labels, field", [
+    pytest.param([1.9, 1], [0, 1], "token counts", id="fractional-count"),
+    pytest.param([1, 1], [0.5, 1.9], "labels", id="fractional-labels"),
+    pytest.param([1, 1], [True, False], "labels", id="boolean-labels"),
+    pytest.param([1, 1], ["0", "1"], "labels", id="string-labels"),
+    pytest.param(np.array([1.0, np.nan]), [0, 1], "token counts", id="nan-count"),
+])
+def test_dataset_rejects_entries_that_are_not_integers(token_counts, labels, field):
+    # np.array(..., dtype=np.int64) would accept all of these, truncating
+    # [1.9, 1] to [1, 1] and [0.5, 1.9] to [0, 1].
+    with pytest.raises(ValueError, match=f"^{field} must be integers"):
+        Dataset(np.zeros((2, 3)), token_counts, labels, 2, 3)
+
+
+def test_dataset_accepts_whole_floats_as_integers():
+    ds = Dataset(np.zeros((2, 3)), np.array([1.0, 1.0]), [1.0, 0], 2, 3)
+    assert ds.token_counts.dtype == np.int64 and ds.labels().tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("token_counts, labels, field", [

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knnblend.core import DimensionMismatchError
+from knnblend.core import DimensionMismatchError, sq_dists
 from knnblend.data import SyntheticSpec, generate_synthetic
 from knnblend.datastore import (
+    GROUP_SIZE,
     MAGIC,
     BadMagicError,
     ChecksumError,
@@ -17,6 +20,7 @@ from knnblend.datastore import (
     RetrievalUnavailableError,
     TruncatedFileError,
     VersionMismatchError,
+    chunk_rows,
 )
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import build_datastore
@@ -58,6 +62,19 @@ def test_build_rejects_out_of_range_labels():
         Datastore([(1.0,)], [2], num_labels=2)
     with pytest.raises(ValueError):
         Datastore([(1.0,)], [-1], num_labels=2)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2], [0, 1.5], [True, 1], ["0", "1"], [0, None]],
+                         ids=["fractional", "one-fractional", "boolean", "strings", "none"])
+def test_constructor_rejects_labels_that_are_not_integers(labels):
+    # np.array(labels, dtype=np.int64) would keep [0.7, 1.2] as [0, 1].
+    with pytest.raises(ValueError, match="^labels must be integers"):
+        Datastore(np.zeros((2, 3)), labels, 2)
+
+
+def test_constructor_accepts_whole_float_labels():
+    store = Datastore(np.zeros((2, 3)), np.array([1.0, 0.0]), 2)
+    assert store.labels.dtype == np.int64 and store.labels.tolist() == [1, 0]
 
 
 def test_constructor_rejects_bad_shapes():
@@ -207,6 +224,71 @@ def test_search_matches_full_sort_oracle():
         k = int(rng.integers(1, count + 4))
         got = hits_as_pairs(store.search(query, k))
         assert got == full_sort_hits(store, query, k)
+
+
+def full_sort_batch(store, queries, k):
+    """(indices, distances) of a full stable sort of `sq_dists` over every
+    key, one query at a time."""
+    kk = min(k, store.count)
+    indices = np.empty((len(queries), kk), dtype=np.int64)
+    distances = np.empty((len(queries), kk))
+    for b, q in enumerate(queries):
+        d = sq_dists(store.keys, q)
+        order = np.argsort(d, kind="stable")[:kk]
+        indices[b], distances[b] = order, d[order]
+    return indices, distances
+
+
+@st.composite
+def search_cases(draw):
+    """(store, queries, k, cuts). The count lies below k, between k and the
+    grouped threshold (count // GROUP_SIZE >= 4 k), or just above it, with
+    or without tail keys. Keys may repeat or come from a small grid, so
+    distances tie. The batch runs from 0 rows to more than three chunks, and
+    some of its rows are scaled past the prefilter's overflow limit among
+    ordinary rows of the same chunk. `cuts` split the batch anywhere."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 16))
+    regime = draw(st.sampled_from(["below-k", "plain", "grouped"]))
+    if regime == "below-k":
+        count = draw(st.integers(1, k))
+    elif regime == "plain":
+        count = draw(st.integers(k, 4 * GROUP_SIZE * k - 1))
+    else:
+        count = 4 * GROUP_SIZE * k + draw(st.integers(0, 2 * GROUP_SIZE))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        keys = rng.integers(-1, 2, size=(count, dim)).astype(np.float64)
+    else:
+        keys = rng.normal(size=(count, dim)) * 3.0
+        copies = rng.integers(0, count, size=count // 4)
+        keys[copies] = keys[copies[:1]]
+    size = draw(st.integers(0, min(3 * chunk_rows(count) + 2, 600)))
+    queries = rng.normal(size=(size, dim)) * 3.0
+    if size:
+        queries[:2] = keys[rng.integers(0, count, size=2)][: min(size, 2)]
+        # Past (M + n)^2 >= 2^126, and at 1e39 past float32's range as well.
+        huge = rng.random(size) < 0.1
+        queries[huge] *= rng.choice([1e20, 1e39], size=(int(huge.sum()), 1))
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=4)))
+    store = Datastore(keys, rng.integers(0, 3, size=count), 3)
+    return store, queries, k, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=search_cases())
+def test_search_batch_equals_its_splits_and_a_full_sort(case):
+    store, queries, k, cuts = case
+    indices, distances = store.search_batch(queries, k)
+    assert indices.shape == distances.shape == (len(queries), min(k, store.count))
+    parts = [store.search_batch(queries[lo:hi], k)
+             for lo, hi in zip([0, *cuts], [*cuts, len(queries)])]
+    np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), indices)
+    np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), distances)
+    want_indices, want_distances = full_sort_batch(store, queries, k)
+    np.testing.assert_array_equal(indices, want_indices)
+    np.testing.assert_array_equal(distances, want_distances)
 
 
 def test_search_hit_labels_match_store():

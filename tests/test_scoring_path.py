@@ -1,10 +1,11 @@
 """Exactness of the batched scoring path against independent oracles.
 
 The search tests use stores of more than two `KEY_BLOCK`s and query batches
-of more than one `QUERY_CHUNK`, so every case crosses the query chunking of
-`Datastore.search_batch`, and a recheck of more than `KEY_BLOCK` candidates
-(large k, or every key when the float32 prefilter cannot narrow them) crosses
-its key blocks; no other test reaches a second key block.
+of more than one chunk (`CHUNK` queries on such a store), so every case
+crosses the query chunking of `Datastore.search_batch`. A recheck of every
+key (large k, or when the float32 prefilter cannot narrow them) runs in
+`RECHECK_BLOCK`-candidate blocks whose boundaries, for a chunk's first
+query, include the `KEY_BLOCK` multiples where ties are planted.
 """
 
 import json
@@ -18,9 +19,9 @@ from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
 from knnblend.core import softmax, sq_dists
 from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
-from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, QUERY_CHUNK, Datastore, NeighborHit
+from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, Datastore, NeighborHit, chunk_rows
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
-from knnblend.model import Model, ModelConfig
+from knnblend.model import POOLING_MODES, Model, ModelConfig, pool
 from knnblend.retrieval import (
     RetrievalParams,
     build_datastore,
@@ -34,6 +35,7 @@ from knnblend.training import Hyperparams, train
 from helpers import dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
 
 COUNT = 2 * KEY_BLOCK + 17
+CHUNK = chunk_rows(COUNT)  # queries per chunk on a COUNT-key store
 # Keys that receive copies of one key: both sides of both block boundaries.
 PLANTED = np.array([KEY_BLOCK - 2, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK - 1, 2 * KEY_BLOCK])
 
@@ -51,7 +53,7 @@ def planted_store(seed, dim, grid, k):
         keys = rng.integers(-2, 3, size=(COUNT, dim)).astype(np.float32)
     else:
         keys = (rng.normal(size=(COUNT, dim)) * 3.0).astype(np.float32)
-    queries = rng.normal(size=(2 * QUERY_CHUNK + 3, dim))
+    queries = rng.normal(size=(2 * CHUNK + 3, dim))
     d = ((keys.astype(np.float64) - queries[0]) ** 2).sum(axis=1)
     kth = np.argsort(d, kind="stable")[min(k, COUNT) - 1]
     keys[PLANTED] = keys[kth]
@@ -81,7 +83,7 @@ def test_search_batch_equals_search_and_full_sort_across_blocks(seed, dim, grid,
 def prefilter_case(name):
     """(store, queries, k) where the float32 prefilter is at its limits.
 
-    Every store has COUNT keys and every batch more than one QUERY_CHUNK, so
+    Every store has COUNT keys and every batch more than one CHUNK, so
     a recheck of all keys crosses KEY_BLOCK boundaries. The cases that set
     queries set rows 0, 1 and -1, the rows the test checks.
     """
@@ -90,7 +92,7 @@ def prefilter_case(name):
         return store, queries, 64
     rng = np.random.default_rng(11)
     keys = rng.normal(size=(COUNT, 6))
-    queries = rng.normal(size=(QUERY_CHUNK + 2, 6))
+    queries = rng.normal(size=(CHUNK + 2, 6))
     k = COUNT if name == "k-equals-count" else 10
     if name.startswith("offset-"):
         # |k|^2 - 2 k.q cancels: at 1e4 the product's rounding error swamps
@@ -165,7 +167,7 @@ def grouped_store(layout, k, extra, seed, dim):
             tail = np.arange(GROUP_SIZE * groups, count)[:k]
             near = np.concatenate([tail, np.arange(k - len(tail))])
         keys[near] = center + rng.uniform(-0.01, 0.01, size=(len(near), dim))
-    queries = np.vstack([center, rng.normal(size=(QUERY_CHUNK, dim)) * 3.0])
+    queries = np.vstack([center, rng.normal(size=(CHUNK, dim)) * 3.0])
     return Datastore(keys, rng.integers(5, size=count), num_labels=5), queries
 
 
@@ -222,6 +224,32 @@ def test_softmax_batch_rows_equal_single_rows():
     logits[4, 2] = np.inf
     with pytest.raises(ValueError):
         softmax(logits)
+
+
+@pytest.mark.parametrize("mode", POOLING_MODES)
+def test_pool_encode_and_predict_do_not_depend_on_memory_layout(mode):
+    """One sequence given C-ordered, Fortran-ordered, as a strided view and
+    as a list gives the same bytes from `pool`, `Model.encode` and `predict`.
+    A Fortran-ordered copy would be pooled down its contiguous axis, whose
+    pairwise sum rounds differently."""
+    rng = np.random.default_rng(12)
+    seq = rng.normal(size=(40, 16)) * 3.0
+    wide = np.zeros((80, 48))
+    wide[::2, ::3] = seq
+    layouts = {"fortran": np.asfortranarray(seq), "strided": wide[::2, ::3], "list": seq.tolist()}
+    train_ds, _ = generate_synthetic(SyntheticSpec(num_classes=4, dim=16, per_class_count=20))
+    model = Model.initialize(ModelConfig(input_dim=16, num_labels=4, pooling=mode), 12)
+    store = build_datastore(model, train_ds)
+    params = RetrievalParams(k=8, temperature=10.0, knn_weight=0.5)
+
+    def outputs(tokens):
+        h0, r = model.encode(tokens)
+        probs = predict(model, store, tokens, params).probs
+        return [arr.tobytes() for arr in (pool(tokens, mode), h0, r, probs)]
+
+    want = outputs(seq)
+    for name, tokens in layouts.items():
+        assert outputs(tokens) == want, name
 
 
 # ---------------------------------------------------------------------------
