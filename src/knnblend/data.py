@@ -11,8 +11,12 @@ non-negative integers and the label count is ``max(label) + 1``.
 
 A `Dataset` is built from three arrays: one read-only (total_tokens, dim)
 token matrix, a token count per example and a label per example. `load_jsonl`
-checks each record's label and shape as it parses it, appends its token
-values to one buffer, and makes the token matrix from that buffer once.
+checks each record's label and shape as it parses it, in one step per
+record (`_Records.add`), appends its token values to one buffer, and makes
+the token matrix from that buffer once. A common record, a one-token
+`features` record of the file's dimension with an in-range integer label,
+takes a few operations; any other goes through every rule in order, so each
+fault keeps its message and line.
 `TrainExample`s, read-only views of the matrix, are made only by
 `Dataset.examples`, on its first read, so a dataset that only feeds
 `build_datastore` or the scorers never makes one.
@@ -202,41 +206,6 @@ class Dataset:
         return self._labels.copy()
 
 
-def _parse_record(obj, label_names: list[str] | None) -> tuple[int, list]:
-    """(label, token rows) of a record: the label checked, the rows a list of
-    lists whose values the token rule has yet to check."""
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    if "label" not in obj:
-        raise ValueError("missing \"label\"")
-    label = obj["label"]
-    if isinstance(label, str):
-        if label_names is None:
-            raise ValueError(f"string label {label!r} needs a label_names header")
-        if label not in label_names:
-            raise ValueError(f"unknown label name {label!r}")
-        label = label_names.index(label)
-    elif isinstance(label, bool) or not isinstance(label, int):
-        raise ValueError("label must be an integer or name")
-    elif label < 0:
-        raise ValueError(f"label must be non-negative, got {label}")
-    elif label_names is not None and label >= len(label_names):
-        raise ValueError(f"label {label} out of range for {len(label_names)} labels")
-    elif label >= 2**63:  # a `Dataset` keeps its labels as int64
-        raise ValueError(f"label must be below 2**63, got {label}")
-
-    has_features = "features" in obj
-    if has_features == ("tokens" in obj):
-        raise ValueError("record needs exactly one of \"features\" or \"tokens\"")
-    # "features" is one token and "tokens" a list of them; each token is an
-    # array, and the token rule rejects deeper nesting and ragged rows.
-    rows = [obj["features"]] if has_features else obj["tokens"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError("\"features\" must be an array" if has_features
-                         else "\"tokens\" must be an array of arrays")
-    return label, rows
-
-
 def _record_tokens(rows: list) -> np.ndarray:
     """The token rule for one record's rows: `as_tokens`, after refusing a
     string or null value, which numpy would parse as a number or read as NaN."""
@@ -259,39 +228,110 @@ def _lines(path):
             yield line_no, line
 
 
-class _TokenBuffer:
-    """A file's token values, appended record by record to one float64 buffer.
+_raw_decode = json.JSONDecoder().raw_decode
 
-    A record whose rows all have the file's dimension goes in without a
-    numpy call. Any other record, and the first, goes through the token rule
-    (`_record_tokens`) and the dimension check instead, so a fault there is
-    reported with the rule's own message. Finiteness is left to the one check
-    of the whole matrix; `check_finite` then names the line it fails on."""
+
+def _json(line: str):
+    """`json.loads(line)`. A line that starts with its value and has only JSON
+    whitespace after it skips `json.loads`' own per-call steps; any other line
+    goes through it, which gives the same value or raises its own error."""
+    try:
+        obj, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    return json.loads(line) if line[end:].strip(" \t\n\r") else obj
+
+
+class _Records:
+    """A file's records, checked and appended one at a time: each one's
+    label, line number and token count, and its token values in one float64
+    buffer.
+
+    A common record, a dict after the first record with an in-range `int`
+    label, a `features` list of the file's dimension and no `tokens` key,
+    takes a few operations to check and append. Any other record, and the
+    first, goes through every rule in order, so a fault there is reported
+    with the rule's own message; a record whose rows all have the file's
+    dimension still goes in without a numpy call, and any other goes through
+    the token rule (`_record_tokens`) and the dimension check. Finiteness is
+    left to the one check of the whole matrix; `check_finite` then names the
+    line it fails on."""
 
     def __init__(self):
         self.values = array("d")
-        self.dim = 0
+        # The file's dimension and label bound, set by the first record;
+        # until then the bound of 0 admits no common record.
+        self.dim = self.limit = 0
+        self.labels: list[int] = []
         self.lines: list[int] = []  # each record's line number
         self.counts: list[int] = []  # and its token count
 
-    def add(self, line_no: int, rows: list) -> None:
-        mark = len(self.values)
+    def add(self, line_no: int, obj, label_names: list[str] | None) -> None:
+        """Check the parsed record of a line and append it, or raise
+        ValueError for its first fault."""
+        values = self.values
+        mark = len(values)
+        if (type(obj) is dict and type(label := obj.get("label")) is int
+                and 0 <= label < self.limit and type(row := obj.get("features")) is list
+                and len(row) == self.dim and "tokens" not in obj):
+            try:
+                values.extend(row)
+            except (TypeError, ValueError, OverflowError):  # the rules below name the value
+                del values[mark:]
+            else:
+                self.labels.append(label)
+                self.lines.append(line_no)
+                self.counts.append(1)
+                return
+
+        if not isinstance(obj, dict):
+            raise ValueError("record is not an object")
+        if "label" not in obj:
+            raise ValueError("missing \"label\"")
+        label = obj["label"]
+        if isinstance(label, str):
+            if label_names is None:
+                raise ValueError(f"string label {label!r} needs a label_names header")
+            if label not in label_names:
+                raise ValueError(f"unknown label name {label!r}")
+            label = label_names.index(label)
+        elif isinstance(label, bool) or not isinstance(label, int):
+            raise ValueError("label must be an integer or name")
+        elif label < 0:
+            raise ValueError(f"label must be non-negative, got {label}")
+        elif label_names is not None and label >= len(label_names):
+            raise ValueError(f"label {label} out of range for {len(label_names)} labels")
+        elif label >= 2**63:  # a `Dataset` keeps its labels as int64
+            raise ValueError(f"label must be below 2**63, got {label}")
+
+        has_features = "features" in obj
+        if has_features == ("tokens" in obj):
+            raise ValueError("record needs exactly one of \"features\" or \"tokens\"")
+        # "features" is one token and "tokens" a list of them; each token is an
+        # array, and the token rule rejects deeper nesting and ragged rows.
+        rows = [obj["features"]] if has_features else obj["tokens"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("\"features\" must be an array" if has_features
+                             else "\"tokens\" must be an array of arrays")
+
         try:
             if not (self.lines and rows):
                 raise ValueError("the first record, or one without rows")
             for row in rows:
                 if len(row) != self.dim:
                     raise ValueError("a row of another dimension")
-                self.values.extend(row)
+                values.extend(row)
         except (TypeError, ValueError, OverflowError):
-            del self.values[mark:]
+            del values[mark:]
             tokens = _record_tokens(rows)
             if not self.lines:
                 self.dim = tokens.shape[1]
+                self.limit = 2**63 if label_names is None else len(label_names)
             elif tokens.shape[1] != self.dim:
                 raise ValueError(f"dimension {tokens.shape[1]} does not match "
                                  f"dimension {self.dim} from line {self.lines[0]}") from None
-            self.values.frombytes(tokens.tobytes())
+            values.frombytes(tokens.tobytes())
+        self.labels.append(label)
         self.lines.append(line_no)
         self.counts.append(len(rows))
 
@@ -320,23 +360,23 @@ def load_jsonl(path) -> Dataset:
     """Read a dataset file, reporting schema problems with their line number.
 
     Lines are read one at a time, so no copy of the whole file is held. Each
-    record's label and structure are checked as it is parsed, and its token
-    values go into one buffer (`_TokenBuffer`). The file's token matrix is
-    made from that buffer once and checked once, by the dataset. Every fault
-    is reported at its line, the earliest first: a fault found while parsing
-    is raised only once the records before it are known to be finite."""
+    record is checked as it is parsed, and its token values go into one
+    buffer (`_Records`). The file's token matrix is made from that buffer
+    once and checked once, by the dataset. Every fault is reported at its
+    line, the earliest first: a fault found while parsing is raised only once
+    the records before it are known to be finite."""
     label_names: list[str] | None = None
-    tokens = _TokenBuffer()
-    labels: list[int] = []
+    records = _Records()
     try:
         for line_no, line in _lines(path):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _json(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not labels and isinstance(obj, dict) and "label_names" in obj and "label" not in obj:
+            if (not records.lines and isinstance(obj, dict) and "label_names" in obj
+                    and "label" not in obj):
                 if label_names is not None:
                     raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
                 try:
@@ -345,24 +385,22 @@ def load_jsonl(path) -> Dataset:
                     raise DatasetFormatError(f"line {line_no}: {exc}") from exc
                 continue
             try:
-                label, rows = _parse_record(obj, label_names)
-                tokens.add(line_no, rows)
+                records.add(line_no, obj, label_names)
             except ValueError as exc:
                 raise DatasetFormatError(f"line {line_no}: {exc}") from exc
-            labels.append(label)
     except DatasetFormatError:
-        tokens.check_finite()
+        records.check_finite()
         raise
-    if not labels:
+    if not records.lines:
         raise DatasetFormatError("no records found")
-    num_labels = len(label_names) if label_names is not None else max(labels) + 1
-    matrix = tokens.matrix()
+    num_labels = len(label_names) if label_names is not None else max(records.labels) + 1
+    matrix = records.matrix()
     try:
-        return Dataset._adopt(matrix, np.array(tokens.counts, dtype=np.int64),
-                              np.array(labels, dtype=np.int64), num_labels, tokens.dim,
-                              label_names)
+        return Dataset._adopt(matrix, np.array(records.counts, dtype=np.int64),
+                              np.array(records.labels, dtype=np.int64), num_labels,
+                              records.dim, label_names)
     except ValueError:
-        tokens.check_finite(matrix)
+        records.check_finite(matrix)
         raise
 
 

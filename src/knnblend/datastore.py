@@ -14,12 +14,16 @@ approximate distance: on a store of at least 64 k keys, the k-th smallest of
 the minima of strided groups of `GROUP_SIZE` keys, so only a sixteenth of the
 row is partitioned, and the candidate scan visits only the groups whose
 minimum is within the limit. The exact recheck then runs `sq_dists` over the
-chunk's candidates together, `RECHECK_BLOCK` at a time, and keeps each
-query's first k of one stable sort by distance; each query's candidates are
-in ascending index order, so that is the (distance, index) order and ties
-stay exact. When a query and the keys are large enough that the float32 pass
-could overflow, every key is a candidate. The rule and the bound are written
-out in `Datastore.search_batch`.
+chunk's candidates together, in blocks whose float64 work arrays stay within
+`RECHECK_BYTES`, and keeps each query's first k by (distance, index). Each
+query's candidates are in ascending index order, so a stable sort by
+distance gives that order and ties stay exact. A chunk of one query takes
+that sort; a chunk of more takes numpy's faster default sort, and sorts
+again, stably, only the rows with a tie among their first k + 1 sorted
+distances: if those k + 1 hold no equal pair, the first k are the same keys
+in the same order under any sort. When a query and the keys are large
+enough that the float32 pass could overflow, every key is a candidate. The
+rule and the bound are written out in `Datastore.search_batch`.
 
 File format (little-endian)::
 
@@ -60,9 +64,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
 # Rows of one block when a store is built from encoded examples.
 KEY_BLOCK = 4096
-# The exact recheck gathers and differences this many candidates at a time,
-# so its float64 work arrays stay small (64 KiB each at dim 32).
-RECHECK_BLOCK = 256
+# The exact recheck gathers and differences as many candidates at a time as
+# keep each of its (candidates, dim) float64 work arrays within RECHECK_BYTES:
+# 1,024 at dim 32.
+RECHECK_BYTES = 2**18
 # A chunk of queries shares one prefilter product: as many rows as keep its
 # (rows, count) float32 block within CHUNK_BYTES, and never fewer than MIN_CHUNK.
 CHUNK_BYTES = 2**18
@@ -241,14 +246,24 @@ class Datastore:
         {i : A_i <= tau + 2E} therefore hold every key at or below D_(k),
         ties included, and the (distance, index) top k of the candidates,
         rechecked with `sq_dists`, is the top k of the whole store. The
-        candidates are in ascending index order, so the first k of one stable
+        candidates are in ascending index order, so the first k of a stable
         sort of their distances is that top k.
+
+        Sorting. Any sort puts a row's k + 1 smallest distances first, in
+        order, but may order equal ones either way. If those k + 1 hold no
+        equal pair, the first k are strictly below every other distance and
+        each belongs to one key, so every sort, stable or not, gives the same
+        k keys in the same order. A chunk's rows therefore take numpy's
+        default sort, several times faster than its stable one, and only the
+        rows with an equal pair among their first k + 1 sorted distances are
+        sorted again, stably. A chunk of one query takes the stable sort.
 
         Chunks. Queries run in chunks of `chunk_rows(count)`. Each chunk
         takes one matrix product, one partition for its taus, one scan for
         every query's candidates, one recheck of all of them and one sort of
         a (queries, width) matrix that holds each query's rechecked
-        candidates in a row, padded with inf after the last. The float32
+        candidates in a row, padded with inf after the last (two pads among
+        a row's first k + 1 count as a tie). The float32
         rounding of A can change with the chunk's row count and with the
         BLAS thread count, and so can the candidates, but the argument above
         holds for any A within the bound, so the results never change: row b
@@ -310,22 +325,24 @@ class Datastore:
         indices = np.empty((qs.shape[0], kk), dtype=np.int64)
         distances = np.empty((qs.shape[0], kk))
         step = chunk_rows(self.count)
+        block = max(1, RECHECK_BYTES // (8 * self.dim))
         for lo in range(0, qs.shape[0], step):
             chunk = qs[lo : lo + step]
             nq = chunk.shape[0]
             rows, cand = self._prefilter(chunk, kk)
             dists = np.concatenate([
-                sq_dists(np.take(self._keys, cand[at : at + RECHECK_BLOCK], axis=0),
-                         chunk if rows is None
-                         else np.take(chunk, rows[at : at + RECHECK_BLOCK], axis=0))
-                for at in range(0, cand.shape[0], RECHECK_BLOCK)
+                sq_dists(np.take(self._keys, cand[at : at + block], axis=0),
+                         chunk if rows is None else np.take(chunk, rows[at : at + block], axis=0))
+                for at in range(0, cand.shape[0], block)
             ])
             # Sort each row of an (nq, width) matrix whose row b holds query
             # b's candidates in ascending index order: a stable sort by
             # distance orders them by (distance, index). Rows with fewer than
             # `width` candidates are padded after their last one with inf,
             # which that sort keeps after every candidate. One query's
-            # candidates are that matrix as they stand.
+            # candidates are that matrix as they stand. A chunk of more
+            # queries takes the default sort and re-sorts its tied rows
+            # stably (see Sorting above).
             if rows is None:
                 top = np.argsort(dists, kind="stable")[None, :kk]
             else:
@@ -337,7 +354,13 @@ class Datastore:
                     pad_cand = np.zeros(nq * width, dtype=np.int64)
                     pad_dists[at], pad_cand[at] = dists, cand
                     dists, cand = pad_dists, pad_cand
-                top = np.argsort(dists.reshape(nq, width), axis=1, kind="stable")[:, :kk]
+                mat = dists.reshape(nq, width)
+                order = np.argsort(mat, axis=1)
+                head = np.take_along_axis(mat, order[:, : kk + 1], axis=1)
+                tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
+                if tied.any():
+                    order[tied] = np.argsort(mat[tied], axis=1, kind="stable")
+                top = order[:, :kk]
                 top += np.arange(0, nq * width, width)[:, None]
             indices[lo : lo + nq] = cand[top]
             distances[lo : lo + nq] = dists[top]

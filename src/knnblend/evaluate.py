@@ -142,7 +142,8 @@ def run_sweep(
                     store.labels[indices[:, :k]], distances[:, :k], temperature, store.num_labels
                 )
             for weight in sweep.knn_weight_values:
-                final = interpolate_batch(neighbor_probs, p_cls, weight)
+                final = (p_cls if neighbor_probs is None
+                         else interpolate_batch(neighbor_probs, p_cls, weight))
                 rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)

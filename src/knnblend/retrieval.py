@@ -68,6 +68,8 @@ def knn_distribution_batch(
     """Label distribution per row of (B, k) neighbor labels and distances:
     weight exp(-distance/temperature), summed per label and normalized.
 
+    Labels and distances must have one (B, k) shape (`DimensionMismatchError`
+    otherwise), with k >= 1 (`RetrievalUnavailableError` for zero hits).
     Each row is max-subtracted before exponentiation so large distances cannot
     underflow everything to zero at once.
     """
@@ -77,6 +79,11 @@ def knn_distribution_batch(
         raise ValueError("num_labels must be positive")
     labels = np.asarray(labels, dtype=np.int64)
     distances = np.asarray(distances, dtype=np.float64)
+    if labels.ndim != 2 or labels.shape != distances.shape:
+        raise DimensionMismatchError(f"labels {labels.shape} and distances {distances.shape} "
+                                     f"are not one (B, k) shape")
+    if labels.shape[1] == 0:
+        raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
     if labels.size and (labels.min() < 0 or labels.max() >= num_labels):
         raise ValueError("hit label outside [0, num_labels)")
     with np.errstate(over="ignore"):
@@ -99,20 +106,24 @@ def knn_distribution(
     hits: Sequence[NeighborHit], temperature: float, num_labels: int
 ) -> np.ndarray:
     """Label distribution from neighbor hits; the one-row `knn_distribution_batch`."""
-    if len(hits) == 0:
-        raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
     labels = np.array([[hit.label for hit in hits]], dtype=np.int64)
     distances = np.array([[hit.distance for hit in hits]], dtype=np.float64)
     return knn_distribution_batch(labels, distances, temperature, num_labels)[0]
 
 
 def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
-    """Entry-wise blend of distributions or row-aligned batches of them:
+    """Entry-wise blend of two distributions, or two row-aligned batches of
+    them, of one shape (`DimensionMismatchError` otherwise):
     knn_weight * neighbor + (1 - knn_weight) * classifier.
 
     The endpoints short-circuit to an exact copy of the corresponding input,
     so a weight of 0 or 1 reproduces that distribution bit for bit.
     """
+    neighbor_probs = np.asarray(neighbor_probs)
+    classifier_probs = np.asarray(classifier_probs)
+    if neighbor_probs.shape != classifier_probs.shape:
+        raise DimensionMismatchError(f"distribution shapes differ: {neighbor_probs.shape} "
+                                     f"vs {classifier_probs.shape}")
     w = float(knn_weight)
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
@@ -125,13 +136,8 @@ def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np
 
 def interpolate(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
     """`interpolate_batch` for two validated distributions of equal length."""
-    p_knn = validate_distribution(neighbor_probs)
-    p_cls = validate_distribution(classifier_probs)
-    if p_knn.shape != p_cls.shape:
-        raise DimensionMismatchError(
-            f"distribution lengths differ: {p_knn.shape[0]} vs {p_cls.shape[0]}"
-        )
-    return interpolate_batch(p_knn, p_cls, knn_weight)
+    return interpolate_batch(validate_distribution(neighbor_probs),
+                             validate_distribution(classifier_probs), knn_weight)
 
 
 @dataclass(eq=False)
@@ -197,7 +203,8 @@ def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.
     p_knn = None if k is None else knn_distribution_batch(
         store.labels[indices], distances, params.temperature, store.num_labels
     )
-    p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
+    p_final = (p_cls.copy() if p_knn is None
+               else interpolate_batch(p_knn, p_cls, params.knn_weight))
     return BatchPrediction(
         labels=np.argmax(p_final, axis=1),
         probs=p_final,

@@ -7,22 +7,25 @@ training oracles keep the library's earlier step: pairs drawn batch by batch,
 each gradient accumulated into its own zeroed array, and one update per
 weight array; the library must reproduce them bit for bit. So must the
 per-row synthetic generator, the `np.add.at` neighbor vote and the JSONL
-writer that goes example by example. The gradient check oracle perturbs a
-copy of the model array by array, one scalar at a time, and judges each
-entry as it goes.
+writer that goes example by example, and the loader must give the datasets
+and errors of the earlier one that parses each record and then appends it
+(`per_record_load_jsonl`). The gradient check oracle perturbs a copy of the
+model array by array, one scalar at a time, and judges each entry as it goes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from knnblend.core import as_tokens, squared_l2
-from knnblend.data import Dataset, TrainExample, _random_orthogonal
+from knnblend.core import as_tokens, check_finite_tokens, squared_l2
+from knnblend.data import (Dataset, DatasetFormatError, TrainExample, _label_names,
+                           _random_orthogonal)
 from knnblend.model import ACTIVATIONS, Model, _pool_rows
 from knnblend.training import (CE_PROB_FLOOR, GRAD_CHECK_ABS_TOL, GRAD_CHECK_MAX_RESAMPLES,
                                GRAD_CHECK_REL_TOL, GradCheckReport, _flat_buffer, _hinge,
@@ -255,6 +258,143 @@ def per_example_jsonl(dataset, path):
             record = {"label": label, "tokens": ex.tokens.tolist()}
         lines.append(json.dumps(record))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _oracle_parse_record(obj, label_names):
+    """(label, token rows) of a record: the label checked, the rows a list of
+    lists whose values the token rule has yet to check."""
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    if "label" not in obj:
+        raise ValueError("missing \"label\"")
+    label = obj["label"]
+    if isinstance(label, str):
+        if label_names is None:
+            raise ValueError(f"string label {label!r} needs a label_names header")
+        if label not in label_names:
+            raise ValueError(f"unknown label name {label!r}")
+        label = label_names.index(label)
+    elif isinstance(label, bool) or not isinstance(label, int):
+        raise ValueError("label must be an integer or name")
+    elif label < 0:
+        raise ValueError(f"label must be non-negative, got {label}")
+    elif label_names is not None and label >= len(label_names):
+        raise ValueError(f"label {label} out of range for {len(label_names)} labels")
+    elif label >= 2**63:
+        raise ValueError(f"label must be below 2**63, got {label}")
+    has_features = "features" in obj
+    if has_features == ("tokens" in obj):
+        raise ValueError("record needs exactly one of \"features\" or \"tokens\"")
+    rows = [obj["features"]] if has_features else obj["tokens"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("\"features\" must be an array" if has_features
+                         else "\"tokens\" must be an array of arrays")
+    return label, rows
+
+
+def _oracle_record_tokens(rows):
+    for row in rows:
+        for value in row:
+            if value is None or isinstance(value, str):
+                raise ValueError(f"token values must be numbers, got {json.dumps(value)}")
+    return as_tokens(rows)
+
+
+class _OracleTokenBuffer:
+    """Token values appended record by record, the first record and any
+    record with a row of another dimension through the token rule."""
+
+    def __init__(self):
+        self.values = array("d")
+        self.dim = 0
+        self.lines = []
+        self.counts = []
+
+    def add(self, line_no, rows):
+        mark = len(self.values)
+        try:
+            if not (self.lines and rows):
+                raise ValueError("the first record, or one without rows")
+            for row in rows:
+                if len(row) != self.dim:
+                    raise ValueError("a row of another dimension")
+                self.values.extend(row)
+        except (TypeError, ValueError, OverflowError):
+            del self.values[mark:]
+            tokens = _oracle_record_tokens(rows)
+            if not self.lines:
+                self.dim = tokens.shape[1]
+            elif tokens.shape[1] != self.dim:
+                raise ValueError(f"dimension {tokens.shape[1]} does not match "
+                                 f"dimension {self.dim} from line {self.lines[0]}") from None
+            self.values.frombytes(tokens.tobytes())
+        self.lines.append(line_no)
+        self.counts.append(len(rows))
+
+    def check_finite(self, tokens=None):
+        if not self.lines:
+            return
+        if tokens is None:
+            tokens = np.frombuffer(self.values).reshape(-1, self.dim)
+        bad = ~np.isfinite(tokens).all(axis=1)
+        if bad.any():
+            ends = np.cumsum(self.counts)
+            i = int(np.searchsorted(ends, bad.argmax(), side="right"))
+            try:
+                check_finite_tokens(tokens[ends[i] - self.counts[i] : ends[i]])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {self.lines[i]}: {exc}") from exc
+
+
+def per_record_load_jsonl(path):
+    """`load_jsonl` as it was before common records took a short path: every
+    line through `json.loads`, every record through the whole label and
+    structure check (`_oracle_parse_record`) and then into the token buffer."""
+    label_names = None
+    tokens = _OracleTokenBuffer()
+    labels = []
+    try:
+        with open(path, "rb") as file:
+            for line_no, raw in enumerate(file, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetFormatError(f"line {line_no}: not UTF-8 text ({exc.reason} "
+                                             f"at byte {exc.start} of the line)") from exc
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+                if (not labels and isinstance(obj, dict) and "label_names" in obj
+                        and "label" not in obj):
+                    if label_names is not None:
+                        raise DatasetFormatError(f"line {line_no}: duplicate label_names header")
+                    try:
+                        label_names = _label_names(obj["label_names"])
+                    except ValueError as exc:
+                        raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+                    continue
+                try:
+                    label, rows = _oracle_parse_record(obj, label_names)
+                    tokens.add(line_no, rows)
+                except ValueError as exc:
+                    raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+                labels.append(label)
+    except DatasetFormatError:
+        tokens.check_finite()
+        raise
+    if not labels:
+        raise DatasetFormatError("no records found")
+    num_labels = len(label_names) if label_names is not None else max(labels) + 1
+    matrix = np.frombuffer(tokens.values).reshape(-1, tokens.dim).copy()
+    try:
+        return Dataset(matrix, np.array(tokens.counts, dtype=np.int64),
+                       np.array(labels, dtype=np.int64), num_labels, tokens.dim, label_names)
+    except ValueError:
+        tokens.check_finite(matrix)
+        raise
 
 
 def add_at_vote(labels, distances, temperature, num_labels):

@@ -20,8 +20,8 @@ from knnblend.data import (
 from knnblend.model import POOLING_MODES, Model, ModelConfig
 from knnblend.retrieval import build_datastore
 
-from helpers import (dataset_of, nearest_centroid_accuracy, per_example_jsonl, per_row_synthetic,
-                     spy_on_examples)
+from helpers import (dataset_of, nearest_centroid_accuracy, per_example_jsonl,
+                     per_record_load_jsonl, per_row_synthetic, spy_on_examples)
 
 
 def write_lines(tmp_path, *lines, name="data.jsonl"):
@@ -259,6 +259,115 @@ def test_load_rejects_integer_label_beyond_declared_names(tmp_path):
     )
     with pytest.raises(DatasetFormatError, match=r"^line 4: label 5 out of range for 2 labels$"):
         load_jsonl(path)
+
+
+# Kinds of line after the first record: good lines, which may hold
+# non-finite values (reported at the end, at their line), and the faults
+# each record rule names, at most one a file.
+GOOD_LINES = ["common", "common", "tokens", "blank", "padded", "bool-value", "non-finite"]
+FAULTS = ["bool-label", "negative-label", "label-2**63", "label-past-names", "string-label",
+          "features-and-tokens", "nested-list", "string-value", "null-value",
+          "wrong-dimension", "huge-int-value", "not-an-object", "missing-label", "extra-data"]
+
+
+@st.composite
+def jsonl_files(draw):
+    """The bytes of a dataset file: an optional label_names header, a good
+    first record, then `GOOD_LINES` with at most one of the `FAULTS` among
+    them, each line ended by LF or CRLF (the last maybe by neither)."""
+    dim = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(GOOD_LINES), max_size=8))
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault is not None:
+        kinds.insert(draw(st.integers(0, len(kinds))), fault)
+    names = ["a", "b", "c"] if fault == "label-past-names" or draw(st.booleans()) else None
+    value = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+
+    def row(d=dim):
+        return draw(st.lists(value, min_size=d, max_size=d))
+
+    def record(features):
+        if names is not None and draw(st.booleans()):
+            label = draw(st.sampled_from(names))
+        else:
+            label = draw(st.integers(0, 2 if names else 4))
+        if features:
+            return {"label": label, "features": row()}
+        return {"label": label, "tokens": [row() for _ in range(draw(st.integers(1, 3)))]}
+
+    lines = [] if names is None else [json.dumps({"label_names": names})]
+    lines.append(json.dumps(record(draw(st.booleans()))))
+    for kind in kinds:
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        # Mostly one-token records, the kind a loader might treat apart.
+        rec = record(kind == "common" or (kind != "tokens" and draw(st.integers(0, 3)) > 0))
+        values = rec["features"] if "features" in rec else rec["tokens"][-1]
+        at = draw(st.integers(0, dim - 1))
+        if kind == "bool-label":
+            rec["label"] = draw(st.booleans())
+        elif kind == "negative-label":
+            rec["label"] = -1
+        elif kind == "label-2**63":
+            rec["label"] = 2**63
+        elif kind == "label-past-names":
+            rec["label"] = 3
+        elif kind == "string-label":
+            rec["label"] = "zz"
+        elif kind == "features-and-tokens":
+            rec["tokens" if "features" in rec else "features"] = [row()]
+        elif kind == "nested-list":
+            values[at] = [values[at]]
+        elif kind == "string-value":
+            values[at] = str(values[at])
+        elif kind == "null-value":
+            values[at] = None
+        elif kind == "wrong-dimension":
+            values[:] = row(draw(st.sampled_from([d for d in (0, dim - 1, dim + 1) if d != dim])))
+        elif kind == "non-finite":
+            values[at] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+        elif kind == "huge-int-value":
+            values[at] = 10**400
+        elif kind == "bool-value":
+            values[at] = draw(st.booleans())
+        elif kind == "not-an-object":
+            rec = draw(st.sampled_from([values, None, 3, "text"]))
+        elif kind == "missing-label":
+            del rec["label"]
+        text = json.dumps(rec)
+        if kind == "padded":
+            text = " " + text + " \t"
+        elif kind == "extra-data":  # a value, or space that JSON does not allow
+            text += draw(st.sampled_from([" 1", "\x0c", "\u00a0"]))
+        lines.append(text)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def load_outcome(load, path):
+    """What loading `path` gives: the dataset's arrays and fields, or the
+    type, message and cause of the ValueError raised."""
+    try:
+        ds = load(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), type(exc.__cause__).__name__
+    return ("dataset", ds.tokens.shape, ds.tokens.tobytes(), ds.token_counts.tolist(),
+            ds.labels().tolist(), ds.num_labels, ds.input_dim, ds.label_names)
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=jsonl_files())
+def test_load_jsonl_equals_the_per_record_loader(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(content)
+        got = load_outcome(load_jsonl, path)
+        assert got == load_outcome(per_record_load_jsonl, path)
+    assert got[0] in ("dataset", "DatasetFormatError")
 
 
 # ---------------------------------------------------------------------------

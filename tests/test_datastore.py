@@ -291,6 +291,34 @@ def test_search_batch_equals_its_splits_and_a_full_sort(case):
     np.testing.assert_array_equal(distances, want_distances)
 
 
+@pytest.mark.parametrize("k", [17, 40, 64])
+def test_search_batch_orders_ties_by_index_in_wide_rows(k):
+    # A multi-query chunk takes numpy's default sort, which keeps rows of at
+    # most 16 in insertion-sort (stable) order but may order a tie either way
+    # in a wider row; every row here has at least k > 16 candidates. Keys come
+    # from a 3-point grid, so each is repeated many times. The finite queries
+    # are picked, on keys and off them, so that the k-th distance ties the one
+    # before and the one after it; queries at 1e160 make every key a candidate
+    # at distance inf. Only the stable re-sort of the tied rows gives the
+    # (distance, index) order.
+    rng = np.random.default_rng(k)
+    keys = rng.integers(-1, 2, size=(300, 3)).astype(np.float64)
+    store = Datastore(keys, rng.integers(0, 3, size=300), 3)
+    pool = np.concatenate([keys[rng.integers(0, 300, size=100)], rng.normal(size=(100, 3))])
+    _, wider = full_sort_batch(store, pool, k + 1)
+    tied = (wider[:, k - 2] == wider[:, k - 1]) & (wider[:, k - 1] == wider[:, k])
+    queries = np.concatenate([pool[tied][:8], pool[100:][tied[100:]][:8],
+                              rng.normal(size=(4, 3)) * 1e160])
+    assert len(queries) == 20
+    queries = queries[rng.permutation(len(queries))]
+    assert chunk_rows(store.count) >= len(queries)  # one chunk
+    indices, distances = store.search_batch(queries, k)
+    want_indices, want_distances = full_sort_batch(store, queries, k)
+    np.testing.assert_array_equal(indices, want_indices)
+    np.testing.assert_array_equal(distances, want_distances)
+    assert np.isinf(distances).all(axis=1).sum() == 4
+
+
 def test_search_hit_labels_match_store():
     rng = np.random.default_rng(42)
     store = random_store(rng, count=40, dim=5)

@@ -185,6 +185,30 @@ def test_knn_distribution_rejects_bad_input():
         knn_distribution([hit(0, 1.0, 0)], temperature=1.0, num_labels=0)
 
 
+def test_knn_distribution_batch_needs_one_b_by_k_shape():
+    labels = np.array([[0, 1, 0, 2], [2, 2, 1, 0]])
+    distances = np.array([[1.0, 3.0, 2.0, 9.0], [0.5, 4.0, 4.0, 8.0]])
+    rows = [knn_distribution([hit(i, d, lab) for i, (d, lab) in enumerate(zip(ds, ls))],
+                             temperature=2.0, num_labels=3)
+            for ls, ds in zip(labels, distances)]
+    got = knn_distribution_batch(labels, distances, 2.0, 3)
+    assert got.tobytes() == np.array(rows).tobytes()
+    # Equal sizes are not enough: a transposed or flattened partner would
+    # pair labels with other rows' distances.
+    for bad_labels, bad_distances in ((labels, distances.reshape(4, 2)),
+                                      (labels.reshape(4, 2), distances.reshape(4, 2).T),
+                                      (labels.ravel(), distances.ravel()),
+                                      (labels, distances[:, :3]),
+                                      (labels[None], distances[None])):
+        with pytest.raises(DimensionMismatchError):
+            knn_distribution_batch(bad_labels, bad_distances, 2.0, 3)
+    for empty in ((2, 0), (0, 0)):
+        with pytest.raises(RetrievalUnavailableError, match="zero hits"):
+            knn_distribution_batch(np.zeros(empty, dtype=np.int64), np.zeros(empty), 2.0, 3)
+    assert knn_distribution_batch(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)),
+                                  2.0, 3).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # blending
 
@@ -225,6 +249,20 @@ def test_interpolate_stays_a_distribution_between_the_inputs():
         lo = np.minimum(p_knn, p_cls) - 1e-15
         hi = np.maximum(p_knn, p_cls) + 1e-15
         assert np.all(blended >= lo) and np.all(blended <= hi)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+def test_interpolate_batch_needs_equal_shapes(weight):
+    rng = np.random.default_rng(12)
+    rows = np.array([random_distribution(rng, 4) for _ in range(3)])
+    other = np.array([random_distribution(rng, 4) for _ in range(3)])
+    assert interpolate_batch(other, rows, weight).shape == (3, 4)
+    # Broadcasting would give rows that do not sum to 1, or a result whose
+    # shape depends on the weight.
+    for neighbor, classifier in ((np.full((3, 1), 1.0), rows), (rows, rows[0]),
+                                 (rows[0], rows), (rows, rows.T), (rows[:2], rows)):
+        with pytest.raises(DimensionMismatchError):
+            interpolate_batch(neighbor, classifier, weight)
 
 
 def test_interpolate_rejects_bad_input():

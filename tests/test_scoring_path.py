@@ -4,8 +4,9 @@ The search tests use stores of more than two `KEY_BLOCK`s and query batches
 of more than one chunk (`CHUNK` queries on such a store), so every case
 crosses the query chunking of `Datastore.search_batch`. A recheck of every
 key (large k, or when the float32 prefilter cannot narrow them) runs in
-`RECHECK_BLOCK`-candidate blocks whose boundaries, for a chunk's first
-query, include the `KEY_BLOCK` multiples where ties are planted.
+blocks of `RECHECK_BYTES // (8 dim)` candidates; at dim 4 and 8 their
+boundaries, for a chunk's first query, include `KEY_BLOCK` multiples where
+ties are planted.
 """
 
 import json
