@@ -1,5 +1,5 @@
 """Shared numeric primitives and input rules: vectors, token sequences,
-squared-L2 distance, label distributions, and numeric config fields.
+squared-L2 distance, label distributions, numbers and labels.
 
 All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 `validate_distribution` is the single gatekeeper for their invariants.
@@ -7,11 +7,11 @@ All math runs in float64. Probability vectors are plain 1-d numpy arrays;
 comes from it (the datastore's float32 prefilter only picks the keys to
 recheck), and `squared_l2` is its one-row case.
 
-Three input rules are written here once: `as_tokens` (its shape, then
-`check_finite_tokens`), for every token sequence; `as_int64s`, for the label
-and count arrays of datasets and stores; and `coerce_fields`, for the numeric
-and boolean fields of each config dataclass, whose `__post_init__` calls it
-before its range checks.
+Three input rules are written here once. Tokens: `as_tokens` (its shape, then
+`check_finite_tokens`), for every token sequence. Numbers: `as_number`, for
+each config dataclass's numeric fields (`coerce_fields`), `k` and every label
+count. Labels: `as_labels` (`as_int64s`, then one range check), for the
+labels of `Dataset`, `Datastore` and the vote (`knn_distribution_batch`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ __all__ = [
     "DimensionMismatchError",
     "argmax_label",
     "as_int64s",
+    "as_labels",
+    "as_number",
     "as_tokens",
     "as_vector",
     "coerce_fields",
@@ -107,27 +109,47 @@ def check_finite_tokens(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def as_number(value, name: str, cast=int):
+    """`cast(value)`, for `cast` int (2.5 becomes 2) or float; a string, a bool,
+    an unconvertible value or a non-finite float raises ValueError naming `name`."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        value = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def as_labels(values, num_labels: int) -> np.ndarray:
+    """Labels in [0, num_labels), for an int `num_labels` >= 1: an int64 array
+    as it is, uncopied, and any other input through `as_int64s`. A ValueError
+    names the first label out of range and its example (row)."""
+    if num_labels < 1:
+        raise ValueError("num_labels must be positive")
+    as_is = type(values) is np.ndarray and values.dtype == np.int64
+    labels = values if as_is else as_int64s(values, "labels")
+    wrapped = labels.view(np.uint64)  # a negative label wraps beyond num_labels
+    if labels.size and wrapped.max() >= num_labels:
+        at = np.unravel_index(int((wrapped >= num_labels).argmax()), labels.shape)
+        raise ValueError(f"example {at[0] if at else 0} label {labels[at]} "
+                         f"out of range for {num_labels} labels")
+    return labels
+
+
 def coerce_fields(obj) -> None:
-    """Store int() of each `int` field of a dataclass (so 2.5 becomes 2, and
-    `int | None` keeps None) and float() of each `float` field. A string, a
-    bool, an unconvertible value or a non-finite float there, or a non-bool in
-    a `bool` field, raises ValueError naming the field; others stay as given."""
+    """Store `as_number` of each `int` and `float` field of a dataclass (`int |
+    None` keeps None); a non-bool in a `bool` field raises ValueError naming
+    the field. Others stay as given."""
     for field in dataclasses.fields(obj):
         name, value = field.name, getattr(obj, field.name)
         kind = getattr(field.type, "__name__", str(field.type))  # a type or its string
         if kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name} must be true or false, got {value!r}")
-        if kind not in ("int", "int | None", "float") or (value is None and kind == "int | None"):
-            continue
-        if isinstance(value, (str, bool)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        try:
-            value = float(value) if kind == "float" else int(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-        if kind == "float" and not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(obj, name, value)
+        if kind in ("int", "float") or (kind == "int | None" and value is not None):
+            object.__setattr__(obj, name, as_number(value, name, float if kind == "float" else int))
 
 
 def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -177,10 +199,9 @@ def validate_distribution(probs, num_labels: int | None = None) -> np.ndarray:
     Entries must lie in [0, 1] and sum to 1 within DISTRIBUTION_ATOL.
     """
     p = as_vector(probs, "distribution")
-    if num_labels is not None and p.shape[0] != num_labels:
-        raise DimensionMismatchError(
-            f"distribution has {p.shape[0]} entries, expected {num_labels}"
-        )
+    expected = p.shape[0] if num_labels is None else as_number(num_labels, "num_labels")
+    if p.shape[0] != expected:
+        raise DimensionMismatchError(f"distribution has {p.shape[0]} entries, expected {expected}")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("distribution entries must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > DISTRIBUTION_ATOL:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_int64s, as_tokens, check_finite_tokens, coerce_fields
+from .core import as_int64s, as_labels, as_tokens, check_finite_tokens, coerce_fields
 
 __all__ = [
     "Dataset",
@@ -145,8 +145,6 @@ class Dataset:
         label_names = None if label_names is None else _label_names(label_names)
         self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
         coerce_fields(self)
-        if self.num_labels < 1:
-            raise ValueError("num_labels must be positive")
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if self.label_names is not None and len(self.label_names) != self.num_labels:
@@ -157,17 +155,11 @@ class Dataset:
             raise ValueError(f"tokens have shape {tokens.shape}, "
                              f"expected (total_tokens, {self.input_dim})")
         counts = as_int64s(token_counts, "token counts")
-        labels = self._labels = as_int64s(labels, "labels")
+        labels = self._labels = as_labels(as_int64s(labels, "labels"), self.num_labels)
         if (counts.ndim != 1 or labels.shape != counts.shape or (counts < 1).any()
                 or counts.sum() != len(tokens)):
             raise ValueError(f"need a label and a positive token count per example, "
                              f"the counts summing to the {len(tokens)} token rows")
-        bad = (labels < 0) | (labels >= self.num_labels)
-        if bad.any():  # name the first offending example, as a per-example loop would
-            i = int(bad.argmax())
-            raise ValueError(
-                f"example {i} label {labels[i]} out of range for {self.num_labels} labels"
-            )
         self._tokens, self._counts = check_finite_tokens(tokens), counts
         for arr in (tokens, counts, labels):
             arr.setflags(write=False)
@@ -251,11 +243,9 @@ class _Records:
     label, a `features` list of the file's dimension and no `tokens` key,
     takes a few operations to check and append. Any other record, and the
     first, goes through every rule in order, so a fault there is reported
-    with the rule's own message; a record whose rows all have the file's
-    dimension still goes in without a numpy call, and any other goes through
-    the token rule (`_record_tokens`) and the dimension check. Finiteness is
-    left to the one check of the whole matrix; `check_finite` then names the
-    line it fails on."""
+    with the rule's own message, its rows through the token rule
+    (`_record_tokens`) and then the dimension check. Finiteness is left to
+    the one check of the whole matrix; `check_finite` names its line."""
 
     def __init__(self):
         self.values = array("d")
@@ -314,23 +304,14 @@ class _Records:
             raise ValueError("\"features\" must be an array" if has_features
                              else "\"tokens\" must be an array of arrays")
 
-        try:
-            if not (self.lines and rows):
-                raise ValueError("the first record, or one without rows")
-            for row in rows:
-                if len(row) != self.dim:
-                    raise ValueError("a row of another dimension")
-                values.extend(row)
-        except (TypeError, ValueError, OverflowError):
-            del values[mark:]
-            tokens = _record_tokens(rows)
-            if not self.lines:
-                self.dim = tokens.shape[1]
-                self.limit = 2**63 if label_names is None else len(label_names)
-            elif tokens.shape[1] != self.dim:
-                raise ValueError(f"dimension {tokens.shape[1]} does not match "
-                                 f"dimension {self.dim} from line {self.lines[0]}") from None
-            values.frombytes(tokens.tobytes())
+        tokens = _record_tokens(rows)
+        if not self.lines:
+            self.dim = tokens.shape[1]
+            self.limit = 2**63 if label_names is None else len(label_names)
+        elif tokens.shape[1] != self.dim:
+            raise ValueError(f"dimension {tokens.shape[1]} does not match "
+                             f"dimension {self.dim} from line {self.lines[0]}")
+        values.frombytes(tokens.tobytes())
         self.labels.append(label)
         self.lines.append(line_no)
         self.counts.append(len(rows))

@@ -3,7 +3,7 @@
 Keys are held in float32 (storage precision); every distance a search returns
 is `core.sq_dists` of the float32 key against the float64 query, which widens
 the key exactly. Search is exact and runs on chunks of queries, each chunk as
-large as keeps its (queries, count) float32 block within `CHUNK_BYTES` and at
+large as keeps its (queries, count) float32 block within `WORK_BYTES` and at
 least `MIN_CHUNK` queries (`chunk_rows`). The numpy calls of a chunk do not
 grow with its query count. A prefilter computes approximate distances
 with one float32 matrix product against the keys, together with a rigorous
@@ -15,7 +15,7 @@ the minima of strided groups of `GROUP_SIZE` keys, so only a sixteenth of the
 row is partitioned, and the candidate scan visits only the groups whose
 minimum is within the limit. The exact recheck then runs `sq_dists` over the
 chunk's candidates together, in blocks whose float64 work arrays stay within
-`RECHECK_BYTES`, and keeps each query's first k by (distance, index). Each
+`WORK_BYTES` too, and keeps each query's first k by (distance, index). Each
 query's candidates are in ascending index order, so a stable sort by
 distance gives that order and ties stay exact. A chunk of one query takes
 that sort; a chunk of more takes numpy's faster default sort, and sorts
@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_int64s, sq_dists
+from .core import DimensionMismatchError, as_int64s, as_labels, as_number, sq_dists
 
 __all__ = [
     "BadMagicError",
@@ -64,13 +64,14 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
 # Rows of one block when a store is built from encoded examples.
 KEY_BLOCK = 4096
-# The exact recheck gathers and differences as many candidates at a time as
-# keep each of its (candidates, dim) float64 work arrays within RECHECK_BYTES:
-# 1,024 at dim 32.
-RECHECK_BYTES = 2**18
-# A chunk of queries shares one prefilter product: as many rows as keep its
-# (rows, count) float32 block within CHUNK_BYTES, and never fewer than MIN_CHUNK.
-CHUNK_BYTES = 2**18
+# The budget of each work array of a search, as arrays just above 256 KiB cost
+# far more. A chunk of queries shares one prefilter product: as many rows as
+# keep its (rows, count) float32 block within it, and never fewer than
+# MIN_CHUNK; `_prefilter`'s np.partition copies the block it partitions, so a
+# chunk holds two blocks at its peak. The exact recheck gathers and differences
+# as many candidates at a time as keep each of its (candidates, dim) float64
+# work arrays within it: 1,024 at dim 32.
+WORK_BYTES = 2**18
 MIN_CHUNK = 8
 # Keys i and i + g share a strided group of the prefilter's threshold step,
 # for g = count // GROUP_SIZE.
@@ -81,7 +82,7 @@ _INF32 = np.float32(np.inf)
 
 def chunk_rows(count: int) -> int:
     """Queries per chunk of `Datastore.search_batch` on a store of `count` keys."""
-    return max(MIN_CHUNK, CHUNK_BYTES // (4 * max(count, 1)))
+    return max(MIN_CHUNK, WORK_BYTES // (4 * max(count, 1)))
 
 
 class DatastoreLoadError(ValueError):
@@ -141,15 +142,12 @@ class Datastore:
         norms = np.einsum("ij,ij->i", keys_arr, keys_arr, dtype=np.float64)
         if not np.all(np.isfinite(norms)):
             raise ValueError("keys contain non-finite entries")
-        labels_arr = as_int64s(labels, "labels")
+        num_labels = as_number(num_labels, "num_labels")
+        labels_arr = as_labels(as_int64s(labels, "labels"), num_labels)
         if labels_arr.ndim != 1 or labels_arr.shape[0] != keys_arr.shape[0]:
             raise ValueError(
                 f"labels shape {labels_arr.shape} does not match {keys_arr.shape[0]} keys"
             )
-        if int(num_labels) < 1:
-            raise ValueError("num_labels must be positive")
-        if labels_arr.size and (labels_arr.min() < 0 or labels_arr.max() >= int(num_labels)):
-            raise ValueError(f"labels must lie in [0, {int(num_labels) - 1}]")
         if keys_arr.shape[0] > 0 and keys_arr.shape[1] == 0:
             raise ValueError("keys must have positive dimension")
         keys_arr.setflags(write=False)
@@ -177,7 +175,7 @@ class Datastore:
             4.0 * (d + 3) * 2.0**-52,
         )
         self._labels = labels_arr
-        self._num_labels = int(num_labels)
+        self._num_labels = num_labels
 
     @property
     def dim(self) -> int:
@@ -214,8 +212,6 @@ class Datastore:
             and np.array_equal(self._keys, other._keys)
             and np.array_equal(self._labels, other._labels)
         )
-
-    __hash__ = None
 
     def search(self, query, k: int) -> list[NeighborHit]:
         """Exact k-nearest neighbors by squared-L2, ties broken by ascending index.
@@ -312,7 +308,8 @@ class Datastore:
         """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
-        if int(k) < 1:
+        k = as_number(k, "k")
+        if k < 1:
             raise ValueError("k must be at least 1")
         qs = np.asarray(queries, dtype=np.float64)
         if qs.ndim != 2 or not np.isfinite(qs).all():
@@ -321,11 +318,11 @@ class Datastore:
             raise DimensionMismatchError(
                 f"query dimension {qs.shape[1]} does not match datastore dimension {self.dim}"
             )
-        kk = min(int(k), self.count)
+        kk = min(k, self.count)
         indices = np.empty((qs.shape[0], kk), dtype=np.int64)
         distances = np.empty((qs.shape[0], kk))
         step = chunk_rows(self.count)
-        block = max(1, RECHECK_BYTES // (8 * self.dim))
+        block = max(1, WORK_BYTES // (8 * self.dim))
         for lo in range(0, qs.shape[0], step):
             chunk = qs[lo : lo + step]
             nq = chunk.shape[0]
@@ -461,7 +458,7 @@ class Datastore:
             data, dtype="<u4", count=count, offset=header_end + keys_bytes
         )
         try:
-            return cls(keys, labels.astype(np.int64), num_labels)
+            return cls(keys, labels, num_labels)
         except ValueError as exc:
             raise DatastoreLoadError(f"invalid stored contents: {exc}") from exc
 

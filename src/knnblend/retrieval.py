@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_tokens, coerce_fields, validate_distribution
+from .core import (DimensionMismatchError, as_labels, as_number, as_tokens, coerce_fields,
+                   validate_distribution)
 from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
 from .model import _pool_rows
 
@@ -75,27 +76,24 @@ def knn_distribution_batch(
     """
     if not (float(temperature) > 0.0):
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if int(num_labels) < 1:
-        raise ValueError("num_labels must be positive")
-    labels = np.asarray(labels, dtype=np.int64)
+    num_labels = as_number(num_labels, "num_labels")
+    labels = as_labels(labels, num_labels)
     distances = np.asarray(distances, dtype=np.float64)
     if labels.ndim != 2 or labels.shape != distances.shape:
         raise DimensionMismatchError(f"labels {labels.shape} and distances {distances.shape} "
                                      f"are not one (B, k) shape")
     if labels.shape[1] == 0:
         raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_labels):
-        raise ValueError("hit label outside [0, num_labels)")
     with np.errstate(over="ignore"):
         scaled = -distances / float(temperature)
     peak = scaled.max(axis=1, keepdims=True)
-    if not (np.all(np.isfinite(distances)) and np.all(np.isfinite(peak))):
+    if not (np.isfinite(distances).all() and np.isfinite(peak).all()):
         raise NonFiniteDistanceError(
             f"neighbor distances are not finite at temperature {temperature!r}"
         )
     weights = np.exp(scaled - peak)
     # Each (row, label) cell sums its weights in hit order, starting from 0.0.
-    rows, num_labels = labels.shape[0], int(num_labels)
+    rows = labels.shape[0]
     cells = (np.arange(rows)[:, None] * num_labels + labels).ravel()
     probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
     probs = probs.reshape(rows, num_labels)
@@ -106,9 +104,8 @@ def knn_distribution(
     hits: Sequence[NeighborHit], temperature: float, num_labels: int
 ) -> np.ndarray:
     """Label distribution from neighbor hits; the one-row `knn_distribution_batch`."""
-    labels = np.array([[hit.label for hit in hits]], dtype=np.int64)
-    distances = np.array([[hit.distance for hit in hits]], dtype=np.float64)
-    return knn_distribution_batch(labels, distances, temperature, num_labels)[0]
+    return knn_distribution_batch([[hit.label for hit in hits]],
+                                  [[hit.distance for hit in hits]], temperature, num_labels)[0]
 
 
 def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np.ndarray:
@@ -188,6 +185,9 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
                 f"datastore has {store.num_labels} labels but the model has "
                 f"{model.config.num_labels}"
             )
+        if store.dim != model.config.key_dim:
+            raise DimensionMismatchError(f"datastore dimension {store.dim} does not match "
+                                         f"the model's key_dim {model.config.key_dim}")
     cache = model.features(_pool_rows(tokens, token_counts, model.config.pooling))
     p_cls = model.classify(cache.h0)
     if k is None:

@@ -119,12 +119,14 @@ def test_constructor_accepts_the_largest_float32_keys():
     assert store.search(np.zeros(3), 1)[0].index == 0
 
 
-def test_constructor_copies_a_writeable_key_array():
+def test_constructor_copies_writeable_key_and_label_arrays():
     keys = np.arange(6, dtype=np.float32).reshape(3, 2)
-    store = Datastore(keys, [0, 1, 0], 2)
-    keys[0, 0] = 99.0
-    assert store.keys[0, 0] == 0.0
+    labels = np.array([0, 1, 0])  # int64, which the label rule passes through uncopied
+    store = Datastore(keys, labels, 2)
+    keys[0, 0], labels[0] = 99.0, 1
+    assert store.keys[0, 0] == 0.0 and store.labels[0] == 0
     assert not np.shares_memory(store.keys, keys)
+    assert not np.shares_memory(store.labels, labels) and labels.flags.writeable
 
 
 def test_constructor_copies_keys_and_build_datastore_hands_its_matrix_over():

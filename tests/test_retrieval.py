@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from knnblend.retrieval import (
     knn_distribution,
     knn_distribution_batch,
     predict,
+    predict_batch,
 )
 
 from helpers import (
@@ -210,6 +212,58 @@ def test_knn_distribution_batch_needs_one_b_by_k_shape():
 
 
 # ---------------------------------------------------------------------------
+# one number rule and one label rule at every entry point
+
+
+def verdict(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+LABELED = {  # each entry point that takes labels, given one label and the label count
+    "Dataset": lambda label, n: Dataset(np.zeros((2, 3)), [1, 1], [label, 0], n, 3),
+    "Datastore": lambda label, n: Datastore(np.zeros((2, 3)), [label, 0], n),
+    "vote": lambda label, n: knn_distribution_batch([[label, 0]], [[0.5, 0.25]], 1.0, n),
+}
+COUNTED = {  # each that takes a label count or k, given that number
+    **{entry: functools.partial(make, 0) for entry, make in LABELED.items()},
+    "validate_distribution": lambda n: validate_distribution([0.5, 0.5], n),
+    "search_batch": lambda k: Datastore(np.zeros((2, 3)), [0, 1], 2).search_batch(
+        np.zeros((1, 3)), k),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABELED))
+@pytest.mark.parametrize("label, message", [
+    pytest.param(1.9, "labels must be integers, got 1.9", id="fractional"),
+    pytest.param(True, "labels must be integers, got True", id="bool"),
+    pytest.param("3", "labels must be integers, got '3'", id="string"),
+    pytest.param(-1, "example 0 label -1 out of range for 2 labels", id="negative"),
+    pytest.param(2, "example 0 label 2 out of range for 2 labels", id="the-count"),
+])
+def test_every_entry_point_takes_the_one_label_rule(entry, label, message):
+    assert verdict(lambda: LABELED[entry](label, 2)) == message
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+@pytest.mark.parametrize("value", [True, "3"], ids=["bool", "string"])
+def test_every_count_and_k_takes_the_config_number_rule(entry, value):
+    config = (lambda: RetrievalParams(k=value)) if entry == "search_batch" else (
+        lambda: ModelConfig(num_labels=value))
+    assert verdict(lambda: COUNTED[entry](value)) == verdict(config)
+
+
+def test_a_fractional_count_truncates_before_the_vote_checks_its_labels():
+    # 2.7 labels are 2, as in a config, so a hit label 2 is out of range: the
+    # label rule says so, not numpy's reshape of a third label column.
+    assert Datastore(np.zeros((2, 3)), [0, 1], 2.7).num_labels == ModelConfig(
+        num_labels=2.7).num_labels == 2
+    assert (verdict(lambda: knn_distribution_batch([[1, 2]], [[0.5, 0.25]], 1.0, 2.7))
+            == "example 0 label 2 out of range for 2 labels")
+
+
+# ---------------------------------------------------------------------------
 # blending
 
 
@@ -331,6 +385,25 @@ def test_predict_rejects_label_count_mismatch():
     with pytest.raises(ValueError):
         predict(model, store, dataset.examples[0].tokens,
                 RetrievalParams(knn_weight=0.5))
+
+
+@pytest.mark.parametrize("entry", ["predict", "predict_batch"])
+def test_a_store_of_another_dimension_is_refused_before_encoding(entry, monkeypatch):
+    model, dataset = toy_setup()  # key_dim 5
+    store = build_datastore(model, dataset)
+    narrow = Model.initialize(ModelConfig(input_dim=4, hidden_dim=6, emb_dim=4, num_labels=3), 0)
+    encoded = []
+    features = Model.features
+    monkeypatch.setattr(Model, "features",
+                        lambda self, *args: encoded.append(args) or features(self, *args))
+    params = RetrievalParams(knn_weight=0.5)
+    with pytest.raises(DimensionMismatchError,
+                       match="^datastore dimension 5 does not match the model's key_dim 4$"):
+        if entry == "predict":
+            predict(narrow, store, dataset.examples[0].tokens, params)
+        else:
+            predict_batch(narrow, store, dataset, params)
+    assert encoded == []
 
 
 def test_predict_pure_neighbor_vote_recovers_a_stored_example():
