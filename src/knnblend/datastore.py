@@ -25,6 +25,14 @@ in the same order under any sort. When a query and the keys are large
 enough that the float32 pass could overflow, every key is a candidate. The
 rule and the bound are written out in `Datastore.search_batch`.
 
+`search_batch` checks its store, k and queries and then runs the search
+kernel, `_search`, which checks nothing: it assumes a non-empty store, an
+int k >= 1 and a finite float64 (B, dim) query matrix. The scoring path
+checks those once at its entry and calls `_search` itself. A chunk of one
+query, a one-row batch or the last chunk of a longer one, runs
+`_search_one`: its norm, span, threshold and limit are Python floats, its
+scan reads a 1-d row, and it keeps none of a chunk's bookkeeping.
+
 File format (little-endian)::
 
     magic   6 bytes  b"KNNDS1"
@@ -39,6 +47,7 @@ File format (little-endian)::
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -78,11 +87,22 @@ MIN_CHUNK = 8
 GROUP_SIZE = 16
 _U32 = 2.0**-24  # unit roundoff of float32
 _INF32 = np.float32(np.inf)
+# The float32 value below float32's largest: a limit that rounds above it
+# rounds, after the step up, to the largest value or to inf, which every
+# finite A passes.
+_BELOW_MAX32 = float(np.nextafter(np.finfo(np.float32).max, np.float32(0)))
 
 
 def chunk_rows(count: int) -> int:
     """Queries per chunk of `Datastore.search_batch` on a store of `count` keys."""
     return max(MIN_CHUNK, WORK_BYTES // (4 * max(count, 1)))
+
+
+def check_queries(qs: np.ndarray) -> np.ndarray:
+    """Refuse a query array that is not a finite (batch, dim) matrix; returns it."""
+    if qs.ndim != 2 or not np.isfinite(qs).all():
+        raise ValueError(f"queries must be a finite (batch, dim) array, got {qs.shape}")
+    return qs
 
 
 class DatastoreLoadError(ValueError):
@@ -259,7 +279,9 @@ class Datastore:
         every query's candidates, one recheck of all of them and one sort of
         a (queries, width) matrix that holds each query's rechecked
         candidates in a row, padded with inf after the last (two pads among
-        a row's first k + 1 count as a tie). The float32
+        a row's first k + 1 count as a tie). A chunk of one query does the
+        same on a 1-d row, with n, the span, tau and the limit as Python
+        floats, and sorts its candidates as they stand. The float32
         rounding of A can change with the chunk's row count and with the
         BLAS thread count, and so can the candidates, but the argument above
         holds for any A within the bound, so the results never change: row b
@@ -311,99 +333,153 @@ class Datastore:
         k = as_number(k, "k")
         if k < 1:
             raise ValueError("k must be at least 1")
-        qs = np.asarray(queries, dtype=np.float64)
-        if qs.ndim != 2 or not np.isfinite(qs).all():
-            raise ValueError(f"queries must be a finite (batch, dim) array, got {qs.shape}")
+        qs = check_queries(np.asarray(queries, dtype=np.float64))
         if qs.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"query dimension {qs.shape[1]} does not match datastore dimension {self.dim}"
             )
+        return self._search(qs, k)
+
+    def _search(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The search kernel: `search_batch` of a finite float64 (B, dim) query
+        matrix and an int k >= 1 on a non-empty store, none of which it checks."""
         kk = min(k, self.count)
+        if qs.shape[0] == 1:
+            index, dist = self._search_one(qs[0], kk)
+            return index[None], dist[None]
         indices = np.empty((qs.shape[0], kk), dtype=np.int64)
         distances = np.empty((qs.shape[0], kk))
         step = chunk_rows(self.count)
-        block = max(1, WORK_BYTES // (8 * self.dim))
         for lo in range(0, qs.shape[0], step):
             chunk = qs[lo : lo + step]
             nq = chunk.shape[0]
+            if nq == 1:
+                indices[lo], distances[lo] = self._search_one(chunk[0], kk)
+                continue
             rows, cand = self._prefilter(chunk, kk)
-            dists = np.concatenate([
-                sq_dists(np.take(self._keys, cand[at : at + block], axis=0),
-                         chunk if rows is None else np.take(chunk, rows[at : at + block], axis=0))
-                for at in range(0, cand.shape[0], block)
-            ])
+            dists = self._recheck(cand, chunk, rows)
             # Sort each row of an (nq, width) matrix whose row b holds query
             # b's candidates in ascending index order: a stable sort by
             # distance orders them by (distance, index). Rows with fewer than
             # `width` candidates are padded after their last one with inf,
-            # which that sort keeps after every candidate. One query's
-            # candidates are that matrix as they stand. A chunk of more
-            # queries takes the default sort and re-sorts its tied rows
-            # stably (see Sorting above).
-            if rows is None:
-                top = np.argsort(dists, kind="stable")[None, :kk]
-            else:
-                counts = np.bincount(rows, minlength=nq)
-                width = int(counts.max())
-                if width * nq != cand.shape[0]:
-                    at = rows * width + np.arange(cand.shape[0]) - (np.cumsum(counts) - counts)[rows]
-                    pad_dists = np.full(nq * width, np.inf)
-                    pad_cand = np.zeros(nq * width, dtype=np.int64)
-                    pad_dists[at], pad_cand[at] = dists, cand
-                    dists, cand = pad_dists, pad_cand
-                mat = dists.reshape(nq, width)
-                order = np.argsort(mat, axis=1)
-                head = np.take_along_axis(mat, order[:, : kk + 1], axis=1)
-                tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
-                if tied.any():
-                    order[tied] = np.argsort(mat[tied], axis=1, kind="stable")
-                top = order[:, :kk]
-                top += np.arange(0, nq * width, width)[:, None]
+            # which that sort keeps after every candidate. The rows take the
+            # default sort and the tied ones are re-sorted stably (see
+            # Sorting above).
+            counts = np.bincount(rows, minlength=nq)
+            width = int(counts.max())
+            if width * nq != cand.shape[0]:
+                at = rows * width + np.arange(cand.shape[0]) - (np.cumsum(counts) - counts)[rows]
+                pad_dists = np.full(nq * width, np.inf)
+                pad_cand = np.zeros(nq * width, dtype=np.int64)
+                pad_dists[at], pad_cand[at] = dists, cand
+                dists, cand = pad_dists, pad_cand
+            mat = dists.reshape(nq, width)
+            order = np.argsort(mat, axis=1)
+            head = np.take_along_axis(mat, order[:, : kk + 1], axis=1)
+            tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
+            if tied.any():
+                order[tied] = np.argsort(mat[tied], axis=1, kind="stable")
+            top = order[:, :kk]
+            top += np.arange(0, nq * width, width)[:, None]
             indices[lo : lo + nq] = cand[top]
             distances[lo : lo + nq] = dists[top]
         return indices, distances
 
-    def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """The candidates of a chunk of queries, as (rows, keys): the chunk row
-        and the key index of each, ordered by row and then by index (rows is
-        None for a chunk of one query). Row b's are the keys whose float32
-        approximate distance A is within its limit tau + 2E, or every key
-        when its span reaches `_span_limit`. See `search_batch` for the rule,
-        tau and the bound."""
+    def _search_one(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """A chunk of one query q (dim,), for k <= count: its (k,) indices and
+        distances, from a stable sort of its candidates."""
+        cand = self._prefilter_one(q, k)
+        dists = self._recheck(cand, q)
+        top = np.argsort(dists, kind="stable")[:k]
+        return cand[top], dists[top]
+
+    def _prefilter_one(self, q: np.ndarray, k: int) -> np.ndarray:
+        """`_prefilter` of a chunk of one query q (dim,): its candidates, in
+        ascending order. n (by `math.hypot`, which does not overflow before
+        |q| does), the span, tau and the limit are Python floats, and the
+        scan reads a 1-d row."""
+        c0, c1, c2 = self._margin
+        n = math.hypot(*q.tolist())
+        # A product: Python's ** raises OverflowError where numpy gives inf.
+        span = (self._max_norm + n) * (self._max_norm + n)
+        if not span < self._span_limit:
+            return np.arange(self.count)
+        approx = (q * -2.0).astype(np.float32) @ self._keys.T
+        approx += self._norms32
+        grouped = self.count // GROUP_SIZE >= 4 * k
+        pool = self._group_minima(approx) if grouped else approx
+        limit = float(np.partition(pool, k - 1)[k - 1]) + (c0 + c1 * n + c2 * span)
+        if not limit < _BELOW_MAX32:  # the float32 limit is its largest value or inf
+            return np.arange(self.count)
+        limit = np.nextafter(np.float32(limit), _INF32)
+        if not grouped:
+            return (approx <= limit).nonzero()[0]
+        units = (pool <= limit).nonzero()[0]
+        return self._scan_groups(approx, units, units, limit)
+
+    def _recheck(self, cand: np.ndarray, queries: np.ndarray,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+        """`sq_dists` of each candidate key against its query: `queries` itself
+        (one (dim,) query), or row `rows[i]` of it for candidate i. Runs in
+        blocks of candidates whose float64 work arrays stay within WORK_BYTES."""
+        block = max(1, WORK_BYTES // (8 * self.dim))
+        parts = [
+            sq_dists(np.take(self._keys, cand[at : at + block], axis=0),
+                     queries if rows is None else np.take(queries, rows[at : at + block], axis=0))
+            for at in range(0, cand.shape[0], block)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _group_minima(self, approx: np.ndarray) -> np.ndarray:
+        """The threshold step's pool along the last axis of `approx`: the
+        minimum of each strided group of GROUP_SIZE keys, then the tail keys."""
+        groups = self.count // GROUP_SIZE
+        body = approx[..., : GROUP_SIZE * groups]
+        body = body.reshape(*approx.shape[:-1], GROUP_SIZE, groups)
+        return np.concatenate([np.minimum.reduce(body, axis=-2),
+                               approx[..., GROUP_SIZE * groups :]], axis=-1)
+
+    def _scan_groups(self, approx: np.ndarray, units: np.ndarray, first: np.ndarray,
+                     limits) -> np.ndarray:
+        """The candidates, ascending, among the members of the pool units within
+        their limit. Unit u < groups is the group of keys u + groups j, for j <
+        GROUP_SIZE; a tail unit u >= groups is the one key u + groups
+        (GROUP_SIZE - 1), the last of those. `first` is each unit's first
+        member as a flat position in `approx`, and `limits` its limit."""
+        groups = self.count // GROUP_SIZE
+        members = first[:, None] + np.arange(0, GROUP_SIZE * groups, groups)
+        hit = approx.ravel()[members] <= limits
+        if self.count > GROUP_SIZE * groups:
+            hit[units >= groups, :-1] = False
+        return np.sort(members[hit])
+
+    def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates of a chunk of two or more queries, as (rows, keys):
+        the chunk row and the key index of each, ordered by row and then by
+        index. Row b's are the keys whose float32 approximate distance A is
+        within its limit tau + 2E, or every key when its span reaches
+        `_span_limit`. See `search_batch` for the rule, tau and the bound."""
         c0, c1, c2 = self._margin
         count = self.count
-        groups = count // GROUP_SIZE
         with np.errstate(over="ignore", invalid="ignore"):
             approx = (chunk * -2.0).astype(np.float32) @ self._keys.T
             approx += self._norms32
             n = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
             span = (self._max_norm + n) ** 2
-            if groups >= 4 * k:
-                body = approx[:, : GROUP_SIZE * groups].reshape(len(chunk), GROUP_SIZE, groups)
-                tail = approx[:, GROUP_SIZE * groups :]
-                pool = np.concatenate([np.minimum.reduce(body, axis=1), tail], axis=1)
-            else:
-                pool = approx
+            grouped = count // GROUP_SIZE >= 4 * k
+            pool = self._group_minima(approx) if grouped else approx
             tau = np.partition(pool, k - 1, axis=1)[:, k - 1]
             limit = np.nextafter((tau + (c0 + c1 * n + c2 * span)).astype(np.float32), _INF32)
             if not span.max() < self._span_limit:
                 full = ~(span < self._span_limit)
                 limit[full] = np.inf
                 approx[full] = pool[full] = 0.0
-        if pool is approx:
-            flat = np.flatnonzero(approx <= limit[:, None])
-        else:
-            # Scan only the units of the pool within the limit. Unit u <
-            # groups is the group of keys u + groups j, for j < GROUP_SIZE; a
-            # tail unit u >= groups is the one key u + groups (GROUP_SIZE - 1),
-            # the last of those. `members` are flat positions in `approx`.
+        if grouped:
             r, u = np.divmod(np.flatnonzero(pool <= limit[:, None]), pool.shape[1])
-            members = (r * count + u)[:, None] + np.arange(0, GROUP_SIZE * groups, groups)
-            hit = approx.ravel()[members] <= limit[r, None]
-            if pool.shape[1] > groups:
-                hit[u >= groups, :-1] = False
-            flat = np.sort(members[hit])
-        return (None, flat) if len(chunk) == 1 else np.divmod(flat, count)
+            flat = self._scan_groups(approx, u, r * count + u, limit[r, None])
+        else:
+            flat = np.flatnonzero(approx <= limit[:, None])
+        return np.divmod(flat, count)
 
     def save(self, path) -> None:
         """Write the store in the binary format documented in the module docstring."""

@@ -20,12 +20,7 @@ import numpy as np
 from .data import Dataset
 from .datastore import Datastore
 from .model import _check_labels
-from .retrieval import (
-    RetrievalParams,
-    _neighbor_step,
-    interpolate_batch,
-    knn_distribution_batch,
-)
+from .retrieval import RetrievalParams, _blend, _neighbor_step, _vote_hits
 
 __all__ = [
     "CSV_HEADER",
@@ -138,12 +133,10 @@ def run_sweep(
     for k in sweep.k_values:
         for temperature in sweep.temperature_values:
             if need_search:
-                neighbor_probs = knn_distribution_batch(
-                    store.labels[indices[:, :k]], distances[:, :k], temperature, store.num_labels
-                )
+                neighbor_probs = _vote_hits(store, indices[:, :k], distances[:, :k],
+                                            temperature)
             for weight in sweep.knn_weight_values:
-                final = (p_cls if neighbor_probs is None
-                         else interpolate_batch(neighbor_probs, p_cls, weight))
+                final = p_cls if neighbor_probs is None else _blend(neighbor_probs, p_cls, weight)
                 rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)

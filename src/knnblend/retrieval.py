@@ -7,11 +7,24 @@ distribution is mixed with the classifier's own output by a fixed weight.
 Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
 its token counts: given k, the store checks (`RetrievalUnavailableError`
 without one or for an empty one), one pooling, encode and classify, then,
-given k, one `Datastore.search_batch`. `_score` adds one vote and one blend
-(`knn_distribution_batch`, `interpolate_batch`) over (B, k) arrays, for
-`predict_batch` on a dataset's arrays and `predict` on one `as_tokens`
+given k, one search. `_score` adds one vote and one blend over (B, k) arrays,
+for `predict_batch` on a dataset's arrays and `predict` on one `as_tokens`
 sequence; `evaluate.run_sweep` takes the step once and votes and blends per
 grid cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
+
+The path checks its inputs once, at its entry, and then calls kernels that
+check nothing. The entry checks are the store's against the model (in
+`_neighbor_step`), the tokens (by the dataset or `as_tokens`), the shapes
+that `Model.features` and `Model.classify` check, and the finiteness of the
+retrieval vectors r, as `datastore.check_queries`. Each public stage is its
+own checks plus the kernel the path calls: `Datastore.search_batch` and
+`Datastore._search` (a non-empty store, an int k >= 1, finite float64
+queries of its dimension), `knn_distribution_batch` and `_vote` (int64
+labels in range, distances of the same (B, k >= 1) shape, a positive
+temperature; `_vote_hits` gives it a search's hits, whose rows ascend), and
+`interpolate_batch` and `_blend` (two arrays of one shape, a float weight in
+[0, 1]). The vote still raises `NonFiniteDistanceError` for a distance that
+overflowed or a row whose every scaled distance overflows.
 """
 
 from __future__ import annotations
@@ -23,7 +36,8 @@ import numpy as np
 
 from .core import (DimensionMismatchError, as_labels, as_number, as_tokens, coerce_fields,
                    validate_distribution)
-from .datastore import KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError
+from .datastore import (KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError,
+                        check_queries)
 from .model import _pool_rows
 
 __all__ = [
@@ -39,6 +53,9 @@ __all__ = [
     "predict",
     "predict_batch",
 ]
+
+
+_MAX64 = float(np.finfo(np.float64).max)
 
 
 class NonFiniteDistanceError(ValueError):
@@ -84,13 +101,33 @@ def knn_distribution_batch(
                                      f"are not one (B, k) shape")
     if labels.shape[1] == 0:
         raise RetrievalUnavailableError("cannot form a label distribution from zero hits")
-    with np.errstate(over="ignore"):
-        scaled = -distances / float(temperature)
-    peak = scaled.max(axis=1, keepdims=True)
-    if not (np.isfinite(distances).all() and np.isfinite(peak).all()):
-        raise NonFiniteDistanceError(
-            f"neighbor distances are not finite at temperature {temperature!r}"
-        )
+    return _vote(labels, distances, temperature, num_labels,
+                 distances.min(axis=1, keepdims=True), np.abs(distances).max(initial=0.0))
+
+
+def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: int,
+          nearest: np.ndarray, farthest: float) -> np.ndarray:
+    """The vote kernel: `knn_distribution_batch` of int64 labels in [0,
+    num_labels) and float64 distances of one (B, k >= 1) shape, at a positive
+    temperature, none of which it checks. `nearest` (B, 1) is each row's least
+    distance and `farthest` the largest magnitude of any (NaN if one is).
+
+    It raises `NonFiniteDistanceError` for a non-finite distance or a row
+    whose every scaled distance overflows, and enters `np.errstate` only when
+    `farthest / temperature` shows that a scaled distance can overflow. A
+    row's peak, its largest scaled distance, is nearest / -t exactly: dividing
+    by -t reverses the order of the distances, and rounding keeps that order.
+    """
+    if not farthest < np.inf:
+        raise _non_finite(temperature)
+    t = float(temperature)
+    if float(farthest) / t < _MAX64:
+        scaled, peak = distances / -t, nearest / -t
+    else:
+        with np.errstate(over="ignore"):
+            scaled, peak = distances / -t, nearest / -t
+        if not np.isfinite(peak).all():
+            raise _non_finite(temperature)
     weights = np.exp(scaled - peak)
     # Each (row, label) cell sums its weights in hit order, starting from 0.0.
     rows = labels.shape[0]
@@ -98,6 +135,19 @@ def knn_distribution_batch(
     probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
     probs = probs.reshape(rows, num_labels)
     return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _non_finite(temperature) -> NonFiniteDistanceError:
+    return NonFiniteDistanceError(
+        f"neighbor distances are not finite at temperature {temperature!r}")
+
+
+def _vote_hits(store: Datastore, indices: np.ndarray, distances: np.ndarray,
+               temperature) -> np.ndarray:
+    """`_vote` over a search's (B, k) hits, whose rows ascend: each row's
+    least distance is its first, and the largest of all is in the last column."""
+    return _vote(store.labels[indices], distances, temperature, store.num_labels,
+                 distances[:, :1], distances[:, -1].max(initial=0.0))
 
 
 def knn_distribution(
@@ -124,6 +174,12 @@ def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np
     w = float(knn_weight)
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
+    return _blend(neighbor_probs, classifier_probs, w)
+
+
+def _blend(neighbor_probs: np.ndarray, classifier_probs: np.ndarray, w: float) -> np.ndarray:
+    """The blend kernel: `interpolate_batch` of two arrays of one shape and a
+    float weight in [0, 1], none of which it checks."""
     if w == 0.0:
         return classifier_probs.copy()
     if w == 1.0:
@@ -192,7 +248,7 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
     p_cls = model.classify(cache.h0)
     if k is None:
         return p_cls, None, None
-    return (p_cls, *store.search_batch(cache.r, k))
+    return (p_cls, *store._search(check_queries(cache.r), k))
 
 
 def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.ndarray,
@@ -200,11 +256,11 @@ def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.
     """The neighbor step, one vote and one blend over a `_neighbor_step` batch."""
     k = params.k if params.knn_weight > 0.0 else None
     p_cls, indices, distances = _neighbor_step(model, store, tokens, token_counts, k)
-    p_knn = None if k is None else knn_distribution_batch(
-        store.labels[indices], distances, params.temperature, store.num_labels
-    )
-    p_final = (p_cls.copy() if p_knn is None
-               else interpolate_batch(p_knn, p_cls, params.knn_weight))
+    if k is None:
+        p_knn, p_final = None, p_cls.copy()
+    else:
+        p_knn = _vote_hits(store, indices, distances, params.temperature)
+        p_final = _blend(p_knn, p_cls, params.knn_weight)
     return BatchPrediction(
         labels=np.argmax(p_final, axis=1),
         probs=p_final,

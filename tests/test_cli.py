@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -7,7 +8,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from knnblend.cli import main
+from knnblend import cli
+from knnblend.cli import ConfigError, build_parser, main
 from knnblend.data import load_jsonl
 from knnblend.datastore import Datastore
 from knnblend.evaluate import CSV_HEADER
@@ -270,6 +272,49 @@ def test_unknown_command_exits_1(capsys):
 def test_missing_required_flag_exits_1(capsys):
     assert main(["build-datastore"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ("gen-data", "train", "build-datastore", "predict", "evaluate", "sweep",
+               "grad-check")
+
+
+def subcommand_parsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_text_is_the_full_parsers(command, capsys):
+    full = build_parser()
+    subs = subcommand_parsers(full)
+    assert tuple(subs) == SUBCOMMANDS
+    want = (full if command is None else subs[command]).format_help()
+    with pytest.raises(SystemExit) as done:
+        main(["--help"] if command is None else [command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["build-datastore"],
+                                  ["predict", "--model", "m.json", "--k", "two"],
+                                  ["sweep", "--model", "m.json", "--bogus"]])
+def test_usage_errors_are_the_full_parsers(argv, capsys):
+    with pytest.raises(ConfigError) as want:
+        build_parser().parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["frobnicate"], ["build-datastore"], ["grad-check", "--step", "0"]):
+            assert main(argv) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_invalid_config_json_exits_1(tmp_path, capsys):

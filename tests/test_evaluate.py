@@ -15,12 +15,7 @@ from knnblend.evaluate import (
     write_report_csv,
 )
 from knnblend.model import POOLING_MODES, Model, ModelConfig
-from knnblend.retrieval import (
-    RetrievalParams,
-    build_datastore,
-    knn_distribution_batch,
-    predict_batch,
-)
+from knnblend.retrieval import RetrievalParams, build_datastore, predict_batch
 
 from helpers import dataset_of
 
@@ -125,9 +120,8 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     model = Model.initialize(cfg, 93)
     store = build_datastore(model, dataset)
     blends, labels = [], []
-    monkeypatch.setattr(evaluate, "interpolate_batch",
-                        lambda *args: blends.append(retrieval.interpolate_batch(*args))
-                        or blends[-1])
+    monkeypatch.setattr(evaluate, "_blend",
+                        lambda *args: blends.append(retrieval._blend(*args)) or blends[-1])
     monkeypatch.setattr(evaluate, "_row",
                         lambda k, t, w, predicted, gold: labels.append(predicted)
                         or _row(k, t, w, predicted, gold))
@@ -146,12 +140,13 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
 def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
     calls = []
 
+    vote = retrieval._vote
+
     def counting_vote(*args):
         calls.append(args[2])
-        return knn_distribution_batch(*args)
+        return vote(*args)
 
-    monkeypatch.setattr(retrieval, "knn_distribution_batch", counting_vote)
-    monkeypatch.setattr(evaluate, "knn_distribution_batch", counting_vote)
+    monkeypatch.setattr(retrieval, "_vote", counting_vote)
     model, dataset, store = toy_setup()
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0, 30.0),
                      knn_weight_values=(0.0, 0.3, 1.0))

@@ -10,17 +10,19 @@ ties are planted.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
-from knnblend.core import softmax, sq_dists
+from knnblend.core import DimensionMismatchError, softmax, sq_dists
 from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
-from knnblend.datastore import GROUP_SIZE, KEY_BLOCK, Datastore, NeighborHit, chunk_rows
+from knnblend.datastore import (GROUP_SIZE, KEY_BLOCK, Datastore, NeighborHit,
+                                RetrievalUnavailableError, chunk_rows)
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import POOLING_MODES, Model, ModelConfig, pool
 from knnblend.retrieval import (
@@ -33,7 +35,7 @@ from knnblend.retrieval import (
 )
 from knnblend.training import Hyperparams, train
 
-from helpers import dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
+from helpers import add_at_vote, dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
 
 COUNT = 2 * KEY_BLOCK + 17
 CHUNK = chunk_rows(COUNT)  # queries per chunk on a COUNT-key store
@@ -138,7 +140,9 @@ def test_prefiltered_search_equals_a_full_sort(name):
     indices, distances = store.search_batch(queries, k)
     for b in (0, 1, len(queries) - 1):
         pairs = list(zip(distances[b].tolist(), indices[b].tolist()))
-        assert pairs == full_sort_hits(store, queries[b], k), (name, b)
+        oracle = full_sort_hits(store, queries[b], k)
+        assert pairs == oracle, (name, b)
+        assert hits_as_pairs(store.search(queries[b], k)) == oracle, (name, b)  # a chunk of one
 
 
 def grouped_store(layout, k, extra, seed, dim):
@@ -355,3 +359,240 @@ def test_every_sweep_cell_matches_a_per_example_oracle():
             assert skip or got == want, row
         oracle_correct = sum(want == g for (want, _), g in zip(oracle, gold))
         assert abs(row.n_correct - oracle_correct) <= sum(exempt), row
+
+
+# ---------------------------------------------------------------------------
+# predict and predict_batch against a full-sort oracle
+
+
+def oracle_case(seed, count, k, rows, grid, activation, temperature, knn_weight):
+    """(model, store, dataset, params) for `path_oracle`: a 3-dim store of
+    `count` grid keys (many ties) or spread ones, and `rows` one-token rows."""
+    rng = np.random.default_rng(seed)
+    num_labels = int(rng.integers(1, 5))
+    cfg = ModelConfig(input_dim=3, hidden_dim=5, emb_dim=4, num_labels=num_labels,
+                      retrieval_dim=3, activation=activation)
+    model = Model.initialize(cfg, seed)
+    keys = rng.integers(-1, 2, size=(count, 3)) if grid else rng.normal(size=(count, 3))
+    store = Datastore(keys.astype(np.float32), rng.integers(num_labels, size=count), num_labels)
+    dataset = Dataset(rng.normal(size=(rows, 3)), np.ones(rows),
+                      rng.integers(num_labels, size=rows), num_labels, 3)
+    return model, store, dataset, RetrievalParams(k=k, temperature=temperature,
+                                                  knn_weight=knn_weight)
+
+
+@st.composite
+def oracle_cases(draw):
+    """`oracle_case`s: a store on either side of the group-minimum threshold
+    (count // GROUP_SIZE >= 4 k), k up to past the store size, a batch that
+    may end in a chunk of one query, and temperatures near overflow."""
+    k = draw(st.integers(1, 4))
+    edge = 4 * GROUP_SIZE * k  # the least count whose threshold step takes group minima
+    count = draw(st.integers(1, 80)
+                 | st.sampled_from([edge - 1, edge, edge + GROUP_SIZE + 1, 600]))
+    if draw(st.integers(0, 3)) == 0:
+        k = count + draw(st.integers(0, 3))  # at or past the store size
+    step = chunk_rows(count)  # one chunk and one query more, when a chunk is short to fill
+    rows = draw(st.sampled_from([1, step + 1] if step < 200 else [1, 2, 5]))
+    return oracle_case(draw(st.integers(0, 2**32 - 1)), count, k, rows, draw(st.booleans()),
+                       draw(st.sampled_from(["tanh", "identity"])),
+                       draw(st.sampled_from([0.5, 10.0, 1e-306, 2e-308, 5e-309])),
+                       draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+def path_oracle(model, store, dataset, params):
+    """Per row of the dataset, from the rows `encode_batch` gives for it:
+    (indices, distances, neighbor probs, probs, classifier probs) by
+    `full_sort_hits`, `add_at_vote` and the blend; neighbor probs are None
+    without a vote, or when every scaled distance of the row overflows."""
+    h0, r = model.encode_batch(dataset)
+    classifier = model.classify(h0)
+    w, t = params.knn_weight, params.temperature
+    rows = []
+    for q, cls in zip(r, classifier):
+        hits = full_sort_hits(store, q, params.k)
+        indices = np.array([i for _, i in hits])
+        distances = np.array([d for d, _ in hits])
+        vote = None
+        with np.errstate(over="ignore"):
+            if w > 0.0 and np.isfinite(-distances[0] / t):
+                vote = add_at_vote(store.labels[indices][None], distances[None], t,
+                                   store.num_labels)[0]
+        probs = (cls if w == 0.0 or vote is None else vote if w == 1.0
+                 else w * vote + (1.0 - w) * cls)
+        rows.append((indices, distances, vote, probs, cls))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=oracle_cases())
+@example(case=oracle_case(5, 600, 3, chunk_rows(600) + 1, True, "tanh", 10.0, 0.5))
+def test_predict_and_predict_batch_equal_the_full_sort_oracle(case):
+    """Bit for bit, each against the oracle of the rows it encodes: one
+    query's rows can round differently from a batch's in the encoder.
+    `predict`, and `predict_batch` for its hits, score the first, middle and
+    last rows of the batch alone."""
+    model, store, dataset, params = case
+    vote = params.knn_weight > 0.0
+    oracle = path_oracle(model, store, dataset, params)
+    if vote and any(row[2] is None for row in oracle):
+        with pytest.raises(NonFiniteDistanceError):
+            predict_batch(model, store, dataset, params)
+    else:
+        batch = predict_batch(model, store, dataset, params)
+        for b, (indices, distances, neighbor, probs, cls) in enumerate(oracle):
+            assert batch.classifier_probs[b].tobytes() == cls.tobytes()
+            assert batch.probs[b].tobytes() == probs.tobytes()
+            assert batch.labels[b] == np.argmax(probs)
+            if vote:
+                assert batch.neighbor_indices[b].tolist() == indices.tolist()
+                assert batch.neighbor_distances[b].tobytes() == distances.tobytes()
+                assert batch.neighbor_probs[b].tobytes() == neighbor.tobytes()
+    # With step + 1 rows, the last is a chunk of one query in the batch.
+    for b in sorted({0, len(dataset) // 2, len(dataset) - 1}):
+        one_row = Dataset(dataset.tokens[b : b + 1], [1], dataset.labels()[b : b + 1],
+                          dataset.num_labels, dataset.input_dim)
+        [(indices, distances, neighbor, probs, cls)] = path_oracle(model, store, one_row, params)
+        if vote and neighbor is None:
+            with pytest.raises(NonFiniteDistanceError):
+                predict(model, store, one_row.tokens, params)
+            continue
+        one = predict(model, store, one_row.tokens, params)
+        assert one.classifier_probs.tobytes() == cls.tobytes()
+        assert one.probs.tobytes() == probs.tobytes()
+        assert one.label == np.argmax(probs)
+        assert (one.neighbor_probs is None) == (not vote)
+        if vote:
+            assert one.neighbor_probs.tobytes() == neighbor.tobytes()
+            hits = predict_batch(model, store, one_row, params)  # the same one-query search
+            assert hits.neighbor_indices[0].tolist() == indices.tolist()
+            assert hits.neighbor_distances[0].tobytes() == distances.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# every failure of the scoring entry points, with its type and message
+
+
+def failure_setup():
+    """A 3-label model with key_dim 5, a 12-key store of its training rows,
+    a query row that is no stored key, and the path's usual parameters."""
+    rng = np.random.default_rng(24)
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3)
+    model = Model.initialize(cfg, 24)
+    train_ds = Dataset(rng.normal(size=(12, 4)), np.ones(12), np.arange(12) % 3, 3, 4)
+    return model, build_datastore(model, train_ds), rng.normal(size=(1, 4)), RetrievalParams(
+        k=4, temperature=10.0, knn_weight=0.5)
+
+
+def overflowing_model(model):
+    """`model` with identity activations and a decouple MLP whose output
+    overflows to inf for any ordinary row, while h0 and the classifier stay finite."""
+    weights = dict(model.parameters())
+    weights["dec_w1"] = weights["dec_w1"] * 1e200
+    weights["dec_w2"] = weights["dec_w2"] * 1e200
+    return Model(config=ModelConfig(**{**model.config.__dict__, "activation": "identity"}),
+                 **weights)
+
+
+def failing_inputs(case):
+    """(model, store, tokens, num_labels, params) that drive the path into `case`."""
+    model, store, tokens, params = failure_setup()
+    num_labels = 3
+    if case == "non-finite tokens":
+        tokens = np.array([[np.nan, 0.0, 0.0, 0.0]])
+    elif case == "wrong-dimension tokens":
+        tokens = np.zeros((1, 3))
+    elif case == "missing store":
+        store = None
+    elif case == "empty store":
+        store = Datastore(np.zeros((0, 5)), [], 3)
+    elif case == "label-count mismatch":
+        store = Datastore(store.keys, store.labels, 4)
+    elif case == "key_dim mismatch":
+        store = Datastore(np.zeros((2, 6)), [0, 1], 3)
+    elif case == "non-finite r":
+        model = overflowing_model(model)
+    elif case == "tiny temperature":
+        params = RetrievalParams(k=4, temperature=1e-320, knn_weight=0.5)
+    elif case == "gold label past num_labels":
+        num_labels = 4
+    return model, store, tokens, num_labels, params
+
+
+def score(entry, case):
+    model, store, tokens, num_labels, params = failing_inputs(case)
+    if entry == "predict":
+        return predict(model, store, tokens, params)
+    dataset = Dataset(tokens, [len(tokens)], [num_labels - 1], num_labels, tokens.shape[1])
+    if entry == "predict_batch":
+        return predict_batch(model, store, dataset, params)
+    if entry == "evaluate_config":
+        return evaluate_config(model, store, dataset, params)
+    cells = SweepSpec((1, params.k), (params.temperature,), (0.0, params.knn_weight))
+    return run_sweep(model, store, dataset, cells)
+
+
+def search(entry, case):
+    store = Datastore(np.eye(4), [0, 1, 0, 1], 2)
+    query, k = np.zeros(4), 2
+    if case == "empty store":
+        store = Datastore(np.zeros((0, 4)), [], 2)
+    elif case.startswith("k "):
+        k = {"k 0": 0, "k string": "2", "k None": None}[case]
+    elif case == "non-finite query":
+        query = np.array([0.0, np.inf, 0.0, 0.0])
+    elif case == "wrong-dimension query":
+        query = np.zeros(3)
+    elif case == "one-dimensional queries":
+        return store.search_batch(query, k)
+    return store.search(query, k) if entry == "search" else store.search_batch(query[None], k)
+
+
+SCORERS = ("predict", "predict_batch", "evaluate_config", "run_sweep")
+SEARCHES = ("search", "search_batch")
+FAILURES = [
+    # (case, entries, type, message)
+    ("non-finite tokens", ("predict",), ValueError, "tokens contain non-finite entries"),
+    ("wrong-dimension tokens", SCORERS, DimensionMismatchError,
+     "pooled input has shape (1, 3), expected (*, 4)"),
+    ("missing store", SCORERS, RetrievalUnavailableError,
+     "a datastore is required when knn_weight > 0"),
+    ("empty store", SCORERS + SEARCHES, RetrievalUnavailableError,
+     "cannot search an empty datastore"),
+    ("label-count mismatch", SCORERS, ValueError, "datastore has 4 labels but the model has 3"),
+    ("key_dim mismatch", SCORERS, DimensionMismatchError,
+     "datastore dimension 6 does not match the model's key_dim 5"),
+    ("non-finite r", SCORERS, ValueError,
+     "queries must be a finite (batch, dim) array, got (1, 5)"),
+    ("tiny temperature", SCORERS, NonFiniteDistanceError,
+     "neighbor distances are not finite at temperature 1e-320"),
+    ("gold label past num_labels", ("evaluate_config", "run_sweep"), ValueError,
+     "data contains label 3 but the model has 3 labels"),
+    ("k 0", SEARCHES, ValueError, "k must be at least 1"),
+    ("k string", SEARCHES, ValueError, "k must be a number, got '2'"),
+    ("k None", SEARCHES, ValueError,
+     "k: int() argument must be a string, a bytes-like object or a real number, "
+     "not 'NoneType'"),
+    ("non-finite query", SEARCHES, ValueError,
+     "queries must be a finite (batch, dim) array, got (1, 4)"),
+    ("wrong-dimension query", SEARCHES, DimensionMismatchError,
+     "query dimension 3 does not match datastore dimension 4"),
+    ("one-dimensional queries", ("search_batch",), ValueError,
+     "queries must be a finite (batch, dim) array, got (4,)"),
+]
+
+
+@pytest.mark.parametrize("case, entry, error, message", [
+    pytest.param(case, entry, error, message, id=f"{case}-{entry}")
+    for case, entries, error, message in FAILURES for entry in entries
+])
+def test_each_entry_point_fails_with_the_path_type_and_message(case, entry, error, message):
+    run = search if entry in SEARCHES else score
+    with warnings.catch_warnings():
+        # The overflow to a non-finite r is numpy's warning before it is the path's error.
+        if case == "non-finite r":
+            warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(error) as raised:
+            run(entry, case)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
