@@ -240,20 +240,18 @@ class _Records:
     buffer.
 
     A common record, a dict after the first record with an in-range `int`
-    label or a string label that names a header entry, a `features` list of
-    the file's dimension and no `tokens` key, takes a few operations to check
-    and append. Any other record, and the first, goes through every rule in
-    order, so a fault there is reported with the rule's own message, its rows
-    through the token rule (`_record_tokens`) and then the dimension check.
-    Finiteness is left to the one check of the whole matrix; `check_finite`
-    names its line."""
+    label, a `features` list of the file's dimension and no `tokens` key,
+    takes a few operations to check and append. Any other record, and the
+    first, goes through every rule in order, so a fault there is reported
+    with the rule's own message, its rows through the token rule
+    (`_record_tokens`) and then the dimension check. Finiteness is left to
+    the one check of the whole matrix; `check_finite` names its line."""
 
     def __init__(self):
         self.values = array("d")
-        # The file's dimension, label bound and label name -> index, set by
-        # the first record; until then the bound of 0 admits no common record.
+        # The file's dimension and label bound, set by the first record;
+        # until then the bound of 0 admits no common record.
         self.dim = self.limit = 0
-        self.names: dict[str, int] = {}
         self.labels: list[int] = []
         self.lines: list[int] = []  # each record's line number
         self.counts: list[int] = []  # and its token count
@@ -263,22 +261,18 @@ class _Records:
         ValueError for its first fault."""
         values = self.values
         mark = len(values)
-        if type(obj) is dict:
-            label = obj.get("label")
-            if type(label) is str:
-                label = self.names.get(label)
-            if (type(label) is int and 0 <= label < self.limit
-                    and type(row := obj.get("features")) is list
-                    and len(row) == self.dim and "tokens" not in obj):
-                try:
-                    values.extend(row)
-                except (TypeError, ValueError, OverflowError):  # the rules below name the value
-                    del values[mark:]
-                else:
-                    self.labels.append(label)
-                    self.lines.append(line_no)
-                    self.counts.append(1)
-                    return
+        if (type(obj) is dict and type(label := obj.get("label")) is int
+                and 0 <= label < self.limit and type(row := obj.get("features")) is list
+                and len(row) == self.dim and "tokens" not in obj):
+            try:
+                values.extend(row)
+            except (TypeError, ValueError, OverflowError):  # the rules below name the value
+                del values[mark:]
+            else:
+                self.labels.append(label)
+                self.lines.append(line_no)
+                self.counts.append(1)
+                return
 
         if not isinstance(obj, dict):
             raise ValueError("record is not an object")
@@ -314,7 +308,6 @@ class _Records:
         if not self.lines:
             self.dim = tokens.shape[1]
             self.limit = 2**63 if label_names is None else len(label_names)
-            self.names = {name: i for i, name in enumerate(label_names or ())}
         elif tokens.shape[1] != self.dim:
             raise ValueError(f"dimension {tokens.shape[1]} does not match "
                              f"dimension {self.dim} from line {self.lines[0]}")

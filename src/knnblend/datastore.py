@@ -17,21 +17,17 @@ minimum is within the limit. The exact recheck then runs `sq_dists` over the
 chunk's candidates together, in blocks whose float64 work arrays stay within
 `WORK_BYTES` too, and keeps each query's first k by (distance, index). Each
 query's candidates are in ascending index order, so a stable sort by
-distance gives that order and ties stay exact. A chunk of one query takes
-that sort; a chunk of more takes numpy's faster default sort, and sorts
+distance gives that order and ties stay exact. A search of one query takes
+that sort; a chunk of queries takes numpy's faster default sort, and sorts
 again, stably, only the rows with a tie among their first k + 1 sorted
 distances: if those k + 1 hold no equal pair, the first k are the same keys
 in the same order under any sort. When a query and the keys are large
 enough that the float32 pass could overflow, every key is a candidate. The
 rule and the bound are written out in `Datastore.search_batch`.
 
-`search_batch` checks its store, k and queries and then runs the search
-kernel, `_search`, which checks nothing: it assumes a non-empty store, an
-int k >= 1 and a finite float64 (B, dim) query matrix. The scoring path
-checks those once at its entry and calls `_search` itself. A chunk of one
-query, a one-row batch or the last chunk of a longer one, runs
-`_search_one`: its norm, span, threshold and limit are Python floats, its
-scan reads a 1-d row, and it keeps none of a chunk's bookkeeping.
+`search_batch` is its checks plus the search kernel `_search`, which the
+scoring path calls itself; the `retrieval` module docstring says where the
+path checks its inputs.
 
 File format (little-endian)::
 
@@ -272,16 +268,16 @@ class Datastore:
         k keys in the same order. A chunk's rows therefore take numpy's
         default sort, several times faster than its stable one, and only the
         rows with an equal pair among their first k + 1 sorted distances are
-        sorted again, stably. A chunk of one query takes the stable sort.
+        sorted again, stably. A search of one query takes the stable sort.
 
         Chunks. Queries run in chunks of `chunk_rows(count)`. Each chunk
         takes one matrix product, one partition for its taus, one scan for
         every query's candidates, one recheck of all of them and one sort of
         a (queries, width) matrix that holds each query's rechecked
         candidates in a row, padded with inf after the last (two pads among
-        a row's first k + 1 count as a tie). A chunk of one query does the
-        same on a 1-d row, with n, the span, tau and the limit as Python
-        floats, and sorts its candidates as they stand. The float32
+        a row's first k + 1 count as a tie). A batch of one query does the
+        same on a 1-d row (`_search_one`), with n, the span and tau as
+        Python floats, and sorts its candidates as they stand. The float32
         rounding of A can change with the chunk's row count and with the
         BLAS thread count, and so can the candidates, but the argument above
         holds for any A within the bound, so the results never change: row b
@@ -353,9 +349,6 @@ class Datastore:
         for lo in range(0, qs.shape[0], step):
             chunk = qs[lo : lo + step]
             nq = chunk.shape[0]
-            if nq == 1:
-                indices[lo], distances[lo] = self._search_one(chunk[0], kk)
-                continue
             rows, cand = self._prefilter(chunk, kk)
             dists = self._recheck(cand, chunk, rows)
             # Sort each row of an (nq, width) matrix whose row b holds query
@@ -386,36 +379,48 @@ class Datastore:
         return indices, distances
 
     def _search_one(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """A chunk of one query q (dim,), for k <= count: its (k,) indices and
-        distances, from a stable sort of its candidates."""
-        cand = self._prefilter_one(q, k)
+        """The search of one query q (dim,), for k <= count: its (k,) indices
+        and distances. `_prefilter`'s rule on a 1-d row, with n (by
+        `math.hypot`, which does not overflow before |q| does), the span and
+        tau as Python floats; its candidates, in ascending index order, take a
+        stable sort."""
+        n = math.hypot(*q.tolist())
+        span = self._span(n)
+        if not span < self._span_limit:
+            cand = np.arange(self.count)
+        else:
+            approx = (q * -2.0).astype(np.float32) @ self._keys.T
+            approx += self._norms32
+            grouped = self.count // GROUP_SIZE >= 4 * k
+            pool = self._group_minima(approx) if grouped else approx
+            limit = self._limit(float(np.partition(pool, k - 1)[k - 1]), n, span)
+            if grouped:
+                units = (pool <= limit).nonzero()[0]
+                cand = self._scan_groups(approx, units, units, limit)
+            else:
+                cand = (approx <= limit).nonzero()[0]
         dists = self._recheck(cand, q)
         top = np.argsort(dists, kind="stable")[:k]
         return cand[top], dists[top]
 
-    def _prefilter_one(self, q: np.ndarray, k: int) -> np.ndarray:
-        """`_prefilter` of a chunk of one query q (dim,): its candidates, in
-        ascending order. n (by `math.hypot`, which does not overflow before
-        |q| does), the span, tau and the limit are Python floats, and the
-        scan reads a 1-d row."""
+    def _span(self, n):
+        """(M + n)^2 for a query norm n, a float or an array; every key is a
+        candidate of a query whose span reaches `_span_limit`. A product, as
+        Python's ** raises OverflowError where numpy gives inf."""
+        return (self._max_norm + n) * (self._max_norm + n)
+
+    def _limit(self, tau, n, span):
+        """The candidate limit tau + 2E, 2E = c0 + c1 n + c2 span, of queries
+        of norm n and span `_span(n)`, rounded to float32 and moved one step
+        up, so it is never below the real sum. Floats give a float32 scalar
+        (inf beyond float32 range, which np.float32 would warn of), arrays an
+        array; every finite A passes a limit beyond float32 range."""
         c0, c1, c2 = self._margin
-        n = math.hypot(*q.tolist())
-        # A product: Python's ** raises OverflowError where numpy gives inf.
-        span = (self._max_norm + n) * (self._max_norm + n)
-        if not span < self._span_limit:
-            return np.arange(self.count)
-        approx = (q * -2.0).astype(np.float32) @ self._keys.T
-        approx += self._norms32
-        grouped = self.count // GROUP_SIZE >= 4 * k
-        pool = self._group_minima(approx) if grouped else approx
-        limit = float(np.partition(pool, k - 1)[k - 1]) + (c0 + c1 * n + c2 * span)
-        if not limit < _BELOW_MAX32:  # the float32 limit is its largest value or inf
-            return np.arange(self.count)
-        limit = np.nextafter(np.float32(limit), _INF32)
-        if not grouped:
-            return (approx <= limit).nonzero()[0]
-        units = (pool <= limit).nonzero()[0]
-        return self._scan_groups(approx, units, units, limit)
+        limit = tau + (c0 + c1 * n + c2 * span)
+        if isinstance(limit, float):
+            return np.nextafter(np.float32(limit), _INF32) if limit < _BELOW_MAX32 else _INF32
+        with np.errstate(over="ignore"):
+            return np.nextafter(limit.astype(np.float32), _INF32)
 
     def _recheck(self, cand: np.ndarray, queries: np.ndarray,
                  rows: np.ndarray | None = None) -> np.ndarray:
@@ -454,22 +459,20 @@ class Datastore:
         return np.sort(members[hit])
 
     def _prefilter(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates of a chunk of two or more queries, as (rows, keys):
-        the chunk row and the key index of each, ordered by row and then by
-        index. Row b's are the keys whose float32 approximate distance A is
-        within its limit tau + 2E, or every key when its span reaches
-        `_span_limit`. See `search_batch` for the rule, tau and the bound."""
-        c0, c1, c2 = self._margin
+        """The candidates of a chunk of queries, as (rows, keys): the chunk row
+        and the key index of each, ordered by row and then by index. Row b's
+        are the keys whose float32 approximate distance A is within its limit
+        tau + 2E, or every key when its span reaches `_span_limit`. See
+        `search_batch` for the rule, tau and the bound."""
         count = self.count
         with np.errstate(over="ignore", invalid="ignore"):
             approx = (chunk * -2.0).astype(np.float32) @ self._keys.T
             approx += self._norms32
             n = np.sqrt(np.einsum("ij,ij->i", chunk, chunk))
-            span = (self._max_norm + n) ** 2
+            span = self._span(n)
             grouped = count // GROUP_SIZE >= 4 * k
             pool = self._group_minima(approx) if grouped else approx
-            tau = np.partition(pool, k - 1, axis=1)[:, k - 1]
-            limit = np.nextafter((tau + (c0 + c1 * n + c2 * span)).astype(np.float32), _INF32)
+            limit = self._limit(np.partition(pool, k - 1, axis=1)[:, k - 1], n, span)
             if not span.max() < self._span_limit:
                 full = ~(span < self._span_limit)
                 limit[full] = np.inf

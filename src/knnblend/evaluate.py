@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .datastore import Datastore
 from .model import _check_labels
-from .retrieval import RetrievalParams, _blend, _neighbor_step, _vote_hits
+from .retrieval import RetrievalParams, _neighbor_step, _vote_hits, interpolate_batch
 
 __all__ = [
     "CSV_HEADER",
@@ -136,7 +136,8 @@ def run_sweep(
                 neighbor_probs = _vote_hits(store, indices[:, :k], distances[:, :k],
                                             temperature)
             for weight in sweep.knn_weight_values:
-                final = p_cls if neighbor_probs is None else _blend(neighbor_probs, p_cls, weight)
+                final = (p_cls if neighbor_probs is None
+                         else interpolate_batch(neighbor_probs, p_cls, weight))
                 rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)

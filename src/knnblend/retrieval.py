@@ -16,15 +16,14 @@ The path checks its inputs once, at its entry, and then calls kernels that
 check nothing. The entry checks are the store's against the model (in
 `_neighbor_step`), the tokens (by the dataset or `as_tokens`), the shapes
 that `Model.features` and `Model.classify` check, and the finiteness of the
-retrieval vectors r, as `datastore.check_queries`. Each public stage is its
-own checks plus the kernel the path calls: `Datastore.search_batch` and
-`Datastore._search` (a non-empty store, an int k >= 1, finite float64
-queries of its dimension), `knn_distribution_batch` and `_vote` (int64
-labels in range, distances of the same (B, k >= 1) shape, a positive
-temperature; `_vote_hits` gives it a search's hits, whose rows ascend), and
-`interpolate_batch` and `_blend` (two arrays of one shape, a float weight in
-[0, 1]). The vote still raises `NonFiniteDistanceError` for a distance that
-overflowed or a row whose every scaled distance overflows.
+retrieval vectors r (`datastore.check_queries`; huge identity-activation
+weights can make r overflow). Two public stages are their own checks plus
+the kernel the path calls: `Datastore.search_batch` runs `Datastore._search`
+and `knn_distribution_batch` runs `_vote`; each kernel's docstring names
+what it assumes. The blend is `interpolate_batch` itself. The vote still
+raises `NonFiniteDistanceError` for what a valid input can break: a distance
+that overflowed, or a row whose every scaled distance overflows at a tiny
+temperature.
 """
 
 from __future__ import annotations
@@ -174,12 +173,6 @@ def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np
     w = float(knn_weight)
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
-    return _blend(neighbor_probs, classifier_probs, w)
-
-
-def _blend(neighbor_probs: np.ndarray, classifier_probs: np.ndarray, w: float) -> np.ndarray:
-    """The blend kernel: `interpolate_batch` of two arrays of one shape and a
-    float weight in [0, 1], none of which it checks."""
     if w == 0.0:
         return classifier_probs.copy()
     if w == 1.0:
@@ -260,7 +253,7 @@ def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.
         p_knn, p_final = None, p_cls.copy()
     else:
         p_knn = _vote_hits(store, indices, distances, params.temperature)
-        p_final = _blend(p_knn, p_cls, params.knn_weight)
+        p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
     return BatchPrediction(
         labels=np.argmax(p_final, axis=1),
         probs=p_final,

@@ -120,8 +120,9 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     model = Model.initialize(cfg, 93)
     store = build_datastore(model, dataset)
     blends, labels = [], []
-    monkeypatch.setattr(evaluate, "_blend",
-                        lambda *args: blends.append(retrieval._blend(*args)) or blends[-1])
+    monkeypatch.setattr(evaluate, "interpolate_batch",
+                        lambda *args: blends.append(retrieval.interpolate_batch(*args))
+                        or blends[-1])
     monkeypatch.setattr(evaluate, "_row",
                         lambda k, t, w, predicted, gold: labels.append(predicted)
                         or _row(k, t, w, predicted, gold))

@@ -142,7 +142,7 @@ def test_prefiltered_search_equals_a_full_sort(name):
         pairs = list(zip(distances[b].tolist(), indices[b].tolist()))
         oracle = full_sort_hits(store, queries[b], k)
         assert pairs == oracle, (name, b)
-        assert hits_as_pairs(store.search(queries[b], k)) == oracle, (name, b)  # a chunk of one
+        assert hits_as_pairs(store.search(queries[b], k)) == oracle, (name, b)  # one query alone
 
 
 def grouped_store(layout, k, extra, seed, dim):
