@@ -11,7 +11,9 @@ Three input rules are written here once. Tokens: `as_tokens` (its shape, then
 `check_finite_tokens`), for every token sequence. Numbers: `as_number`, for
 each config dataclass's numeric fields (`coerce_fields`), `k` and every label
 count. Labels: `as_labels` (`as_int64s`, then one range check), for the
-labels of `Dataset`, `Datastore` and the vote (`knn_distribution_batch`).
+labels of `Dataset`, `Datastore` (`build_datastore` keys the model's label
+count) and the vote (`knn_distribution_batch`), and over the model's label
+count in `run_sweep` and the training adapter.
 """
 
 from __future__ import annotations
@@ -188,9 +190,15 @@ def softmax(logits) -> np.ndarray:
         x = as_vector(x, "logits")
     elif x.shape[1] == 0 or not np.all(np.isfinite(x)):
         raise ValueError("logits rows must be non-empty and finite")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    return _softmax(x)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """The softmax kernel over the last axis of a float64 array, which it does
+    not check: a non-finite entry gives NaN rows, not an error."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def validate_distribution(probs, num_labels: int | None = None) -> np.ndarray:

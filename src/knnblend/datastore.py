@@ -159,6 +159,9 @@ class Datastore:
         if not np.all(np.isfinite(norms)):
             raise ValueError("keys contain non-finite entries")
         num_labels = as_number(num_labels, "num_labels")
+        if num_labels > 2**32 - 1:
+            raise ValueError(f"num_labels must be at most {2**32 - 1}, the file's u32, "
+                             f"got {num_labels}")
         labels_arr = as_labels(as_int64s(labels, "labels"), num_labels)
         if labels_arr.ndim != 1 or labels_arr.shape[0] != keys_arr.shape[0]:
             raise ValueError(

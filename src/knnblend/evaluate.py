@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import as_labels
 from .data import Dataset
 from .datastore import Datastore
-from .model import _check_labels
 from .retrieval import RetrievalParams, _neighbor_step, _vote_hits, interpolate_batch
 
 __all__ = [
@@ -115,13 +115,12 @@ def run_sweep(
     """Evaluate the full grid on a dataset; searches once per query at max(k).
 
     Rows appear in k-major, then temperature, then knn_weight order. A store
-    is only required when some knn_weight in the grid is positive. A gold
-    label the model has no output for raises ValueError.
+    is only required when some knn_weight in the grid is positive. The gold
+    labels follow `core.as_labels` over the model's label count.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on zero examples")
-    gold = dataset.labels()
-    _check_labels(model, gold)
+    gold = as_labels(dataset.labels(), model.config.num_labels)
     started = time.perf_counter()
     need_search = any(w > 0.0 for w in sweep.knn_weight_values)
     p_cls, indices, distances = _neighbor_step(

@@ -118,13 +118,6 @@ def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.nd
     return pooled
 
 
-def _check_labels(model: "Model", labels: np.ndarray) -> None:
-    """Refuse a non-empty array of gold labels if the model lacks an output for one."""
-    if labels.max() >= model.config.num_labels:
-        raise ValueError(f"data contains label {labels.max()} but the model has "
-                         f"{model.config.num_labels} labels")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyper-parameters and feature flags."""

@@ -17,7 +17,9 @@ check nothing. The entry checks are the store's against the model (in
 `_neighbor_step`), the tokens (by the dataset or `as_tokens`), the shapes
 that `Model.features` and `Model.classify` check, and the finiteness of the
 retrieval vectors r (`datastore.check_queries`; huge identity-activation
-weights can make r overflow). Two public stages are their own checks plus
+weights can make r overflow). `build_datastore` adds none: `Model.features`
+checks its token width, and the store's label rule its labels, over the
+model's label count. Two public stages are their own checks plus
 the kernel the path calls: `Datastore.search_batch` runs `Datastore._search`
 and `knn_distribution_batch` runs `_vote`; each kernel's docstring names
 what it assumes. The blend is `interpolate_batch` itself. The vote still
@@ -285,25 +287,17 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
 
 
 def build_datastore(model, dataset) -> Datastore:
-    """Key the store by each example's retrieval representation, encoded
-    KEY_BLOCK at a time. Each block pools straight from the dataset's token
-    matrix, which its construction checked, and never reads `examples`."""
-    if dataset.input_dim != model.config.input_dim:
-        raise DimensionMismatchError(
-            f"dataset input_dim {dataset.input_dim} does not match model "
-            f"input_dim {model.config.input_dim}"
-        )
-    if dataset.num_labels != model.config.num_labels:
-        raise ValueError(
-            f"dataset has {dataset.num_labels} labels but the model has "
-            f"{model.config.num_labels}"
-        )
+    """Key a store over the model's labels by each example's retrieval
+    representation, encoded KEY_BLOCK at a time. Each block pools straight
+    from the dataset's token matrix, which its construction checked, and
+    never reads `examples`. The loop runs at least once, so `Model.features`
+    checks the token width of an empty dataset too."""
     keys = np.empty((len(dataset), model.config.key_dim), dtype=np.float32)
     counts = dataset.token_counts
     bounds = np.concatenate(([0], np.cumsum(counts)))  # example i's rows: bounds[i]:bounds[i + 1]
-    for start in range(0, len(dataset), KEY_BLOCK):
+    for start in range(0, len(dataset) or 1, KEY_BLOCK):
         stop = min(start + KEY_BLOCK, len(dataset))
         block = dataset.tokens[bounds[start] : bounds[stop]]
         pooled = _pool_rows(block, counts[start:stop], model.config.pooling)
         keys[start:stop] = model.features(pooled).r
-    return Datastore._adopt(keys, dataset.labels(), dataset.num_labels)
+    return Datastore._adopt(keys, dataset.labels(), model.config.num_labels)

@@ -10,9 +10,10 @@ negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
 (batch, label)-sorted order. The examples are rows of datasets, which checked
 their tokens; one adapter pools them as stored into inputs and labels,
-refusing a label the model has no output for, and `train` pools the dataset
-through it once. Each epoch gathers the pooled rows and labels into shuffled
-order once; a batch is a contiguous slice of them.
+refusing by `core.as_labels` a label the model has no output for, and
+`train` pools the dataset through it once. Each epoch gathers the pooled
+rows and labels into shuffled order once; a batch is a contiguous slice of
+them.
 The weights live in one flat vector, which `train` steps and `grad_check`
 perturbs, on a copy, entry by entry. One function, `_loss`, computes a
 batch's loss terms and, on request, their gradients into one flat buffer;
@@ -34,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import coerce_fields
+from .core import _softmax, as_labels, coerce_fields
 from .data import TrainExample
-from .model import ACTIVATIONS, Model, ModelConfig, _check_labels, _pool_rows
+from .model import ACTIVATIONS, Model, ModelConfig, _pool_rows
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -161,12 +162,6 @@ def _term_weights(config: ModelConfig, hyper: Hyperparams) -> tuple[float, float
     return 1.0 - hyper.triplet_weight, hyper.triplet_weight
 
 
-def _row_softmax(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    e /= np.add.reduce(e, axis=1, keepdims=True)
-    return e
-
-
 def _hinge(r: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
     """The (3, m) rows of the m anchors that have a negative, of their
     positives and of their negatives; the anchors' differences to the
@@ -217,7 +212,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
 
     cache = model.features(x)
     head_out = act.fn(np.dot(cache.h0, model.head_w.T))
-    probs = _row_softmax(head_out)
+    probs = _softmax(head_out)
     gold = probs[rows, labels]
     # The negated sum over n is np.mean of the negated logs, bit for bit.
     ce_mean = -float(np.add.reduce(np.log(np.maximum(gold, CE_PROB_FLOOR)))) / n
@@ -311,15 +306,15 @@ def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
 
 def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
     """Pooled inputs and int64 labels of examples, rows of datasets that checked
-    their tokens, pooled as stored. A label the model has no output for raises ValueError."""
+    their tokens, pooled as stored. The labels follow `core.as_labels` over the
+    model's label count."""
     if len(examples) == 0:
         raise ValueError("examples must be non-empty")
     tokens = np.concatenate([ex.tokens for ex in examples])
     counts = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
     x = _pool_rows(tokens, counts, model.config.pooling)
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
-    _check_labels(model, labels)
-    return x, labels
+    return x, as_labels(labels, model.config.num_labels)
 
 
 def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):

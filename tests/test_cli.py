@@ -120,6 +120,20 @@ def test_build_datastore_is_reproducible(pipeline, tmp_path, capsys):
     assert f"{store.count} keys" in capsys.readouterr().out
 
 
+def test_build_datastore_takes_a_file_without_the_models_top_label(pipeline, tmp_path, capsys):
+    # A header-less file implies labels 0..1 only; the store keys the model's 3.
+    lines = pipeline["train"].read_text().splitlines()
+    part = tmp_path / "part.jsonl"
+    part.write_text("".join(line + "\n" for line in lines if json.loads(line)["label"] != 2))
+    store = tmp_path / "part.bin"
+    assert main(["build-datastore", "--model", str(pipeline["model"]),
+                 "--data", str(part), "--out", str(store)]) == 0
+    assert Datastore.load(store).num_labels == 3
+    assert main(["evaluate", "--config", str(pipeline["cfg"]), "--model", str(pipeline["model"]),
+                 "--datastore", str(store), "--data", str(pipeline["test"])]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("accuracy=")
+
+
 def test_predict_emits_a_label_per_example(pipeline, capsys):
     assert main(["predict", "--config", str(pipeline["cfg"]),
                  "--model", str(pipeline["model"]),

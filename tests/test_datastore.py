@@ -362,6 +362,16 @@ def test_save_load_empty_store(tmp_path):
     assert loaded.num_labels == 3
 
 
+def test_label_count_must_fit_the_files_u32_field(tmp_path):
+    # A count past it would fail in `save` with struct.error, not a ValueError.
+    with pytest.raises(ValueError, match="^num_labels must be at most 4294967295, the file's "
+                                         "u32, got 4294967296$"):
+        Datastore(np.zeros((2, 2)), [0, 1], 2**32)
+    store = Datastore(np.zeros((2, 2)), [0, 1], 2**32 - 1)
+    store.save(tmp_path / "widest.bin")
+    assert Datastore.load(tmp_path / "widest.bin").num_labels == 2**32 - 1
+
+
 def test_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(9)
     store = random_store(rng, count=30, dim=4)

@@ -213,7 +213,7 @@ def test_scoring_refuses_gold_labels_past_the_model():
     # accuracy over them would be a silent undercount.
     model = toy_setup(num_labels=2)[0]
     dataset = Dataset(np.zeros((6, 4)), np.ones(6), [0, 1, 2, 3, 2, 3], 4, 4)
-    message = "^data contains label 3 but the model has 2 labels$"
+    message = "^example 2 label 2 out of range for 2 labels$"
     with pytest.raises(ValueError, match=message):
         evaluate_config(model, None, dataset, RetrievalParams(knn_weight=0.0))
     with pytest.raises(ValueError, match=message):

@@ -495,9 +495,15 @@ def test_build_datastore_validates_compatibility():
     narrow = dataset_of([np.zeros(3)], [0], num_labels=3, input_dim=3)
     with pytest.raises(DimensionMismatchError):
         build_datastore(model, narrow)
-    fewer_labels = dataset_of([np.zeros(4)], [0], num_labels=2, input_dim=4)
-    with pytest.raises(ValueError):
-        build_datastore(model, fewer_labels)
+    # Labels that are a subset of the model's key a store over all of them.
+    fewer_labels = dataset_of([np.zeros(4), np.ones(4)], [0, 1], num_labels=2, input_dim=4)
+    store = build_datastore(model, fewer_labels)
+    assert store.num_labels == model.config.num_labels == 3
+    batch = predict_batch(model, store, dataset, RetrievalParams(k=2, knn_weight=0.5))
+    assert batch.neighbor_probs.shape == (len(dataset), 3)
+    past_model = dataset_of([np.zeros(4)], [3], num_labels=4, input_dim=4)
+    with pytest.raises(ValueError, match="^example 0 label 3 out of range for 3 labels$"):
+        build_datastore(model, past_model)
 
 
 def test_build_datastore_pools_multi_token_examples():

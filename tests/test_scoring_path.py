@@ -33,7 +33,7 @@ from knnblend.retrieval import (
     predict,
     predict_batch,
 )
-from knnblend.training import Hyperparams, train
+from knnblend.training import Hyperparams, grad_check, train
 
 from helpers import add_at_vote, dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
 
@@ -470,7 +470,7 @@ def test_predict_and_predict_batch_equal_the_full_sort_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# every failure of the scoring entry points, with its type and message
+# every failure of the entry points that give data to a model, with its type and message
 
 
 def failure_setup():
@@ -502,6 +502,8 @@ def failing_inputs(case):
         tokens = np.array([[np.nan, 0.0, 0.0, 0.0]])
     elif case == "wrong-dimension tokens":
         tokens = np.zeros((1, 3))
+    elif case == "empty wrong-width dataset":
+        tokens = np.zeros((0, 3))
     elif case == "missing store":
         store = None
     elif case == "empty store":
@@ -523,11 +525,19 @@ def score(entry, case):
     model, store, tokens, num_labels, params = failing_inputs(case)
     if entry == "predict":
         return predict(model, store, tokens, params)
-    dataset = Dataset(tokens, [len(tokens)], [num_labels - 1], num_labels, tokens.shape[1])
+    seqs = [tokens] if len(tokens) else []  # one example of label num_labels - 1, or none
+    dataset = dataset_of(seqs, [num_labels - 1] * len(seqs), num_labels, tokens.shape[1])
     if entry == "predict_batch":
         return predict_batch(model, store, dataset, params)
     if entry == "evaluate_config":
         return evaluate_config(model, store, dataset, params)
+    if entry == "build_datastore":
+        return build_datastore(model, dataset)
+    if entry == "train":
+        # No hinge term, which one example of one label would refuse first.
+        return train(dataset.examples, Hyperparams(triplet_weight=0.0, epochs=1), model.config)
+    if entry == "grad_check":
+        return grad_check(model, dataset.examples, Hyperparams())
     cells = SweepSpec((1, params.k), (params.temperature,), (0.0, params.knn_weight))
     return run_sweep(model, store, dataset, cells)
 
@@ -550,11 +560,14 @@ def search(entry, case):
 
 SCORERS = ("predict", "predict_batch", "evaluate_config", "run_sweep")
 SEARCHES = ("search", "search_batch")
+MODEL_FEEDERS = ("build_datastore", "train", "grad_check")  # the other entries that take data
 FAILURES = [
     # (case, entries, type, message)
     ("non-finite tokens", ("predict",), ValueError, "tokens contain non-finite entries"),
-    ("wrong-dimension tokens", SCORERS, DimensionMismatchError,
+    ("wrong-dimension tokens", SCORERS + MODEL_FEEDERS, DimensionMismatchError,
      "pooled input has shape (1, 3), expected (*, 4)"),
+    ("empty wrong-width dataset", ("predict_batch", "build_datastore"), DimensionMismatchError,
+     "pooled input has shape (0, 3), expected (*, 4)"),
     ("missing store", SCORERS, RetrievalUnavailableError,
      "a datastore is required when knn_weight > 0"),
     ("empty store", SCORERS + SEARCHES, RetrievalUnavailableError,
@@ -566,8 +579,8 @@ FAILURES = [
      "queries must be a finite (batch, dim) array, got (1, 5)"),
     ("tiny temperature", SCORERS, NonFiniteDistanceError,
      "neighbor distances are not finite at temperature 1e-320"),
-    ("gold label past num_labels", ("evaluate_config", "run_sweep"), ValueError,
-     "data contains label 3 but the model has 3 labels"),
+    ("gold label past num_labels", ("evaluate_config", "run_sweep") + MODEL_FEEDERS, ValueError,
+     "example 0 label 3 out of range for 3 labels"),
     ("k 0", SEARCHES, ValueError, "k must be at least 1"),
     ("k string", SEARCHES, ValueError, "k must be a number, got '2'"),
     ("k None", SEARCHES, ValueError,

@@ -697,7 +697,7 @@ def test_every_training_entry_refuses_labels_past_the_model(entry):
         "combined_loss": lambda: combined_loss(model, rows, pairs, hyper),
         "loss_and_gradients": lambda: loss_and_gradients(model, rows, pairs, hyper),
     }
-    with pytest.raises(ValueError, match="^data contains label 3 but the model has 2 labels$"):
+    with pytest.raises(ValueError, match="^example 2 label 2 out of range for 2 labels$"):
         calls[entry]()
 
 
