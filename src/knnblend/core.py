@@ -161,7 +161,8 @@ def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     block of rows, and with the difference taken either way round; a per-row
     `np.dot` is not. Inputs are not validated; overflow gives inf.
     """
-    diff = keys - q
+    diff = keys.astype(np.float64)  # the cast `keys - q` makes, then q in place
+    diff -= q
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -186,11 +187,14 @@ def softmax(logits) -> np.ndarray:
     `logits` is one 1-d vector, or a 2-d batch with one vector per row.
     """
     x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 2:
-        x = as_vector(x, "logits")
-    elif x.shape[1] == 0 or not np.all(np.isfinite(x)):
+    return _softmax(as_vector(x, "logits") if x.ndim != 2 else check_logit_rows(x))
+
+
+def check_logit_rows(x: np.ndarray) -> np.ndarray:
+    """`softmax`'s rule for (B, L) logits, or the scoring path's (L,): non-empty, finite."""
+    if x.shape[-1] == 0 or not np.isfinite(x).all():
         raise ValueError("logits rows must be non-empty and finite")
-    return _softmax(x)
+    return x
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

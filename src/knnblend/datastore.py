@@ -341,11 +341,12 @@ class Datastore:
 
     def _search(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The search kernel: `search_batch` of a finite float64 (B, dim) query
-        matrix and an int k >= 1 on a non-empty store, none of which it checks."""
+        matrix and an int k >= 1 on a non-empty store, none of which it checks.
+        One query (dim,) gives its (min(k, count),) hits, by `_search_one`."""
         kk = min(k, self.count)
-        if qs.shape[0] == 1:
-            index, dist = self._search_one(qs[0], kk)
-            return index[None], dist[None]
+        if qs.ndim == 1 or qs.shape[0] == 1:
+            index, dist = self._search_one(qs.reshape(-1), kk)
+            return (index, dist) if qs.ndim == 1 else (index[None], dist[None])
         indices = np.empty((qs.shape[0], kk), dtype=np.int64)
         distances = np.empty((qs.shape[0], kk))
         step = chunk_rows(self.count)

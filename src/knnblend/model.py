@@ -18,7 +18,9 @@ and load all iterate it.
 The `Model` constructor is the one weight check: it raises `ModelShapeError`,
 or `ValueError` for a non-finite entry. `Model.load` checks only the document
 around the weights. `pool` and `encode` take one sequence through
-`core.as_tokens`; `encode_batch` pools a dataset's checked token matrix.
+`core.as_tokens` and pool it to a 1-d row; `encode_batch` pools a dataset's
+checked token matrix. `features` and `classify` are checks plus the kernels
+`_forward` and `_logits`, which the scoring path and training's loss call.
 """
 
 from __future__ import annotations
@@ -83,23 +85,24 @@ def pool(tokens, mode: str) -> np.ndarray:
     cls: first token; mean: elementwise mean; max: elementwise maximum.
     Tokens follow `core.as_tokens` (1-d is one token); `_pool_rows` of their copy.
     """
-    seq = as_tokens(tokens)
-    return _pool_rows(seq, np.array([len(seq)]), mode)[0]
+    return _pool_rows(as_tokens(tokens), None, mode)
 
 
-# "mean" does the arithmetic of `seq.mean(axis=0)` bit for bit; `np.add.reduceat` / n does not.
+# Each reduces axis -2 of one sequence (n, dim) or a stack (B, n, dim). "mean" does
+# the arithmetic of `seq.mean(axis=0)` bit for bit; `np.add.reduceat` / n does not.
 _POOLERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "cls": lambda stack: np.ascontiguousarray(stack[:, 0]),
-    "mean": lambda stack: np.add.reduce(stack, axis=1) / stack.shape[1],
-    "max": lambda stack: np.maximum.reduce(stack, axis=1),
+    "cls": lambda stack: np.ascontiguousarray(stack[..., 0, :]),
+    "mean": lambda stack: np.add.reduce(stack, axis=-2) / stack.shape[-2],
+    "max": lambda stack: np.maximum.reduce(stack, axis=-2),
 }
 POOLING_MODES = tuple(_POOLERS)
 
 
-def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.ndarray:
+def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray | None, mode: str) -> np.ndarray:
     """The one pooling step: (B, dim) rows for the B sequences that split a
-    finite (total_tokens, dim) matrix by `token_counts`, in order. Under cls
-    they may view `tokens`; the other modes make fresh rows.
+    finite (total_tokens, dim) matrix by `token_counts`, in order, or, with
+    `token_counts` None, the one (dim,) row of `tokens` as one sequence.
+    Under cls they may view `tokens`; the other modes make fresh rows.
 
     Sequences of one count are stacked and reduced together, so each row is
     bit-identical to pooling its sequence alone.
@@ -107,6 +110,8 @@ def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray, mode: str) -> np.nd
     reduce = _POOLERS.get(mode)
     if reduce is None:
         raise ValueError(f"unknown pooling mode {mode!r}")
+    if token_counts is None:
+        return reduce(tokens)
     n = len(token_counts)
     if n == 1 or (n > 1 and token_counts.min() == token_counts.max()):  # the stack is a reshape
         return reduce(tokens.reshape(n, -1, tokens.shape[1]))
@@ -154,7 +159,7 @@ class ModelConfig:
 
 @dataclass
 class FeatureCache:
-    """Intermediate activations of a batched forward pass (training reuses these)."""
+    """A batched forward pass: its pooled input and `Model._forward`'s outputs."""
 
     x: np.ndarray  # (B, input_dim) pooled inputs
     a1: np.ndarray  # (B, hidden) encoder hidden activation
@@ -214,22 +219,27 @@ class Model:
 
     def features(self, x_batch: np.ndarray) -> FeatureCache:
         """Forward the encoder (and decouple MLP) over pooled inputs (B, input_dim)."""
-        cfg = self.config
         x = np.asarray(x_batch, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise DimensionMismatchError(
-                f"pooled input has shape {x.shape}, expected (*, {cfg.input_dim})"
-            )
+        self._check_width(x.shape)
+        return FeatureCache(x, *self._forward(x))
+
+    def _check_width(self, shape: tuple) -> None:
+        """The width rule of pooled inputs: `shape` must be (B, input_dim)."""
+        if len(shape) != 2 or shape[1] != self.config.input_dim:
+            raise DimensionMismatchError(f"pooled input has shape {shape}, "
+                                         f"expected (*, {self.config.input_dim})")
+
+    def _forward(self, x: np.ndarray):
+        """The kernel of `features` over the last axis of float64 x, unchecked:
+        (a1, h0, d1, r), with d1 None and r h0 without decoupling."""
+        cfg = self.config
         act = ACTIVATIONS[cfg.activation].fn
         a1 = act(x @ self.enc_w1.T + self.enc_b1)
         h0 = a1 @ self.enc_w2.T + self.enc_b2
-        if cfg.decouple_enabled:
-            d1 = act(h0 @ self.dec_w1.T + self.dec_b1)
-            r = d1 @ self.dec_w2.T + self.dec_b2
-        else:
-            d1 = None
-            r = h0
-        return FeatureCache(x=x, a1=a1, h0=h0, d1=d1, r=r)
+        if not cfg.decouple_enabled:
+            return a1, h0, None, h0
+        d1 = act(h0 @ self.dec_w1.T + self.dec_b1)
+        return a1, h0, d1, d1 @ self.dec_w2.T + self.dec_b2
 
     def encode(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode one instance; returns (h0, r).
@@ -237,9 +247,10 @@ class Model:
         r is the retrieval representation: the decouple MLP output when
         decoupling is enabled, otherwise h0 itself.
         """
-        seq = as_tokens(tokens)
-        cache = self.features(_pool_rows(seq, np.array([len(seq)]), self.config.pooling))
-        return cache.h0[0], cache.r[0]
+        x = _pool_rows(as_tokens(tokens), None, self.config.pooling)
+        self._check_width((1, *x.shape))
+        _, h0, _, r = self._forward(x)
+        return h0, r
 
     def encode_batch(self, dataset) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode every example of a dataset in one forward pass,
@@ -258,8 +269,11 @@ class Model:
             raise DimensionMismatchError(
                 f"h0 has {h.shape[-1]} entries, expected emb_dim {self.config.emb_dim}"
             )
-        act = ACTIVATIONS[self.config.activation].fn
-        return softmax(act(h @ self.head_w.T))
+        return softmax(self._logits(h))
+
+    def _logits(self, h0: np.ndarray) -> np.ndarray:
+        """The kernel of `classify` up to its softmax, over the last axis of h0, unchecked."""
+        return ACTIVATIONS[self.config.activation].fn(h0 @ self.head_w.T)
 
     # -- parameter access ------------------------------------------------
 

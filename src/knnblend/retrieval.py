@@ -5,27 +5,27 @@ temperature-scaled negative distances, aggregated per label. That
 distribution is mixed with the classifier's own output by a fixed weight.
 
 Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
-its token counts: given k, the store checks (`RetrievalUnavailableError`
-without one or for an empty one), one pooling, encode and classify, then,
-given k, one search. `_score` adds one vote and one blend over (B, k) arrays,
-for `predict_batch` on a dataset's arrays and `predict` on one `as_tokens`
-sequence; `evaluate.run_sweep` takes the step once and votes and blends per
-grid cell. `predict`, `knn_distribution` and `interpolate` are one-row forms.
+its token counts or on one sequence: given k, the store checks
+(`RetrievalUnavailableError` without one or for an empty one), one pooling,
+encode and classify, then, given k, one search. `_score` adds one vote and
+one blend, over (B, ·) arrays for `predict_batch` and over 1-d rows for
+`predict` on one `as_tokens` sequence; `evaluate.run_sweep` takes the step
+once and votes and blends per grid cell. `predict`, `knn_distribution` and
+`interpolate` are one-row forms.
 
 The path checks its inputs once, at its entry, and then calls kernels that
-check nothing. The entry checks are the store's against the model (in
-`_neighbor_step`), the tokens (by the dataset or `as_tokens`), the shapes
-that `Model.features` and `Model.classify` check, and the finiteness of the
-retrieval vectors r (`datastore.check_queries`; huge identity-activation
-weights can make r overflow). `build_datastore` adds none: `Model.features`
-checks its token width, and the store's label rule its labels, over the
-model's label count. Two public stages are their own checks plus
-the kernel the path calls: `Datastore.search_batch` runs `Datastore._search`
-and `knn_distribution_batch` runs `_vote`; each kernel's docstring names
-what it assumes. The blend is `interpolate_batch` itself. The vote still
-raises `NonFiniteDistanceError` for what a valid input can break: a distance
-that overflowed, or a row whose every scaled distance overflows at a tiny
-temperature.
+check nothing. Its checks are `as_tokens` (or the dataset's), the store's
+against the model, the width rule of `Model.features`, the finiteness of
+the logits (as `core.softmax`) and of the retrieval vectors r (as
+`datastore.check_queries`; huge identity-activation weights or inputs can
+overflow either), and the vote's `NonFiniteDistanceError` for a distance
+that overflowed or a row whose every scaled distance overflows at a tiny
+temperature. Its kernels are `Model._forward`, `Model._logits`,
+`core._softmax`, `Datastore._search` (`_search_one` for one 1-d query) and
+`_vote`; each public stage is its own checks plus its kernel, whose
+docstring names what it assumes. The blend is `interpolate_batch` itself. `build_datastore` adds no check:
+`Model.features` checks its token width, and the store's label rule its
+labels, over the model's label count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DimensionMismatchError, as_labels, as_number, as_tokens, coerce_fields,
-                   validate_distribution)
+from .core import (DimensionMismatchError, _softmax, as_labels, as_number, as_tokens,
+                   check_logit_rows, coerce_fields, validate_distribution)
 from .datastore import (KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError,
                         check_queries)
 from .model import _pool_rows
@@ -108,10 +108,10 @@ def knn_distribution_batch(
 
 def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: int,
           nearest: np.ndarray, farthest: float) -> np.ndarray:
-    """The vote kernel: `knn_distribution_batch` of int64 labels in [0,
-    num_labels) and float64 distances of one (B, k >= 1) shape, at a positive
-    temperature, none of which it checks. `nearest` (B, 1) is each row's least
-    distance and `farthest` the largest magnitude of any (NaN if one is).
+    """The vote kernel: `knn_distribution_batch` of int64 labels in [0, num_labels)
+    and float64 distances of one (B, k >= 1) or (k,) shape, at a positive
+    temperature, none of which it checks. `nearest`, (B, 1) or a scalar, is each
+    row's least distance and `farthest` the largest magnitude of any (NaN if one is).
 
     It raises `NonFiniteDistanceError` for a non-finite distance or a row
     whose every scaled distance overflows, and enters `np.errstate` only when
@@ -131,11 +131,14 @@ def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: in
             raise _non_finite(temperature)
     weights = np.exp(scaled - peak)
     # Each (row, label) cell sums its weights in hit order, starting from 0.0.
-    rows = labels.shape[0]
-    cells = (np.arange(rows)[:, None] * num_labels + labels).ravel()
-    probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
-    probs = probs.reshape(rows, num_labels)
-    return probs / probs.sum(axis=1, keepdims=True)
+    if labels.ndim == 1:
+        probs = np.bincount(labels, weights, minlength=num_labels)
+    else:
+        rows = labels.shape[0]
+        cells = (np.arange(rows)[:, None] * num_labels + labels).ravel()
+        probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
+        probs = probs.reshape(rows, num_labels)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _non_finite(temperature) -> NonFiniteDistanceError:
@@ -145,10 +148,14 @@ def _non_finite(temperature) -> NonFiniteDistanceError:
 
 def _vote_hits(store: Datastore, indices: np.ndarray, distances: np.ndarray,
                temperature) -> np.ndarray:
-    """`_vote` over a search's (B, k) hits, whose rows ascend: each row's
+    """`_vote` over a search's (B, k) or (k,) hits, whose rows ascend: each row's
     least distance is its first, and the largest of all is in the last column."""
-    return _vote(store.labels[indices], distances, temperature, store.num_labels,
-                 distances[:, :1], distances[:, -1].max(initial=0.0))
+    if distances.ndim == 1:
+        nearest, farthest = distances[0], distances[-1]
+    else:
+        nearest, farthest = distances[:, :1], distances[:, -1].max(initial=0.0)
+    return _vote(store._labels[indices], distances, temperature, store.num_labels,
+                 nearest, farthest)
 
 
 def knn_distribution(
@@ -216,15 +223,15 @@ class BatchPrediction:
 
 
 def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
-                   token_counts: np.ndarray, k: int | None):
+                   token_counts: np.ndarray | None, k: int | None):
     """Classifier distributions of a batch and, given k, each row's hits.
 
     The batch is the sequences that split a finite (total_tokens, input_dim)
-    token matrix by `token_counts`. Returns (classifier_probs, indices,
-    distances); without k the store is never consulted (it may be empty or
-    None) and the hit arrays are None. Given k, the store is checked before
-    anything is pooled or encoded. The retrieval representations r are the
-    queries.
+    token matrix by `token_counts`, or, with `token_counts` None, the one
+    sequence `tokens`, whose arrays are 1-d rows. Returns (classifier_probs,
+    indices, distances); without k the store is never consulted (it may be
+    empty or None) and the hit arrays are None. Given k, the store is checked
+    before anything is pooled or encoded. The r vectors are the queries.
     """
     if k is not None:
         if store is None:
@@ -239,31 +246,29 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
         if store.dim != model.config.key_dim:
             raise DimensionMismatchError(f"datastore dimension {store.dim} does not match "
                                          f"the model's key_dim {model.config.key_dim}")
-    cache = model.features(_pool_rows(tokens, token_counts, model.config.pooling))
-    p_cls = model.classify(cache.h0)
+    x = _pool_rows(tokens, token_counts, model.config.pooling)
+    model._check_width(x.shape if x.ndim == 2 else (1, *x.shape))
+    _, h0, _, r = model._forward(x)
+    p_cls = _softmax(check_logit_rows(model._logits(h0)))
     if k is None:
         return p_cls, None, None
-    return (p_cls, *store._search(check_queries(cache.r), k))
+    if not np.isfinite(r).all():
+        check_queries(r.reshape(-1, r.shape[-1]))  # raises, naming one row as a batch of one
+    return (p_cls, *store._search(r, k))
 
 
-def _score(model, store: Datastore | None, tokens: np.ndarray, token_counts: np.ndarray,
-           params: RetrievalParams) -> BatchPrediction:
-    """The neighbor step, one vote and one blend over a `_neighbor_step` batch."""
+def _score(model, store: Datastore | None, tokens: np.ndarray,
+           token_counts: np.ndarray | None, params: RetrievalParams):
+    """The neighbor step, one vote and one blend over a `_neighbor_step`
+    batch, or its one row: (probs, classifier probs, neighbor probs,
+    indices, distances), the neighbor fields None when knn_weight is 0."""
     k = params.k if params.knn_weight > 0.0 else None
     p_cls, indices, distances = _neighbor_step(model, store, tokens, token_counts, k)
     if k is None:
-        p_knn, p_final = None, p_cls.copy()
-    else:
-        p_knn = _vote_hits(store, indices, distances, params.temperature)
-        p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
-    return BatchPrediction(
-        labels=np.argmax(p_final, axis=1),
-        probs=p_final,
-        classifier_probs=p_cls,
-        neighbor_probs=p_knn,
-        neighbor_indices=indices,
-        neighbor_distances=distances,
-    )
+        return p_cls.copy(), p_cls, None, None, None
+    p_knn = _vote_hits(store, indices, distances, params.temperature)
+    p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
+    return p_final, p_cls, p_knn, indices, distances
 
 
 def predict_batch(model, store: Datastore | None, dataset,
@@ -271,19 +276,14 @@ def predict_batch(model, store: Datastore | None, dataset,
     """Classify each example of a dataset, read from its `tokens` and `token_counts`.
     The store is consulted only when knn_weight > 0 (it may be empty or None
     otherwise). Label ties break to the lowest index."""
-    return _score(model, store, dataset.tokens, dataset.token_counts, params)
+    probs, *rest = _score(model, store, dataset.tokens, dataset.token_counts, params)
+    return BatchPrediction(probs.argmax(axis=1), probs, *rest)
 
 
 def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> Prediction:
-    """Classify one token sequence; the one-row `predict_batch`."""
-    seq = as_tokens(tokens)
-    batch = _score(model, store, seq, np.array([len(seq)]), params)
-    return Prediction(
-        label=int(batch.labels[0]),
-        probs=batch.probs[0],
-        classifier_probs=batch.classifier_probs[0],
-        neighbor_probs=None if batch.neighbor_probs is None else batch.neighbor_probs[0],
-    )
+    """Classify one token sequence: `predict_batch`'s path on its 1-d row."""
+    probs, p_cls, p_knn, _, _ = _score(model, store, as_tokens(tokens), None, params)
+    return Prediction(int(probs.argmax()), probs, p_cls, p_knn)
 
 
 def build_datastore(model, dataset) -> Datastore:

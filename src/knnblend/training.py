@@ -210,15 +210,15 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     n = x.shape[0]
     rows = np.arange(n)
 
-    cache = model.features(x)
-    head_out = act.fn(np.dot(cache.h0, model.head_w.T))
+    a1, h0, d1, r = model._forward(x)
+    head_out = act.fn(np.dot(h0, model.head_w.T))
     probs = _softmax(head_out)
     gold = probs[rows, labels]
     # The negated sum over n is np.mean of the negated logs, bit for bit.
     ce_mean = -float(np.add.reduce(np.log(np.maximum(gold, CE_PROB_FLOOR)))) / n
 
     if cfg.triplet_enabled:
-        trio, diff, raw = _hinge(cache.r, pos, neg, hyper.margin)
+        trio, diff, raw = _hinge(r, pos, neg, hyper.margin)
         # np.maximum, unlike a comparison, carries a NaN margin into the loss;
         # margins that sum past float64 give an inf loss, reported by the caller.
         with np.errstate(over="ignore"):
@@ -245,7 +245,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         d_head_pre[gold <= CE_PROB_FLOOR] = 0.0
         d_head_pre *= ce_weight / n
         d_head_pre *= act.grad_from_output(head_out)
-        np.dot(d_head_pre.T, cache.h0, out=grads["head_w"])
+        np.dot(d_head_pre.T, h0, out=grads["head_w"])
         d_h0 = np.dot(d_head_pre, model.head_w)
 
     # Hinge path: only strictly positive margins carry gradient (the kink at
@@ -257,7 +257,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     # -2 scale * dp.
     if trip_weight != 0.0:
         active = raw > 0.0
-        width = cache.r.shape[1]
+        width = r.shape[1]
         targets = trio.compress(active, axis=1).ravel()
         cells = np.arange(n * width).reshape(n, width).take(targets, axis=0).ravel()
         dp, dn = diff.compress(active, axis=1)
@@ -266,21 +266,21 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         d_r = np.bincount(cells, contributions.ravel(), minlength=n * width)
         d_r = d_r.astype(np.float64, copy=False).reshape(n, width)  # int zeros if none is active
         if cfg.decouple_enabled:
-            np.dot(d_r.T, cache.d1, out=grads["dec_w2"])
+            np.dot(d_r.T, d1, out=grads["dec_w2"])
             np.add.reduce(d_r, axis=0, out=grads["dec_b2"])
             d_g1 = np.dot(d_r, model.dec_w2)
-            d_g1 *= act.grad_from_output(cache.d1)
-            np.dot(d_g1.T, cache.h0, out=grads["dec_w1"])
+            d_g1 *= act.grad_from_output(d1)
+            np.dot(d_g1.T, h0, out=grads["dec_w1"])
             np.add.reduce(d_g1, axis=0, out=grads["dec_b1"])
             d_r = np.dot(d_g1, model.dec_w1)  # the hinge's gradient, carried back to h0
         d_h0 = d_h0 + d_r
 
     # Encoder backward, shared by both paths.
-    np.dot(d_h0.T, cache.a1, out=grads["enc_w2"])
+    np.dot(d_h0.T, a1, out=grads["enc_w2"])
     np.add.reduce(d_h0, axis=0, out=grads["enc_b2"])
     d_z1 = np.dot(d_h0, model.enc_w2)
-    d_z1 *= act.grad_from_output(cache.a1)
-    np.dot(d_z1.T, cache.x, out=grads["enc_w1"])
+    d_z1 *= act.grad_from_output(a1)
+    np.dot(d_z1.T, x, out=grads["enc_w1"])
     np.add.reduce(d_z1, axis=0, out=grads["enc_b1"])
     return terms
 
@@ -306,13 +306,14 @@ def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
 
 def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
     """Pooled inputs and int64 labels of examples, rows of datasets that checked
-    their tokens, pooled as stored. The labels follow `core.as_labels` over the
-    model's label count."""
+    their tokens, pooled as stored. The inputs follow the width rule of
+    `Model.features`, the labels `core.as_labels` over the model's label count."""
     if len(examples) == 0:
         raise ValueError("examples must be non-empty")
     tokens = np.concatenate([ex.tokens for ex in examples])
     counts = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
     x = _pool_rows(tokens, counts, model.config.pooling)
+    model._check_width(x.shape)
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
     return x, as_labels(labels, model.config.num_labels)
 
@@ -395,7 +396,7 @@ def grad_check(
     _, trip_weight = _term_weights(work.config, hyper)
     resamples = 0
     while trip_weight != 0.0:
-        _, _, raw = _hinge(work.features(x).r, pos, neg, hyper.margin)
+        _, _, raw = _hinge(work._forward(x)[3], pos, neg, hyper.margin)
         if not (np.abs(raw[np.isfinite(raw)]) < 100.0 * step).any():
             break
         if resamples >= GRAD_CHECK_MAX_RESAMPLES:

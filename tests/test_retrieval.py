@@ -393,9 +393,9 @@ def test_a_store_of_another_dimension_is_refused_before_encoding(entry, monkeypa
     store = build_datastore(model, dataset)
     narrow = Model.initialize(ModelConfig(input_dim=4, hidden_dim=6, emb_dim=4, num_labels=3), 0)
     encoded = []
-    features = Model.features
-    monkeypatch.setattr(Model, "features",
-                        lambda self, *args: encoded.append(args) or features(self, *args))
+    forward = Model._forward  # the encoder kernel that both paths call
+    monkeypatch.setattr(Model, "_forward",
+                        lambda self, *args: encoded.append(args) or forward(self, *args))
     params = RetrievalParams(knn_weight=0.5)
     with pytest.raises(DimensionMismatchError,
                        match="^datastore dimension 5 does not match the model's key_dim 4$"):

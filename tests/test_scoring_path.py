@@ -234,9 +234,9 @@ def test_softmax_batch_rows_equal_single_rows():
 @pytest.mark.parametrize("mode", POOLING_MODES)
 def test_pool_encode_and_predict_do_not_depend_on_memory_layout(mode):
     """One sequence given C-ordered, Fortran-ordered, as a strided view and
-    as a list gives the same bytes from `pool`, `Model.encode` and `predict`.
-    A Fortran-ordered copy would be pooled down its contiguous axis, whose
-    pairwise sum rounds differently."""
+    as a list gives the same bytes from `pool`, `Model.encode` and every
+    field of `predict`. A Fortran-ordered copy would be pooled down its
+    contiguous axis, whose pairwise sum rounds differently."""
     rng = np.random.default_rng(12)
     seq = rng.normal(size=(40, 16)) * 3.0
     wide = np.zeros((80, 48))
@@ -249,8 +249,9 @@ def test_pool_encode_and_predict_do_not_depend_on_memory_layout(mode):
 
     def outputs(tokens):
         h0, r = model.encode(tokens)
-        probs = predict(model, store, tokens, params).probs
-        return [arr.tobytes() for arr in (pool(tokens, mode), h0, r, probs)]
+        pred = predict(model, store, tokens, params)
+        return [pred.label] + [arr.tobytes() for arr in (
+            pool(tokens, mode), h0, r, pred.probs, pred.classifier_probs, pred.neighbor_probs)]
 
     want = outputs(seq)
     for name, tokens in layouts.items():
@@ -309,6 +310,23 @@ def test_scoring_entry_points_raise_on_overflowing_distances(overflow_setup):
     assert predict(model, store, huge[0].tokens, RetrievalParams(knn_weight=0.0)).label >= 0
 
 
+def test_overflowing_logits_are_refused_without_a_vote():
+    """With knn_weight 0 no r is checked, and an identity-activation encoder
+    can overflow its logits from finite tokens: both scorers refuse them, as
+    `core.softmax` does, instead of returning NaN probabilities."""
+    model, _, _, _ = failure_setup()
+    model = Model(config=ModelConfig(**{**model.config.__dict__, "activation": "identity"}),
+                  **model.parameters())
+    tokens = np.full((1, 4), 1.7e308)
+    params = RetrievalParams(knn_weight=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's, on the way to inf
+        with pytest.raises(ValueError, match="^logits rows must be non-empty and finite$"):
+            predict(model, None, tokens, params)
+        with pytest.raises(ValueError, match="^logits rows must be non-empty and finite$"):
+            predict_batch(model, None, dataset_of([tokens], [0], 3, 4), params)
+
+
 def test_cli_predict_exits_2_on_overflowing_distances(overflow_setup, tmp_path, capsys):
     model, store, _ = overflow_setup
     model.save(tmp_path / "model.json")
@@ -365,17 +383,24 @@ def test_every_sweep_cell_matches_a_per_example_oracle():
 # predict and predict_batch against a full-sort oracle
 
 
-def oracle_case(seed, count, k, rows, grid, activation, temperature, knn_weight):
-    """(model, store, dataset, params) for `path_oracle`: a 3-dim store of
-    `count` grid keys (many ties) or spread ones, and `rows` one-token rows."""
+def oracle_case(seed, count, k, rows, grid, activation, temperature, knn_weight,
+                pooling="cls", decouple=True, max_tokens=1):
+    """(model, store, dataset, params) for `path_oracle`: a store of `count`
+    grid keys (many ties) or spread ones, 3-dim with decoupling and 4-dim
+    without, and `rows` rows of 1 to `max_tokens` tokens each."""
     rng = np.random.default_rng(seed)
     num_labels = int(rng.integers(1, 5))
     cfg = ModelConfig(input_dim=3, hidden_dim=5, emb_dim=4, num_labels=num_labels,
-                      retrieval_dim=3, activation=activation)
+                      retrieval_dim=3, pooling=pooling, activation=activation,
+                      decouple_enabled=decouple)
     model = Model.initialize(cfg, seed)
-    keys = rng.integers(-1, 2, size=(count, 3)) if grid else rng.normal(size=(count, 3))
+    size = (count, cfg.key_dim)
+    keys = rng.integers(-1, 2, size=size) if grid else rng.normal(size=size)
     store = Datastore(keys.astype(np.float32), rng.integers(num_labels, size=count), num_labels)
-    dataset = Dataset(rng.normal(size=(rows, 3)), np.ones(rows),
+    counts = np.ones(rows, dtype=np.int64)
+    if max_tokens > 1:
+        counts = rng.integers(1, max_tokens + 1, size=rows)
+    dataset = Dataset(rng.normal(size=(counts.sum(), 3)), counts,
                       rng.integers(num_labels, size=rows), num_labels, 3)
     return model, store, dataset, RetrievalParams(k=k, temperature=temperature,
                                                   knn_weight=knn_weight)
@@ -385,7 +410,8 @@ def oracle_case(seed, count, k, rows, grid, activation, temperature, knn_weight)
 def oracle_cases(draw):
     """`oracle_case`s: a store on either side of the group-minimum threshold
     (count // GROUP_SIZE >= 4 k), k up to past the store size, a batch that
-    may end in a chunk of one query, and temperatures near overflow."""
+    may end in a chunk of one query, temperatures near overflow, every
+    pooling mode over rows of one token or of 1 to 5, and decoupling on and off."""
     k = draw(st.integers(1, 4))
     edge = 4 * GROUP_SIZE * k  # the least count whose threshold step takes group minima
     count = draw(st.integers(1, 80)
@@ -397,7 +423,9 @@ def oracle_cases(draw):
     return oracle_case(draw(st.integers(0, 2**32 - 1)), count, k, rows, draw(st.booleans()),
                        draw(st.sampled_from(["tanh", "identity"])),
                        draw(st.sampled_from([0.5, 10.0, 1e-306, 2e-308, 5e-309])),
-                       draw(st.sampled_from([0.0, 0.5, 1.0])))
+                       draw(st.sampled_from([0.0, 0.5, 1.0])),
+                       draw(st.sampled_from(POOLING_MODES)), draw(st.booleans()),
+                       draw(st.sampled_from([1, 5])))
 
 
 def path_oracle(model, store, dataset, params):
@@ -431,7 +459,8 @@ def test_predict_and_predict_batch_equal_the_full_sort_oracle(case):
     """Bit for bit, each against the oracle of the rows it encodes: one
     query's rows can round differently from a batch's in the encoder.
     `predict`, and `predict_batch` for its hits, score the first, middle and
-    last rows of the batch alone."""
+    last rows of the batch alone: `predict` pools and encodes its sequence as
+    a 1-d row, and the oracle as a batch of one."""
     model, store, dataset, params = case
     vote = params.knn_weight > 0.0
     oracle = path_oracle(model, store, dataset, params)
@@ -449,8 +478,10 @@ def test_predict_and_predict_batch_equal_the_full_sort_oracle(case):
                 assert batch.neighbor_distances[b].tobytes() == distances.tobytes()
                 assert batch.neighbor_probs[b].tobytes() == neighbor.tobytes()
     # With step + 1 rows, the last is a chunk of one query in the batch.
+    bounds = np.concatenate(([0], np.cumsum(dataset.token_counts)))  # row b's token span
     for b in sorted({0, len(dataset) // 2, len(dataset) - 1}):
-        one_row = Dataset(dataset.tokens[b : b + 1], [1], dataset.labels()[b : b + 1],
+        lo, hi = bounds[b], bounds[b + 1]
+        one_row = Dataset(dataset.tokens[lo:hi], [hi - lo], dataset.labels()[b : b + 1],
                           dataset.num_labels, dataset.input_dim)
         [(indices, distances, neighbor, probs, cls)] = path_oracle(model, store, one_row, params)
         if vote and neighbor is None:
@@ -500,7 +531,7 @@ def failing_inputs(case):
     num_labels = 3
     if case == "non-finite tokens":
         tokens = np.array([[np.nan, 0.0, 0.0, 0.0]])
-    elif case == "wrong-dimension tokens":
+    elif case.startswith("wrong-dimension tokens"):
         tokens = np.zeros((1, 3))
     elif case == "empty wrong-width dataset":
         tokens = np.zeros((0, 3))
@@ -535,7 +566,9 @@ def score(entry, case):
         return build_datastore(model, dataset)
     if entry == "train":
         # No hinge term, which one example of one label would refuse first.
-        return train(dataset.examples, Hyperparams(triplet_weight=0.0, epochs=1), model.config)
+        epochs = 0 if case.endswith("zero epochs") else 1
+        return train(dataset.examples, Hyperparams(triplet_weight=0.0, epochs=epochs),
+                     model.config)
     if entry == "grad_check":
         return grad_check(model, dataset.examples, Hyperparams())
     cells = SweepSpec((1, params.k), (params.temperature,), (0.0, params.knn_weight))
@@ -565,6 +598,8 @@ FAILURES = [
     # (case, entries, type, message)
     ("non-finite tokens", ("predict",), ValueError, "tokens contain non-finite entries"),
     ("wrong-dimension tokens", SCORERS + MODEL_FEEDERS, DimensionMismatchError,
+     "pooled input has shape (1, 3), expected (*, 4)"),
+    ("wrong-dimension tokens, zero epochs", ("train",), DimensionMismatchError,
      "pooled input has shape (1, 3), expected (*, 4)"),
     ("empty wrong-width dataset", ("predict_batch", "build_datastore"), DimensionMismatchError,
      "pooled input has shape (0, 3), expected (*, 4)"),
