@@ -200,7 +200,8 @@ def check_logit_rows(x: np.ndarray) -> np.ndarray:
 def _softmax(x: np.ndarray) -> np.ndarray:
     """The softmax kernel over the last axis of a float64 array, which it does
     not check: a non-finite entry gives NaN rows, not an error."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 

@@ -231,15 +231,16 @@ class Model:
 
     def _forward(self, x: np.ndarray):
         """The kernel of `features` over the last axis of float64 x, unchecked:
-        (a1, h0, d1, r), with d1 None and r h0 without decoupling."""
+        (a1, h0, d1, r), with d1 None and r h0 without decoupling. Each layer is
+        one fresh product written in place (`_dense`); x is only read."""
         cfg = self.config
         act = ACTIVATIONS[cfg.activation].fn
-        a1 = act(x @ self.enc_w1.T + self.enc_b1)
-        h0 = a1 @ self.enc_w2.T + self.enc_b2
+        a1 = _dense(x, self.enc_w1, self.enc_b1, act)
+        h0 = _dense(a1, self.enc_w2, self.enc_b2)
         if not cfg.decouple_enabled:
             return a1, h0, None, h0
-        d1 = act(h0 @ self.dec_w1.T + self.dec_b1)
-        return a1, h0, d1, d1 @ self.dec_w2.T + self.dec_b2
+        d1 = _dense(h0, self.dec_w1, self.dec_b1, act)
+        return a1, h0, d1, _dense(d1, self.dec_w2, self.dec_b2)
 
     def encode(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode one instance; returns (h0, r).
@@ -273,7 +274,7 @@ class Model:
 
     def _logits(self, h0: np.ndarray) -> np.ndarray:
         """The kernel of `classify` up to its softmax, over the last axis of h0, unchecked."""
-        return ACTIVATIONS[self.config.activation].fn(h0 @ self.head_w.T)
+        return _dense(h0, self.head_w, act=ACTIVATIONS[self.config.activation].fn)
 
     # -- parameter access ------------------------------------------------
 
@@ -330,6 +331,17 @@ class Model:
             raise
         except ValueError as exc:
             raise ModelLoadError(f"invalid model weights: {exc}") from exc
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b=None, act=None) -> np.ndarray:
+    """act(x @ w.T + b), bit for bit, in the one array of `np.dot`'s product;
+    a ufunc activation (tanh) runs in place, the identity returns it as is."""
+    out = np.dot(x, w.T)
+    if b is not None:
+        out += b
+    if act is None:
+        return out
+    return act(out, out=out) if isinstance(act, np.ufunc) else act(out)
 
 
 def _layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:

@@ -8,26 +8,30 @@ squared-L2 distances between retrieval representations:
 Positives are same-label batch mates (falling back to the example itself),
 negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
-(batch, label)-sorted order. The examples are rows of datasets, which checked
-their tokens; one adapter pools them as stored into inputs and labels,
-refusing by `core.as_labels` a label the model has no output for, and
-`train` pools the dataset through it once. Each epoch gathers the pooled
-rows and labels into shuffled order once; a batch is a contiguous slice of
-them.
+(batch, label)-sorted order, each label block placed by counting, not
+searching. The examples are rows of datasets, which checked their tokens;
+one adapter pools them as stored into inputs and labels, refusing by
+`core.as_labels` a label the model has no output for, and `train` pools the
+dataset through it once. Each epoch gathers the pooled rows and labels into
+shuffled order once; a batch is a contiguous slice of them.
 The weights live in one flat vector, which `train` steps and `grad_check`
 perturbs, on a copy, entry by entry. One function, `_loss`, computes a
 batch's loss terms and, on request, their gradients into one flat buffer;
 `combined_loss`, `loss_and_gradients`, `train` and `grad_check` all go
-through it. Its hinge holds the differences to the positives and to the
+through it. Its cross-entropy reaches the gold cells through one flat
+index; its hinge holds the differences to the positives and to the
 negatives as one stacked (2, anchors, width) array, and its backward sums
 every anchor, positive and negative contribution with one `np.bincount`, in
-that order per cell. The bits match a batch-by-batch loop with `np.add.at`.
-A diverging model's loss turns non-finite without a warning; `train` raises
-`TrainingDivergedError`.
+that order per cell; both index from `_cell_table`, built once per shape.
+The bits match a batch-by-batch loop with `np.add.at`. Each of the four
+entries enters one `np.errstate` (`_quiet`), which covers the forward pass
+too, so a diverging model's loss turns non-finite without a warning;
+`train` raises `TrainingDivergedError`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -61,6 +65,9 @@ CE_PROB_FLOOR = 1e-12
 GRAD_CHECK_REL_TOL = 1e-4
 GRAD_CHECK_ABS_TOL = 1e-8
 GRAD_CHECK_MAX_RESAMPLES = 25
+
+# Every entry's one scope: it reports a diverging model's loss, not a warning.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -98,36 +105,41 @@ def _pair_indices(labels: np.ndarray, batch_size: int, rng: np.random.Generator)
     """Batch-local (pos, neg) for every row of an epoch's labels, taken
     `batch_size` rows at a time; neg is -1 where there is none.
 
-    Sorted by (batch, label), each candidate set is a span of its batch's
-    positions minus one gap (the member itself, or its label's block). One
-    `rng.integers` call draws a rank in every set: per batch, mates then
-    others. A high of 1 draws nothing, so a batch of one consumes nothing.
+    On a (batches, batch_size) grid of rows, the last batch padded with a
+    label past the others, (batch index, label) keys sort each candidate set
+    into a span of its batch minus one gap (the member itself, or its label's
+    block), whose size and start a `bincount` of the keys and its `cumsum`
+    give. One `rng.integers` call draws each set's rank (per batch, mates then
+    others); a high of 1 draws nothing, as for a batch of one or the padding.
     """
     n = labels.shape[0]
-    rows = np.arange(n)
-    first = rows - rows % batch_size  # start of each row's batch
-    width = np.minimum(batch_size, n - first)  # size of each row's batch
-    key = first * (labels.max() + 1) + labels
-    order = np.argsort(key, kind="stable")
-    start = np.searchsorted(key[order], key, side="left")
-    size = np.searchsorted(key[order], key, side="right") - start
-    place = key  # an epoch's arrays are O(n): reuse each buffer that falls free
-    place[order] = rows
-    for arr in (order, start, place):  # from here on, positions count from the batch start
-        arr -= first
+    nb = -(-n // batch_size)
+    span = int(labels.max()) + 2  # the labels, then the padding's
+    index = np.min_scalar_type(-1 - max(nb * span, nb * batch_size))  # signed, holds both
+    key = np.full((nb, batch_size), span - 1, dtype=index)
+    key.reshape(-1)[:n] = labels
+    key += np.arange(0, nb * span, span, dtype=index)[:, None]
+    counts = np.bincount(key.reshape(-1)).astype(index)
+    first = np.arange(0, nb * batch_size, batch_size, dtype=index)[:, None]
+    width = np.minimum(n - first, batch_size)  # each batch's rows
+    size = counts.take(key)
     lonely = size == width  # no different label: every other member is a negative
-    slot = np.add(rows, first, out=rows)  # a batch's mate draws fill [2 first, 2 first + width)
-    ranks = np.empty(2 * n, dtype=np.int64)  # each draw's candidate count, then its rank
-    ranks[slot] = size - 1
-    ranks[slot + width] = np.where(lonely, width - 1, width - size)
-    ranks = rng.integers(np.maximum(ranks, 1, out=ranks))
-    mate, other = start + ranks[slot], ranks[slot + width]
-    del ranks, slot
-    mate += mate >= place
+    high = np.stack([size - 1, np.where(lonely, width - 1, width - size)], axis=1).astype(np.int64)
+    high[-1, :, width[-1, 0]:] = 1
+    mate, other = rng.integers(np.maximum(high, 1, out=high)).astype(index).transpose(1, 0, 2)
+    del high
+    order = np.argsort(key, axis=None, kind="stable").astype(index).reshape(nb, batch_size)
+    start = (np.cumsum(counts, dtype=index) - counts).take(key)
+    place = key  # each row's own position, in the keys' buffer
+    place.reshape(-1)[order.reshape(-1)] = np.arange(nb * batch_size, dtype=index)
+    order -= first  # rows count from their batch's start
+    mate += start
+    mate = np.where(size > 1, mate + (mate >= place), place)
+    other += first
     other += np.where(lonely, other >= place, size * (other >= start))
-    pos = order[first + np.where(size > 1, mate, place)]
-    # A batch of one has no negative; the clamp keeps its index in range.
-    return pos, np.where(width > 1, order[first + np.minimum(other, width - 1)], -1)
+    neg = order.take(np.minimum(other, first + width - 1)).astype(np.int64)  # kept in range
+    neg[width[:, 0] == 1] = -1  # for a batch of one, which has no negative
+    return order.take(mate).astype(np.int64).reshape(-1)[:n], neg.reshape(-1)[:n]
 
 
 def select_pairs(batch: Sequence[TrainExample], rng: np.random.Generator):
@@ -162,6 +174,14 @@ def _term_weights(config: ModelConfig, hyper: Hyperparams) -> tuple[float, float
     return 1.0 - hyper.triplet_weight, hyper.triplet_weight
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_table(n: int, width: int) -> np.ndarray:
+    """The read-only flat index of each cell of an (n, width) array, built once per shape."""
+    table = np.arange(n * width).reshape(n, width)
+    table.flags.writeable = False
+    return table
+
+
 def _hinge(r: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
     """The (3, m) rows of the m anchors that have a negative, of their
     positives and of their negatives; the anchors' differences to the
@@ -169,17 +189,15 @@ def _hinge(r: np.ndarray, pos: np.ndarray, neg: np.ndarray, margin: float):
     raw margins d(a,p) - d(a,n) + margin.
 
     All three row sets are gathered in one index and both squared distances
-    taken in one `einsum`. A diverged model's distances may overflow here;
-    that is not warned about, because callers test the resulting loss with
-    `isfinite` and report it.
+    taken in one `einsum`.
     """
     anchors = (neg >= 0).nonzero()[0]
     trio = np.concatenate([anchors, pos[anchors], neg[anchors]])
-    rows = r[trio].reshape(3, -1, r.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = rows[0] - rows[1:]
-        sq = np.einsum("kij,kij->ki", diff, diff)
-        raw = sq[0] - sq[1] + margin
+    rows = r.take(trio, axis=0).reshape(3, -1, r.shape[1])
+    diff = rows[0] - rows[1:]
+    sq = np.einsum("kij,kij->ki", diff, diff)
+    raw = sq[0] - sq[1]
+    raw += margin
     return trio.reshape(3, -1), diff, raw
 
 
@@ -202,18 +220,18 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     config and hyper), each gradient that a term reaches is written into it.
     Products call `np.dot` and sums `np.add.reduce`, the BLAS product and the
     reduction that `@` and `ndarray.sum` reach through more dispatch, with
-    the same bits.
+    the same bits. Overflow is the caller's to silence: see `_quiet`.
     """
     cfg = model.config
     ce_weight, trip_weight = _term_weights(cfg, hyper)
     act = ACTIVATIONS[cfg.activation]
     n = x.shape[0]
-    rows = np.arange(n)
 
     a1, h0, d1, r = model._forward(x)
-    head_out = act.fn(np.dot(h0, model.head_w.T))
+    head_out = model._logits(h0)
     probs = _softmax(head_out)
-    gold = probs[rows, labels]
+    gold_at = labels + _cell_table(n, probs.shape[1])[:, 0]  # flat index of each gold cell
+    gold = probs.take(gold_at)
     # The negated sum over n is np.mean of the negated logs, bit for bit.
     ce_mean = -float(np.add.reduce(np.log(np.maximum(gold, CE_PROB_FLOOR)))) / n
 
@@ -221,28 +239,24 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         trio, diff, raw = _hinge(r, pos, neg, hyper.margin)
         # np.maximum, unlike a comparison, carries a NaN margin into the loss;
         # margins that sum past float64 give an inf loss, reported by the caller.
-        with np.errstate(over="ignore"):
-            trip_mean = float(np.add.reduce(np.maximum(raw, 0.0))) / n
+        trip_mean = float(np.add.reduce(np.maximum(raw, 0.0))) / n
     else:
         trip_mean = 0.0
-    terms = LossTerms(
-        total=_mix_total(ce_weight, ce_mean, trip_weight, trip_mean),
-        ce=ce_mean,
-        triplet=trip_mean,
-    )
+    terms = LossTerms(_mix_total(ce_weight, ce_mean, trip_weight, trip_mean), ce_mean, trip_mean)
     if grads is None:
         return terms
 
     d_h0 = 0.0  # an array once a term adds to it; at least one term does
 
     # Cross-entropy path: softmax+log gradient, then back through the head
-    # activation, in place in `probs` (`gold` is a copy). Rows where the
-    # probability floor clipped the log get zero gradient, matching the
-    # clamped forward value.
+    # activation, in place in `probs` (`gold` is a copy, so `gold - 1.0` is
+    # each gold cell less one). Rows where the probability floor clipped the
+    # log get zero gradient, matching the clamped forward value.
     if ce_weight != 0.0:
         d_head_pre = probs
-        d_head_pre[rows, labels] -= 1.0
-        d_head_pre[gold <= CE_PROB_FLOOR] = 0.0
+        d_head_pre.put(gold_at, gold - 1.0)
+        if gold.min() <= CE_PROB_FLOOR:
+            d_head_pre[gold <= CE_PROB_FLOOR] = 0.0
         d_head_pre *= ce_weight / n
         d_head_pre *= act.grad_from_output(head_out)
         np.dot(d_head_pre.T, h0, out=grads["head_w"])
@@ -259,7 +273,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         active = raw > 0.0
         width = r.shape[1]
         targets = trio.compress(active, axis=1).ravel()
-        cells = np.arange(n * width).reshape(n, width).take(targets, axis=0).ravel()
+        cells = _cell_table(n, width).take(targets, axis=0).ravel()
         dp, dn = diff.compress(active, axis=1)
         contributions = np.concatenate([dp - dn, -dp, dn])
         contributions *= (trip_weight / n) * 2.0
@@ -328,6 +342,7 @@ def _batch_arrays(model: Model, batch: Sequence[TrainExample], pairs):
     return x, labels, pos, neg
 
 
+@_quiet
 def combined_loss(model: Model, batch: Sequence[TrainExample], pairs,
                   hyper: Hyperparams) -> tuple[float, LossTerms]:
     """Mixed batch loss; returns (scalar total, per-term breakdown)."""
@@ -335,6 +350,7 @@ def combined_loss(model: Model, batch: Sequence[TrainExample], pairs,
     return terms.total, terms
 
 
+@_quiet
 def loss_and_gradients(model: Model, batch: Sequence[TrainExample], pairs,
                        hyper: Hyperparams):
     """Batch loss terms plus analytic gradients for every weight array."""
@@ -367,12 +383,9 @@ def _failed_check(resamples: int, note: str, finite: bool = True) -> GradCheckRe
     )
 
 
-def grad_check(
-    model: Model,
-    batch: Sequence[TrainExample],
-    hyper: Hyperparams,
-    step: float = 1e-5,
-) -> GradCheckReport:
+@_quiet
+def grad_check(model: Model, batch: Sequence[TrainExample], hyper: Hyperparams,
+               step: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients with (f(w+step) - f(w-step)) / (2 step).
 
     It perturbs a copy of the model whose weights view one flat vector; the
@@ -421,10 +434,9 @@ def grad_check(
     # The relative criterion is meaningless when both gradients are tiny; the
     # floor routes those comparisons to the absolute criterion instead.
     denom_floor = 1e-4
-    with np.errstate(invalid="ignore", over="ignore"):
-        denom = np.maximum(np.abs(analytic), np.abs(numeric))
-        relative = ~(denom < denom_floor)  # so is a NaN gradient, its error set to inf below
-        error = np.abs(analytic - numeric) / np.where(relative, denom, 1.0)
+    denom = np.maximum(np.abs(analytic), np.abs(numeric))
+    relative = ~(denom < denom_floor)  # so is a NaN gradient, its error set to inf below
+    error = np.abs(analytic - numeric) / np.where(relative, denom, 1.0)
     error[np.isnan(error)] = math.inf
     tolerance = np.where(relative, GRAD_CHECK_REL_TOL, GRAD_CHECK_ABS_TOL)
     worst = int(np.argmax(error / tolerance))
@@ -460,11 +472,9 @@ class EpochStats:
         )
 
 
-def train(
-    data: Sequence[TrainExample],
-    hyper: Hyperparams,
-    model_config: ModelConfig,
-) -> tuple[Model, list[EpochStats]]:
+@_quiet
+def train(data: Sequence[TrainExample], hyper: Hyperparams,
+          model_config: ModelConfig) -> tuple[Model, list[EpochStats]]:
     """Mini-batch SGD over the mixed objective; reproducible from the seed.
 
     One generator (seeded with hyper.seed) drives initialization, the
@@ -482,6 +492,7 @@ def train(
         raise ValueError("triplet training needs at least two distinct labels")
 
     grad_flat, grads = _flat_buffer(model)
+    update = np.empty_like(grad_flat)  # learning_rate * grad_flat, each step
     n = len(data)
     # Each epoch's rows, in its order. The order is a permutation, so no index
     # is clipped; with mode="clip", `take` writes into the buffer directly
@@ -504,18 +515,11 @@ def train(
                     f"non-finite loss at epoch {epoch + 1}, batch starting at "
                     f"{start}: total={terms.total} ce={terms.ce} triplet={terms.triplet}"
                 )
-            weights -= hyper.learning_rate * grad_flat
+            weights -= np.multiply(grad_flat, hyper.learning_rate, out=update)
             b = end - start
             sum_ce += terms.ce * b
             sum_trip += terms.triplet * b
             sum_total += terms.total * b
-        log.append(
-            EpochStats(
-                epoch=epoch + 1,
-                mean_ce=sum_ce / n,
-                mean_triplet=sum_trip / n,
-                mean_total=sum_total / n,
-                wall_ms=(time.perf_counter() - started) * 1000.0,
-            )
-        )
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        log.append(EpochStats(epoch + 1, sum_ce / n, sum_trip / n, sum_total / n, wall_ms))
     return model, log

@@ -146,6 +146,19 @@ def scalar_forward(model, pooled):
     return {"h0": h0, "probs": probs, "r": r}
 
 
+def affine_forward(model, x):
+    """`Model._forward` one expression per layer, `act(x @ W.T + b)`, each
+    making its own temporaries: (a1, h0, d1, r), with d1 None and r h0
+    without decoupling."""
+    act = ACTIVATIONS[model.config.activation].fn
+    a1 = act(x @ model.enc_w1.T + model.enc_b1)
+    h0 = a1 @ model.enc_w2.T + model.enc_b2
+    if not model.config.decouple_enabled:
+        return a1, h0, None, h0
+    d1 = act(h0 @ model.dec_w1.T + model.dec_b1)
+    return a1, h0, d1, d1 @ model.dec_w2.T + model.dec_b2
+
+
 def scalar_batch_loss(model, batch, pairs, triplet_weight, margin, floor=1e-12):
     """Scalar recomputation of the mixed batch objective (cls pooling).
 

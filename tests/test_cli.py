@@ -554,7 +554,6 @@ def test_sweep_positive_weights_without_datastore_exits_2(pipeline, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_diverging_training_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(19)
     tokens = rng.normal(size=(12, 4))

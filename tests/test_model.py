@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from knnblend.core import DimensionMismatchError, as_tokens
 from knnblend.model import (
+    ACTIVATIONS,
     Model,
     ModelConfig,
     ModelFormatError,
@@ -19,7 +20,7 @@ from knnblend.model import (
     pool,
 )
 
-from helpers import copy_model, scalar_forward
+from helpers import affine_forward, copy_model, scalar_forward
 
 
 def small_config(**overrides):
@@ -214,6 +215,37 @@ def test_forward_matches_scalar_oracle():
             np.testing.assert_allclose(
                 model.classify(h0), expected["probs"], rtol=1e-12, atol=1e-15
             )
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activations_leave_their_argument_unchanged(name):
+    y = np.random.default_rng(3).normal(size=(4, 3))
+    before = y.tobytes()
+    for fn in ACTIVATIONS[name]:
+        fn(y)
+        assert y.tobytes() == before
+
+
+@pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (32, 5), (33, 5)])
+def test_forward_matches_the_one_expression_oracle_and_reads_only(decouple, activation, shape):
+    cfg = small_config(retrieval_dim=2, activation=activation, decouple_enabled=decouple)
+    model = Model.initialize(cfg, 61)
+    x = np.random.default_rng(62).normal(size=shape) * 3
+    x.flags.writeable = False
+    got = model._forward(x)
+    for have, want in zip(got, affine_forward(model, x)):
+        assert (have is None) == (want is None)
+        if want is not None:
+            assert have.shape == want.shape and have.tobytes() == want.tobytes()
+    act = ACTIVATIONS[activation].fn
+    assert model._logits(got[1]).tobytes() == act(got[1] @ model.head_w.T).tobytes()
+    if x.ndim == 2:
+        cache = model.features(x)
+        assert cache.x is x
+        for have, want in zip((cache.a1, cache.h0, cache.d1, cache.r), got):
+            assert have is None if want is None else have.tobytes() == want.tobytes()
 
 
 def test_classify_zero_head_is_uniform():
