@@ -182,6 +182,8 @@ def _write_lines(lines, path: str | None) -> None:
 def _cmd_gen_data(args) -> int:
     cfg = _load_config(args.config)
     train_ds, test_ds = _synthetic_datasets(cfg, args)
+    if len(test_ds) == 0:
+        raise ConfigError("per_class_count below 5 leaves the synthetic test split empty")
     write_jsonl(train_ds, args.out_train)
     write_jsonl(test_ds, args.out_test)
     print(f"wrote {len(train_ds)} train examples to {args.out_train}")

@@ -320,13 +320,12 @@ class _Records:
         """A fresh (total_tokens, dim) copy of the values."""
         return np.frombuffer(self.values).reshape(-1, self.dim).copy()
 
-    def check_finite(self, tokens: np.ndarray | None = None) -> None:
+    def check_finite(self) -> None:
         """Raise the token rule's error, at its line, for the first record
-        with a non-finite token in `tokens` (by default, the values so far)."""
+        with a non-finite token among the values so far."""
         if not self.lines:
             return
-        if tokens is None:
-            tokens = np.frombuffer(self.values).reshape(-1, self.dim)
+        tokens = np.frombuffer(self.values).reshape(-1, self.dim)
         bad = ~np.isfinite(tokens).all(axis=1)
         if bad.any():
             ends = np.cumsum(self.counts)
@@ -375,13 +374,12 @@ def load_jsonl(path) -> Dataset:
     if not records.lines:
         raise DatasetFormatError("no records found")
     num_labels = len(label_names) if label_names is not None else max(records.labels) + 1
-    matrix = records.matrix()
     try:
-        return Dataset._adopt(matrix, np.array(records.counts, dtype=np.int64),
+        return Dataset._adopt(records.matrix(), np.array(records.counts, dtype=np.int64),
                               np.array(records.labels, dtype=np.int64), num_labels,
                               records.dim, label_names)
     except ValueError:
-        records.check_finite(matrix)
+        records.check_finite()
         raise
 
 
@@ -391,10 +389,16 @@ def write_jsonl(dataset: Dataset, path) -> None:
     It reads the dataset's arrays, not its examples: the token matrix is
     turned into Python floats once and split by the token counts, and each
     line is written as it is made. Floats survive because JSON uses shortest
-    round-trip formatting.
+    round-trip formatting. Before opening the file, it raises ValueError for a
+    dataset with no rows, or with no `label_names` and no label num_labels - 1.
     """
     names = dataset.label_names
     labels = dataset.labels().tolist()
+    if not labels:
+        raise ValueError("a dataset with no rows would write a file with no records")
+    if names is None and max(labels) < dataset.num_labels - 1:
+        raise ValueError(f"labels reach only {max(labels)} of {dataset.num_labels}: without "
+                         f"label_names the file would reload with {max(labels) + 1} labels")
     if names is not None:
         labels = [names[label] for label in labels]
     rows = dataset.tokens.tolist()

@@ -67,8 +67,6 @@ __all__ = [
 MAGIC = b"KNNDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
-# Rows of one block when a store is built from encoded examples.
-KEY_BLOCK = 4096
 # The budget of each work array of a search, as arrays just above 256 KiB cost
 # far more. A chunk of queries shares one prefilter product: as many rows as
 # keep its (rows, count) float32 block within it, and never fewer than

@@ -17,10 +17,10 @@ and load all iterate it.
 
 The `Model` constructor is the one weight check: it raises `ModelShapeError`,
 or `ValueError` for a non-finite entry. `Model.load` checks only the document
-around the weights. `pool` and `encode` take one sequence through
-`core.as_tokens` and pool it to a 1-d row; `encode_batch` pools a dataset's
-checked token matrix. `features` and `classify` are checks plus the kernels
-`_forward` and `_logits`, which the scoring path and training's loss call.
+around the weights. `_inputs`, the one input step of `encode`, `encode_batch`,
+`retrieval` and `training`, pools tokens by the model's pooling under the
+width rule. `features` and `classify` are checks plus the kernels `_forward`
+and `_logits`, which the scoring path and training's loss call.
 """
 
 from __future__ import annotations
@@ -242,24 +242,28 @@ class Model:
         d1 = _dense(h0, self.dec_w1, self.dec_b1, act)
         return a1, h0, d1, _dense(d1, self.dec_w2, self.dec_b2)
 
+    def _inputs(self, tokens: np.ndarray, token_counts: np.ndarray | None = None) -> np.ndarray:
+        """The one input step: `_pool_rows` by the model's pooling, under the
+        width rule. A single sequence's 1-d row counts as a batch of one."""
+        x = _pool_rows(tokens, token_counts, self.config.pooling)
+        self._check_width(x.shape if x.ndim == 2 else (1, *x.shape))
+        return x
+
     def encode(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode one instance; returns (h0, r).
 
         r is the retrieval representation: the decouple MLP output when
         decoupling is enabled, otherwise h0 itself.
         """
-        x = _pool_rows(as_tokens(tokens), None, self.config.pooling)
-        self._check_width((1, *x.shape))
-        _, h0, _, r = self._forward(x)
+        _, h0, _, r = self._forward(self._inputs(as_tokens(tokens)))
         return h0, r
 
     def encode_batch(self, dataset) -> tuple[np.ndarray, np.ndarray]:
         """Pool and encode every example of a dataset in one forward pass,
         from its `tokens` and `token_counts`; returns (h0, r) with one row
         per example (zero rows for none)."""
-        pooled = _pool_rows(dataset.tokens, dataset.token_counts, self.config.pooling)
-        cache = self.features(pooled)
-        return cache.h0, cache.r
+        _, h0, _, r = self._forward(self._inputs(dataset.tokens, dataset.token_counts))
+        return h0, r
 
     def classify(self, h0) -> np.ndarray:
         """Label distribution from h0: softmax(activation(W·h0)); one per row of a batch."""

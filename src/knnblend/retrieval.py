@@ -6,16 +6,16 @@ distribution is mixed with the classifier's own output by a fixed weight.
 
 Every score takes one neighbor step, `_neighbor_step`, on a token matrix and
 its token counts or on one sequence: given k, the store checks
-(`RetrievalUnavailableError` without one or for an empty one), one pooling,
-encode and classify, then, given k, one search. `_score` adds one vote and
-one blend, over (B, ·) arrays for `predict_batch` and over 1-d rows for
-`predict` on one `as_tokens` sequence; `evaluate.run_sweep` takes the step
-once and votes and blends per grid cell. `predict`, `knn_distribution` and
-`interpolate` are one-row forms.
+(`RetrievalUnavailableError` without one or for an empty one), the model's
+one input step `Model._inputs`, one encode and classify, then, given k, one
+search. `_score` adds one vote and one blend, over (B, ·) arrays for
+`predict_batch` and over 1-d rows for `predict` on one `as_tokens` sequence;
+`evaluate.run_sweep` takes the step once and votes and blends per grid cell.
+`predict`, `knn_distribution` and `interpolate` are one-row forms.
 
 The path checks its inputs once, at its entry, and then calls kernels that
 check nothing. Its checks are `as_tokens` (or the dataset's), the store's
-against the model, the width rule of `Model.features`, the finiteness of
+against the model, the width rule of `Model._inputs`, the finiteness of
 the logits (as `core.softmax`) and of the retrieval vectors r (as
 `datastore.check_queries`; huge identity-activation weights or inputs can
 overflow either), and the vote's `NonFiniteDistanceError` for a distance
@@ -23,9 +23,9 @@ that overflowed or a row whose every scaled distance overflows at a tiny
 temperature. Its kernels are `Model._forward`, `Model._logits`,
 `core._softmax`, `Datastore._search` (`_search_one` for one 1-d query) and
 `_vote`; each public stage is its own checks plus its kernel, whose
-docstring names what it assumes. The blend is `interpolate_batch` itself. `build_datastore` adds no check:
-`Model.features` checks its token width, and the store's label rule its
-labels, over the model's label count.
+docstring names what it assumes. The blend is `interpolate_batch` itself.
+`build_datastore` adds no check: `Model._inputs` checks its token width, and
+the store's label rule its labels, over the model's label count.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ import numpy as np
 
 from .core import (DimensionMismatchError, _softmax, as_labels, as_number, as_tokens,
                    check_logit_rows, coerce_fields, validate_distribution)
-from .datastore import (KEY_BLOCK, Datastore, NeighborHit, RetrievalUnavailableError,
-                        check_queries)
-from .model import _pool_rows
+from .datastore import Datastore, NeighborHit, RetrievalUnavailableError, check_queries
 
 __all__ = [
     "BatchPrediction",
@@ -57,6 +55,8 @@ __all__ = [
 
 
 _MAX64 = float(np.finfo(np.float64).max)
+# Rows of one block when a store is built from encoded examples.
+KEY_BLOCK = 4096
 
 
 class NonFiniteDistanceError(ValueError):
@@ -246,9 +246,7 @@ def _neighbor_step(model, store: Datastore | None, tokens: np.ndarray,
         if store.dim != model.config.key_dim:
             raise DimensionMismatchError(f"datastore dimension {store.dim} does not match "
                                          f"the model's key_dim {model.config.key_dim}")
-    x = _pool_rows(tokens, token_counts, model.config.pooling)
-    model._check_width(x.shape if x.ndim == 2 else (1, *x.shape))
-    _, h0, _, r = model._forward(x)
+    _, h0, _, r = model._forward(model._inputs(tokens, token_counts))
     p_cls = _softmax(check_logit_rows(model._logits(h0)))
     if k is None:
         return p_cls, None, None
@@ -288,16 +286,15 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
 
 def build_datastore(model, dataset) -> Datastore:
     """Key a store over the model's labels by each example's retrieval
-    representation, encoded KEY_BLOCK at a time. Each block pools straight
-    from the dataset's token matrix, which its construction checked, and
-    never reads `examples`. The loop runs at least once, so `Model.features`
-    checks the token width of an empty dataset too."""
+    representation, encoded KEY_BLOCK at a time. Each block goes straight
+    from the dataset's token matrix, which its construction checked, through
+    `Model._inputs` into `Model.features`, and never reads `examples`. The
+    loop runs at least once, so the width rule sees an empty dataset too."""
     keys = np.empty((len(dataset), model.config.key_dim), dtype=np.float32)
     counts = dataset.token_counts
     bounds = np.concatenate(([0], np.cumsum(counts)))  # example i's rows: bounds[i]:bounds[i + 1]
     for start in range(0, len(dataset) or 1, KEY_BLOCK):
         stop = min(start + KEY_BLOCK, len(dataset))
         block = dataset.tokens[bounds[start] : bounds[stop]]
-        pooled = _pool_rows(block, counts[start:stop], model.config.pooling)
-        keys[start:stop] = model.features(pooled).r
+        keys[start:stop] = model.features(model._inputs(block, counts[start:stop])).r
     return Datastore._adopt(keys, dataset.labels(), model.config.num_labels)

@@ -10,10 +10,11 @@ negatives are different-label batch mates (falling back to any other example;
 a batch of one skips the hinge term), drawn for a whole epoch at once in
 (batch, label)-sorted order, each label block placed by counting, not
 searching. The examples are rows of datasets, which checked their tokens;
-one adapter pools them as stored into inputs and labels, refusing by
-`core.as_labels` a label the model has no output for, and `train` pools the
-dataset through it once. Each epoch gathers the pooled rows and labels into
-shuffled order once; a batch is a contiguous slice of them.
+one adapter turns them into inputs, through the model's one input step
+`Model._inputs`, and labels, refusing by `core.as_labels` a label the model
+has no output for, and `train` pools the dataset through it once. Each epoch
+gathers the pooled rows and labels into shuffled order once; a batch is a
+contiguous slice of them.
 The weights live in one flat vector, which `train` steps and `grad_check`
 perturbs, on a copy, entry by entry. One function, `_loss`, computes a
 batch's loss terms and, on request, their gradients into one flat buffer;
@@ -41,7 +42,7 @@ import numpy as np
 
 from .core import _softmax, as_labels, coerce_fields
 from .data import TrainExample
-from .model import ACTIVATIONS, Model, ModelConfig, _pool_rows
+from .model import ACTIVATIONS, Model, ModelConfig
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -320,14 +321,13 @@ def _flat_model(model: Model) -> tuple[Model, np.ndarray]:
 
 def _pooled(model: Model, examples: Sequence[TrainExample]) -> tuple[np.ndarray, np.ndarray]:
     """Pooled inputs and int64 labels of examples, rows of datasets that checked
-    their tokens, pooled as stored. The inputs follow the width rule of
-    `Model.features`, the labels `core.as_labels` over the model's label count."""
+    their tokens: the inputs by `Model._inputs`, the labels by `core.as_labels`
+    over the model's label count."""
     if len(examples) == 0:
         raise ValueError("examples must be non-empty")
     tokens = np.concatenate([ex.tokens for ex in examples])
     counts = np.array([len(ex.tokens) for ex in examples], dtype=np.int64)
-    x = _pool_rows(tokens, counts, model.config.pooling)
-    model._check_width(x.shape)
+    x = model._inputs(tokens, counts)  # first: after the labels it cost query-100k 10 MB peak RSS
     labels = np.array([ex.label for ex in examples], dtype=np.int64)
     return x, as_labels(labels, model.config.num_labels)
 

@@ -402,6 +402,7 @@ _SMALL = '"data": {"synthetic": {"num_classes": 2, "dim": 3, "per_class_count": 
     pytest.param("train", '{%s, "hyper": {"margin": Infinity}}' % _SMALL, id="hyper.margin-inf"),
     pytest.param("evaluate", '{"hyper": {"temperature": Infinity}}', id="hyper.temperature-inf"),
     pytest.param("sweep", '{"sweep": {"k": 18}}', id="sweep.k-number"),
+    pytest.param("train", '{%s, "model": []}' % _SMALL, id="model-not-an-object"),
 ])
 def test_malformed_config_value_exits_1(pipeline, tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -453,6 +454,25 @@ def test_overflowing_synthetic_spec_exits_1(tmp_path, capsys, command):
     assert err.startswith("error: invalid synthetic spec: class_separation")
     assert "noise_sigma" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.jsonl")) and not list(tmp_path.glob("m.json*"))
+
+
+def test_config_that_names_a_directory_exits_1(tmp_path, capsys):
+    assert main(["gen-data", "--config", str(tmp_path), "--out-train", str(tmp_path / "tr.jsonl"),
+                 "--out-test", str(tmp_path / "te.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path}: ")
+    assert not list(tmp_path.glob("*.jsonl"))
+
+
+def test_gen_data_refuses_an_empty_test_split(tmp_path, capsys):
+    # A fifth of 4 rows per class, rounded down, leaves no test row; a file
+    # of no records would not load, so neither file is written.
+    cfg = tmp_path / "gen.json"
+    cfg.write_text('{"data": {"synthetic": {"per_class_count": 4}}}')
+    assert main(["gen-data", "--config", str(cfg), "--out-train", str(tmp_path / "tr.jsonl"),
+                 "--out-test", str(tmp_path / "te.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: per_class_count below 5 leaves the synthetic test split empty\n"
+    assert captured.out == "" and not list(tmp_path.glob("*.jsonl"))
 
 
 def test_train_does_not_read_the_test_file(pipeline, tmp_path):

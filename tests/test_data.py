@@ -192,6 +192,7 @@ def test_load_rejects_malformed_payloads(tmp_path):
     pytest.param('"tokens": [1.0, 2.0]', id="1-d-tokens"),
     pytest.param('"tokens": [[1.0], [2.0, 3.0]]', id="ragged-tokens"),
     pytest.param('"features": [1.0, Infinity]', id="non-finite"),
+    pytest.param('"features": [Infinity]', id="non-finite-common-record"),
 ])
 def test_token_rule_violation_names_its_line_and_cause(tmp_path, payload):
     path = write_lines(tmp_path, '{"label": 0, "features": [1.0]}', '{"label": 0, %s}' % payload)
@@ -246,6 +247,10 @@ def test_load_rejects_late_or_bad_header(tmp_path):
         load_jsonl(path)
     path = write_lines(tmp_path, '{"label_names": ["a", "a"]}')
     with pytest.raises(DatasetFormatError, match="distinct"):
+        load_jsonl(path)
+    path = write_lines(tmp_path, '{"label_names": ["a", "b"]}', '{"label_names": ["c"]}',
+                       '{"label": "a", "features": [1.0]}')
+    with pytest.raises(DatasetFormatError, match="^line 2: duplicate label_names header$"):
         load_jsonl(path)
 
 
@@ -396,6 +401,27 @@ def test_write_load_round_trip_is_lossless(tmp_path):
             assert load_jsonl(path) == ds
 
 
+@pytest.mark.parametrize("dataset, message", [
+    pytest.param(Dataset(np.zeros((2, 3)), [1, 1], [0, 1], num_labels=4, input_dim=3),
+                 "^labels reach only 1 of 4: without label_names the file would reload "
+                 "with 2 labels$", id="top-label-unused"),
+    pytest.param(Dataset(np.zeros((0, 3)), [], [], num_labels=2, input_dim=3),
+                 "^a dataset with no rows would write a file with no records$", id="no-rows"),
+])
+def test_write_refuses_a_dataset_its_file_cannot_reproduce(tmp_path, dataset, message):
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match=message):
+        write_jsonl(dataset, path)
+    assert not path.exists()
+
+
+def test_write_keeps_an_unused_top_label_by_its_name(tmp_path):
+    ds = Dataset(np.zeros((2, 3)), [1, 1], [0, 1], num_labels=4, input_dim=3,
+                 label_names=["a", "b", "c", "d"])
+    write_jsonl(ds, tmp_path / "out.jsonl")
+    assert load_jsonl(tmp_path / "out.jsonl") == ds
+
+
 def test_write_uses_flat_features_for_single_token_rows(tmp_path):
     ds = rand_dataset(np.random.default_rng(0))
     path = tmp_path / "out.jsonl"
@@ -440,6 +466,8 @@ def test_dataset_validates_members():
         dataset_of(ok, [4], num_labels=2, input_dim=3)
     with pytest.raises(ValueError):
         dataset_of(ok, [0], num_labels=2, input_dim=3, label_names=["only-one"])
+    with pytest.raises(ValueError, match="^input_dim must be positive$"):
+        Dataset(np.zeros((1, 0)), [1], [0], num_labels=1, input_dim=0)
 
 
 @pytest.mark.parametrize("names", [["a", "a"], [1, 2], [], "ab"],

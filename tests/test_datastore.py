@@ -1,6 +1,7 @@
 import gc
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -84,6 +85,8 @@ def test_constructor_rejects_bad_shapes():
         Datastore(np.zeros(4), np.zeros(4, dtype=np.int64), 2)
     with pytest.raises(ValueError):
         Datastore(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="^keys must have positive dimension$"):
+        Datastore(np.zeros((2, 0)), np.zeros(2, dtype=np.int64), 2)
 
 
 def test_store_is_immutable():
@@ -435,3 +438,15 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(DatastoreLoadError):
         Datastore.load(path)
+
+
+def test_load_rejects_a_stored_label_past_its_label_count(tmp_path):
+    # The checksum is valid, so the fault is in the contents, not the bytes.
+    path = tmp_path / "store.bin"
+    Datastore([(1.0, 2.0), (3.0, 4.0)], [0, 1], num_labels=2).save(path)
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[-4:] = struct.pack("<I", 2)  # the last label, now at num_labels
+    path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF))
+    with pytest.raises(DatastoreLoadError, match="^invalid stored contents: ") as info:
+        Datastore.load(path)
+    assert type(info.value) is DatastoreLoadError

@@ -1,9 +1,10 @@
 """Module layering: lower layers import nothing above them.
 
 `core` imports no package module; `data`, `model` and `datastore` import
-`core` only. `retrieval` imports neither `data` nor `training` nor
-`evaluate`; `training` imports none of `datastore`, `retrieval` and
-`evaluate`; and `evaluate` does not import `training`."""
+`core` only. `retrieval` imports none of `data`, `model`, `training` and
+`evaluate`: it reaches the model only through the model object it is given.
+`training` imports none of `datastore`, `retrieval` and `evaluate`; and
+`evaluate` does not import `training`."""
 
 import dataclasses
 import subprocess
@@ -33,7 +34,7 @@ def _all_but(*names):
         ("knnblend.core", _all_but("core")),
         ("knnblend.model", _all_but("core", "model")),
         ("knnblend.datastore", _all_but("core", "datastore")),
-        ("knnblend.retrieval", _package("data", "training", "evaluate")),
+        ("knnblend.retrieval", _package("data", "model", "training", "evaluate")),
         ("knnblend.evaluate", _package("training")),
     ],
 )

@@ -122,6 +122,19 @@ def test_bad_weight_raises_model_load_error_with_cause(artifacts, tmp_path, name
     assert isinstance(info.value.__cause__, (TypeError, ValueError, OverflowError))
 
 
+@pytest.mark.parametrize("weights", [None, [], "weights"], ids=["missing", "list", "string"])
+def test_model_without_a_weights_object_raises_model_shape_error(artifacts, tmp_path, weights):
+    doc = json.loads(artifacts["model"][0])
+    if weights is None:
+        del doc["weights"]
+    else:
+        doc["weights"] = weights
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelShapeError, match="^missing weights section$"):
+        Model.load(path)
+
+
 def test_non_utf8_model_raises_model_load_error(artifacts, tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xff" + artifacts["model"][0])

@@ -21,11 +21,12 @@ from knnblend import NonFiniteDistanceError, datastore
 from knnblend.cli import main
 from knnblend.core import DimensionMismatchError, softmax, sq_dists
 from knnblend.data import Dataset, SyntheticSpec, generate_synthetic
-from knnblend.datastore import (GROUP_SIZE, KEY_BLOCK, Datastore, NeighborHit,
+from knnblend.datastore import (GROUP_SIZE, Datastore, NeighborHit,
                                 RetrievalUnavailableError, chunk_rows)
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import POOLING_MODES, Model, ModelConfig, pool
 from knnblend.retrieval import (
+    KEY_BLOCK,
     RetrievalParams,
     build_datastore,
     knn_distribution,

@@ -345,20 +345,31 @@ def test_loss_and_gradients_covers_every_parameter():
 @pytest.mark.parametrize("decouple", [True, False], ids=["decoupled", "shared"])
 @pytest.mark.parametrize("tw", [0.0, 0.5, 1.0])
 def test_loss_and_gradients_equal_zero_started_accumulation(decouple, triplet, tw):
-    model = Model.initialize(tiny_config(decouple_enabled=decouple, triplet_enabled=triplet), 41)
-    batch = make_batch(np.random.default_rng(41), 9, 5, 3)
-    hyper = Hyperparams(triplet_weight=tw)
-    pairs = select_pairs(batch, np.random.default_rng(41))
-    terms, grads = loss_and_gradients(model, batch, pairs, hyper)
-    x = pool_examples(batch, model.config.pooling)
-    labels = np.array([ex.label for ex in batch])
-    pos = np.array([p for p, _ in pairs])
-    neg = np.array([-1 if q is None else q for _, q in pairs])
-    want_terms, want = batch_loss_and_gradients(model, x, labels, pos, neg, hyper)
-    assert (terms.total, terms.ce, terms.triplet) == want_terms
-    assert list(grads) == list(want)
-    for name, grad in grads.items():
-        np.testing.assert_array_equal(grad, want[name], err_msg=name)
+    # The second input reaches the cross-entropy floor: under tanh no
+    # probability falls near it, but an identity head scaled by 200 puts gold
+    # probabilities near 1e-70, and those rows get zero gradient.
+    for activation, rows, head_scale in (("tanh", 9, 1.0), ("identity", 6, 200.0)):
+        config = tiny_config(decouple_enabled=decouple, triplet_enabled=triplet,
+                             activation=activation)
+        model = Model.initialize(config, 41)
+        model.head_w *= head_scale
+        batch = make_batch(np.random.default_rng(41), rows, 5, 3)
+        hyper = Hyperparams(triplet_weight=tw)
+        pairs = select_pairs(batch, np.random.default_rng(41))
+        terms, grads = loss_and_gradients(model, batch, pairs, hyper)
+        x = pool_examples(batch, model.config.pooling)
+        labels = np.array([ex.label for ex in batch])
+        pos = np.array([p for p, _ in pairs])
+        neg = np.array([-1 if q is None else q for _, q in pairs])
+        want_terms, want = batch_loss_and_gradients(model, x, labels, pos, neg, hyper)
+        assert (terms.total, terms.ce, terms.triplet) == want_terms
+        assert list(grads) == list(want)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, want[name], err_msg=name)
+        if head_scale != 1.0:
+            gold = model.classify(model.features(x).h0)[np.arange(rows), labels]
+            assert gold.min() <= CE_PROB_FLOOR
+            assert grad_check(model, batch, hyper).passed
 
 
 # Rows 0, 2 and 5 have no negative. With each row its own positive, every
