@@ -493,9 +493,9 @@ class Datastore:
         payload += _HEADER.pack(FORMAT_VERSION, self.dim, self.count, self.num_labels)
         payload += self._keys.astype("<f4", copy=False).tobytes(order="C")
         payload += self._labels.astype("<u4").tobytes()
-        crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
         payload += struct.pack("<I", crc)
-        Path(path).write_bytes(bytes(payload))
+        Path(path).write_bytes(payload)
 
     @classmethod
     def load(cls, path) -> "Datastore":

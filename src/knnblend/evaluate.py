@@ -3,9 +3,14 @@
 `run_sweep` takes the scoring path's one neighbor step once, on a `Dataset`'s
 token matrix and token counts, searching at the largest k, and reuses prefixes
 of the sorted hits for smaller k values; because hits are totally ordered by
-(distance, index) this is exactly equivalent to searching per k. It then votes
-once per (k, temperature) and blends once per knn_weight, each over the whole
-batch, against `Dataset.labels()`. `evaluate_config` is a one-cell sweep.
+(distance, index) this is exactly equivalent to searching per k. It gathers
+the hits' labels once and, per temperature, computes the vote's `_weights`
+once over the largest k's hits; each k `_tally`s its prefix of them, the same
+weights summed in the same order as a vote on that k's hits. Each
+(k, temperature) blends once per knn_weight, over the whole batch, against
+`Dataset.labels()`. Only one temperature's weights are held at a time, and
+the finished rows are placed in k-major order. `evaluate_config` is a
+one-cell sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from .core import as_labels
 from .data import Dataset
 from .datastore import Datastore
-from .retrieval import RetrievalParams, _neighbor_step, _vote_hits, interpolate_batch
+from .retrieval import (RetrievalParams, _hit_bounds, _neighbor_step, _tally, _weights,
+                        interpolate_batch)
 
 __all__ = [
     "CSV_HEADER",
@@ -127,17 +133,20 @@ def run_sweep(
         model, store, dataset.tokens, dataset.token_counts,
         max(sweep.k_values) if need_search else None,
     )
-    neighbor_probs = None
-    rows = []
-    for k in sweep.k_values:
-        for temperature in sweep.temperature_values:
-            if need_search:
-                neighbor_probs = _vote_hits(store, indices[:, :k], distances[:, :k],
-                                            temperature)
-            for weight in sweep.knn_weight_values:
+    if need_search:
+        labels, bounds = store._labels[indices], _hit_bounds(distances)
+    n_temperatures, n_weights = len(sweep.temperature_values), len(sweep.knn_weight_values)
+    rows = [None] * len(sweep)
+    for t_at, temperature in enumerate(sweep.temperature_values):
+        weights = _weights(distances, temperature, *bounds) if need_search else None
+        for k_at, k in enumerate(sweep.k_values):
+            neighbor_probs = (None if weights is None
+                              else _tally(labels[:, :k], weights[:, :k], store.num_labels))
+            at = (k_at * n_temperatures + t_at) * n_weights  # the cell's k-major row
+            for w_at, weight in enumerate(sweep.knn_weight_values):
                 final = (p_cls if neighbor_probs is None
                          else interpolate_batch(neighbor_probs, p_cls, weight))
-                rows.append(_row(k, temperature, weight, np.argmax(final, axis=1), gold))
+                rows[at + w_at] = _row(k, temperature, weight, np.argmax(final, axis=1), gold)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)
 

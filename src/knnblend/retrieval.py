@@ -10,7 +10,8 @@ its token counts or on one sequence: given k, the store checks
 one input step `Model._inputs`, one encode and classify, then, given k, one
 search. `_score` adds one vote and one blend, over (B, ·) arrays for
 `predict_batch` and over 1-d rows for `predict` on one `as_tokens` sequence;
-`evaluate.run_sweep` takes the step once and votes and blends per grid cell.
+`evaluate.run_sweep` takes the step once, weighs the hits once per
+temperature and tallies and blends per grid cell.
 `predict`, `knn_distribution` and `interpolate` are one-row forms.
 
 The path checks its inputs once, at its entry, and then calls kernels that
@@ -22,8 +23,10 @@ overflow either), and the vote's `NonFiniteDistanceError` for a distance
 that overflowed or a row whose every scaled distance overflows at a tiny
 temperature. Its kernels are `Model._forward`, `Model._logits`,
 `core._softmax`, `Datastore._search` (`_search_one` for one 1-d query) and
-`_vote`; each public stage is its own checks plus its kernel, whose
-docstring names what it assumes. The blend is `interpolate_batch` itself.
+`_vote`, which is `_tally` (per-label sums, normalized) of `_weights` (the
+exponentials, and the vote's only check); each public stage is its own
+checks plus its kernel, whose docstring names what it assumes. The blend
+is `interpolate_batch` itself.
 `build_datastore` adds no check: `Model._inputs` checks its token width, and
 the store's label rule its labels, over the model's label count.
 """
@@ -110,8 +113,16 @@ def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: in
           nearest: np.ndarray, farthest: float) -> np.ndarray:
     """The vote kernel: `knn_distribution_batch` of int64 labels in [0, num_labels)
     and float64 distances of one (B, k >= 1) or (k,) shape, at a positive
-    temperature, none of which it checks. `nearest`, (B, 1) or a scalar, is each
-    row's least distance and `farthest` the largest magnitude of any (NaN if one is).
+    temperature, none of which it checks: `_tally` of `_weights`."""
+    return _tally(labels, _weights(distances, temperature, nearest, farthest), num_labels)
+
+
+def _weights(distances: np.ndarray, temperature, nearest: np.ndarray,
+             farthest: float) -> np.ndarray:
+    """The vote's weights exp(distance / -t - nearest / -t), elementwise, of
+    float64 distances of a (B, k) or (k,) shape. `nearest`, (B, 1) or a scalar,
+    is each row's least distance and `farthest` the largest magnitude of any
+    (NaN if one is).
 
     It raises `NonFiniteDistanceError` for a non-finite distance or a row
     whose every scaled distance overflows, and enters `np.errstate` only when
@@ -129,8 +140,14 @@ def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: in
             scaled, peak = distances / -t, nearest / -t
         if not np.isfinite(peak).all():
             raise _non_finite(temperature)
-    weights = np.exp(scaled - peak)
-    # Each (row, label) cell sums its weights in hit order, starting from 0.0.
+    scaled -= peak
+    return np.exp(scaled, out=scaled)
+
+
+def _tally(labels: np.ndarray, weights: np.ndarray, num_labels: int) -> np.ndarray:
+    """Per-label sums of a vote's weights, normalized: each (row, label) cell
+    sums its weights in hit order, starting from 0.0, over labels and weights
+    of one (B, k) or (k,) shape."""
     if labels.ndim == 1:
         probs = np.bincount(labels, weights, minlength=num_labels)
     else:
@@ -138,7 +155,7 @@ def _vote(labels: np.ndarray, distances: np.ndarray, temperature, num_labels: in
         cells = (np.arange(rows)[:, None] * num_labels + labels).ravel()
         probs = np.bincount(cells, weights.ravel(), minlength=rows * num_labels)
         probs = probs.reshape(rows, num_labels)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    return probs / np.add.reduce(probs, axis=-1, keepdims=True)
 
 
 def _non_finite(temperature) -> NonFiniteDistanceError:
@@ -146,16 +163,13 @@ def _non_finite(temperature) -> NonFiniteDistanceError:
         f"neighbor distances are not finite at temperature {temperature!r}")
 
 
-def _vote_hits(store: Datastore, indices: np.ndarray, distances: np.ndarray,
-               temperature) -> np.ndarray:
-    """`_vote` over a search's (B, k) or (k,) hits, whose rows ascend: each row's
-    least distance is its first, and the largest of all is in the last column."""
+def _hit_bounds(distances: np.ndarray):
+    """`_vote`'s (nearest, farthest) of a search's (B, k) or (k,) hit distances,
+    whose rows ascend: each row's least distance is its first, and the largest
+    of all is in the last column."""
     if distances.ndim == 1:
-        nearest, farthest = distances[0], distances[-1]
-    else:
-        nearest, farthest = distances[:, :1], distances[:, -1].max(initial=0.0)
-    return _vote(store._labels[indices], distances, temperature, store.num_labels,
-                 nearest, farthest)
+        return distances[0], distances[-1]
+    return distances[:, :1], distances[:, -1].max(initial=0.0)
 
 
 def knn_distribution(
@@ -264,7 +278,8 @@ def _score(model, store: Datastore | None, tokens: np.ndarray,
     p_cls, indices, distances = _neighbor_step(model, store, tokens, token_counts, k)
     if k is None:
         return p_cls.copy(), p_cls, None, None, None
-    p_knn = _vote_hits(store, indices, distances, params.temperature)
+    p_knn = _vote(store._labels[indices], distances, params.temperature, store.num_labels,
+                  *_hit_bounds(distances))
     p_final = interpolate_batch(p_knn, p_cls, params.knn_weight)
     return p_final, p_cls, p_knn, indices, distances
 

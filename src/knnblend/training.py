@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import _softmax, as_labels, coerce_fields
 from .data import TrainExample
-from .model import ACTIVATIONS, Model, ModelConfig
+from .model import Model, ModelConfig
 
 __all__ = [
     "CE_PROB_FLOOR",
@@ -225,7 +225,6 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     """
     cfg = model.config
     ce_weight, trip_weight = _term_weights(cfg, hyper)
-    act = ACTIVATIONS[cfg.activation]
     n = x.shape[0]
 
     a1, h0, d1, r = model._forward(x)
@@ -259,7 +258,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
         if gold.min() <= CE_PROB_FLOOR:
             d_head_pre[gold <= CE_PROB_FLOOR] = 0.0
         d_head_pre *= ce_weight / n
-        d_head_pre *= act.grad_from_output(head_out)
+        _times_act_grad(d_head_pre, head_out, cfg.activation)
         np.dot(d_head_pre.T, h0, out=grads["head_w"])
         d_h0 = np.dot(d_head_pre, model.head_w)
 
@@ -284,7 +283,7 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
             np.dot(d_r.T, d1, out=grads["dec_w2"])
             np.add.reduce(d_r, axis=0, out=grads["dec_b2"])
             d_g1 = np.dot(d_r, model.dec_w2)
-            d_g1 *= act.grad_from_output(d1)
+            _times_act_grad(d_g1, d1, cfg.activation)
             np.dot(d_g1.T, h0, out=grads["dec_w1"])
             np.add.reduce(d_g1, axis=0, out=grads["dec_b1"])
             d_r = np.dot(d_g1, model.dec_w1)  # the hinge's gradient, carried back to h0
@@ -294,10 +293,20 @@ def _loss(model: Model, x: np.ndarray, labels: np.ndarray, pos: np.ndarray,
     np.dot(d_h0.T, a1, out=grads["enc_w2"])
     np.add.reduce(d_h0, axis=0, out=grads["enc_b2"])
     d_z1 = np.dot(d_h0, model.enc_w2)
-    d_z1 *= act.grad_from_output(a1)
+    _times_act_grad(d_z1, a1, cfg.activation)
     np.dot(d_z1.T, x, out=grads["enc_w1"])
     np.add.reduce(d_z1, axis=0, out=grads["enc_b1"])
     return terms
+
+
+def _times_act_grad(d: np.ndarray, y: np.ndarray, activation: str) -> None:
+    """d *= `ACTIVATIONS[activation].grad_from_output(y)`, bit for bit, with no
+    new array: tanh's 1 - y*y is written into y, which the caller reads no
+    more, and the identity's derivative, ones, leaves d as it is."""
+    if activation == "tanh":
+        np.multiply(y, y, out=y)
+        np.subtract(1.0, y, out=y)
+        d *= y
 
 
 def _flat_buffer(model: Model) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from knnblend import evaluate, retrieval
+from knnblend import NonFiniteDistanceError, evaluate, retrieval
 from knnblend.data import Dataset
 from knnblend.datastore import Datastore, RetrievalUnavailableError
 from knnblend.evaluate import (
@@ -119,43 +121,104 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3, pooling=pooling)
     model = Model.initialize(cfg, 93)
     store = build_datastore(model, dataset)
-    blends, labels = [], []
+    # Each cell's blend is the last `interpolate_batch` before its `_row`.
+    blends, pending, labels = {}, [], {}
     monkeypatch.setattr(evaluate, "interpolate_batch",
-                        lambda *args: blends.append(retrieval.interpolate_batch(*args))
-                        or blends[-1])
-    monkeypatch.setattr(evaluate, "_row",
-                        lambda k, t, w, predicted, gold: labels.append(predicted)
-                        or _row(k, t, w, predicted, gold))
+                        lambda *args: pending.append(retrieval.interpolate_batch(*args))
+                        or pending[-1])
+
+    def recording_row(k, t, w, predicted, gold):
+        blends[k, t, w], labels[k, t, w] = pending.pop(), predicted
+        return _row(k, t, w, predicted, gold)
+
+    monkeypatch.setattr(evaluate, "_row", recording_row)
     spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
     report = run_sweep(model, store, dataset, spec)
-    assert len(blends) == len(labels) == len(report.rows) == len(spec)
-    for row, blend, predicted in zip(report.rows, blends, labels):
-        batch = predict_batch(model, store, dataset, RetrievalParams(
-            k=row.k, temperature=row.temperature, knn_weight=row.knn_weight))
-        assert blend.tobytes() == batch.probs.tobytes()
-        assert predicted.tobytes() == batch.labels.tobytes()
+    cells = [(row.k, row.temperature, row.knn_weight) for row in report.rows]
+    assert sorted(blends) == sorted(labels) == sorted(cells) and len(cells) == len(spec)
+    assert pending == []
+    for row, cell in zip(report.rows, cells):
+        batch = predict_batch(model, store, dataset, RetrievalParams(*cell))
+        assert blends[cell].tobytes() == batch.probs.tobytes()
+        assert labels[cell].tobytes() == batch.labels.tobytes()
         assert row.n_correct == np.count_nonzero(batch.labels == dataset.labels())
 
 
-def test_run_sweep_votes_once_per_k_and_temperature(monkeypatch):
+def test_run_sweep_weighs_once_per_temperature_and_tallies_once_per_cell(monkeypatch):
+    # One `_weights` per temperature over the largest k's hits, one `_tally`
+    # per (k, temperature) over its prefix, in temperature-major order;
+    # either kernel is counted wherever it is reached.
     calls = []
 
-    vote = retrieval._vote
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls.append((name, args[0].shape[1], args[1] if name == "_weights" else None))
+            return kernel(*args)
+        return wrapper
 
-    def counting_vote(*args):
-        calls.append(args[2])
-        return vote(*args)
-
-    monkeypatch.setattr(retrieval, "_vote", counting_vote)
+    for name in ("_weights", "_tally"):
+        counter = counting(name, getattr(retrieval, name))
+        monkeypatch.setattr(retrieval, name, counter)
+        monkeypatch.setattr(evaluate, name, counter)
     model, dataset, store = toy_setup()
-    spec = SweepSpec(k_values=(1, 4, 100), temperature_values=(0.5, 10.0, 30.0),
+    spec = SweepSpec(k_values=(4, 1, 100, 4), temperature_values=(10.0, 0.5, 30.0),
                      knn_weight_values=(0.0, 0.3, 1.0))
     run_sweep(model, store, dataset, spec)
-    assert calls == [t for _ in spec.k_values for t in spec.temperature_values]
+    expected = []
+    for t in spec.temperature_values:
+        expected.append(("_weights", store.count, t))
+        expected.extend(("_tally", min(k, store.count), None) for k in spec.k_values)
+    assert calls == expected
     calls.clear()
     run_sweep(model, store, dataset, SweepSpec(knn_weight_values=(0.0,)))
     assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_values=st.lists(st.sampled_from([1, 2, 5, 12, 13, 40]), min_size=1, max_size=4),
+    temperature_values=st.lists(
+        st.sampled_from([1e-320, 3e-311, 1e-310, 1e-300, 0.05, 1.0, 30.0])
+        | st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=3),
+    knn_weight_values=st.lists(st.sampled_from([0.0, 0.3, 1.0])
+                               | st.floats(min_value=0.0, max_value=1.0),
+                               min_size=1, max_size=3),
+)
+@example(k_values=[13, 1, 13], temperature_values=[30.0, 3e-311, 1e-320],
+         knn_weight_values=[0.0, 0.5])
+@example(k_values=[40, 2], temperature_values=[1e-310, 1.0, 1e-310], knn_weight_values=[1.0])
+def test_run_sweep_rows_equal_each_cell_scored_alone(k_values, temperature_values,
+                                                     knn_weight_values):
+    # Unsorted and repeated grid values, k past the store's 12 keys, and tiny
+    # temperatures: below the queries' nearest distances (0.001 to 0.015) over
+    # 1.8e308, some or every row's scaled distances all overflow and the vote
+    # refuses; at 1e-310 only the far hits' overflow, to zero weight. A sweep
+    # that refuses its grid names the temperature of the first k-major cell
+    # that refuses alone; otherwise each row is its cell's.
+    model, _, store = toy_setup()
+    queries = toy_setup(n=9, seed=94)[1]
+    spec = SweepSpec(k_values, temperature_values, knn_weight_values)
+    cells = [RetrievalParams(k, t, w)
+             for k in spec.k_values for t in spec.temperature_values
+             for w in spec.knn_weight_values]
+    refusals = []
+    for params in cells:
+        try:
+            evaluate_config(model, store, queries, params)
+        except NonFiniteDistanceError as error:
+            refusals.append(str(error))
+    if refusals:
+        with pytest.raises(NonFiniteDistanceError) as refused:
+            run_sweep(model, store, queries, spec)
+        assert str(refused.value) == refusals[0]
+        return
+    report = run_sweep(model, store, queries, spec)
+    assert len(report.rows) == len(cells)
+    for row, params in zip(report.rows, cells):
+        assert row == evaluate_config(model, store, queries, params)
+        labels = predict_batch(model, store, queries, params).labels
+        assert row.n_correct == np.count_nonzero(labels == queries.labels())
 
 
 def test_run_sweep_classifier_only_grid_needs_no_store():

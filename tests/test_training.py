@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnblend.data import SyntheticSpec, generate_synthetic
-from knnblend.model import Model, ModelConfig
+from knnblend.model import ACTIVATIONS, Model, ModelConfig
 from knnblend.training import (
     CE_PROB_FLOOR,
     GradCheckReport,
@@ -21,7 +21,7 @@ from knnblend.training import (
     select_pairs,
     train,
 )
-from knnblend.training import _hinge, _pair_indices
+from knnblend.training import _hinge, _pair_indices, _times_act_grad
 
 from helpers import (
     batch_loss_and_gradients,
@@ -335,6 +335,21 @@ def test_loss_and_gradients_covers_every_parameter():
     total, expected = combined_loss(model, batch, pairs, Hyperparams())
     assert terms == expected
     assert terms.total == total
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_in_place_activation_derivative_equals_grad_from_output(activation):
+    # Every activation the config accepts, at the bits of its public rule;
+    # the derivative's output is scratch, and the public rule stays pure.
+    rng = np.random.default_rng(13)
+    y = ACTIVATIONS[activation].fn(rng.normal(size=(7, 5)) * 3)
+    y[0, :3] = [0.0, -0.0, 1.0]
+    d = rng.normal(size=y.shape)
+    before = y.copy()
+    expected = d * ACTIVATIONS[activation].grad_from_output(y)
+    assert y.tobytes() == before.tobytes()
+    _times_act_grad(d, y, activation)
+    assert d.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
