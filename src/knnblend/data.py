@@ -17,16 +17,19 @@ the token matrix from that buffer once. A common record, a one-token
 `features` record of the file's dimension with an in-range integer label,
 takes a few operations; any other goes through every rule in order, so each
 fault keeps its message and line.
-`TrainExample`s, read-only views of the matrix, are made only by
-`Dataset.examples`, on its first read, so a dataset that only feeds
-`build_datastore` or the scorers never makes one.
+`TrainExample`s, immutable (tokens, label, id) tuples over read-only views
+of the matrix, are made only by `Dataset.examples`, on its first read, in
+one pass over the rows that runs no Python code per row; a dataset that only
+feeds `build_datastore` or the scorers never makes one.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -43,26 +46,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, slots=True, init=False)
-class TrainExample:
-    """One labeled row of a `Dataset`: a read-only view of its token rows,
-    its label and its id. Only `Dataset.examples` makes them; the dataset has
-    already checked the arrays they view, so `TrainExample(...)` raises
-    `TypeError`, with or without arguments; `_views` bypasses `__init__`."""
+class TrainExample(namedtuple("TrainExample", ["tokens", "label", "id"])):
+    """One labeled row of a `Dataset`: an immutable (tokens, label, id) tuple
+    of a read-only view of its token rows, its label and its id. Only
+    `Dataset.examples` makes them; the dataset has already checked the arrays
+    they view, so `TrainExample(...)`, with or without arguments, `_make` and
+    `_replace` raise `TypeError`; `_views` calls `tuple.__new__` itself.
+    Rows compare equal when their ids, labels and tokens are equal, and are
+    unhashable; copies and pickles rebuild them the same way."""
 
-    tokens: np.ndarray
-    label: int
-    id: int
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
         raise TypeError("a TrainExample is a row of a Dataset; read Dataset.examples")
+
+    _make = classmethod(__new__)
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
 
     @classmethod
     def _views(cls, tokens: np.ndarray, token_counts: np.ndarray,
                labels: np.ndarray) -> list["TrainExample"]:
         """Examples with ids 0..n-1 over views of a read-only, checked
         (total_tokens, dim) token matrix, split by `token_counts`, and their n
-        labels. The views, like the matrix, cannot be made writeable."""
+        labels, made in one pass with no Python frame per row. The views,
+        like the matrix, cannot be made writeable."""
         n = len(token_counts)
         if n == 0:
             return []
@@ -70,15 +79,7 @@ class TrainExample:
             rows = tokens.reshape(n, -1, tokens.shape[1])
         else:
             rows = np.split(tokens, np.cumsum(token_counts[:-1]))
-        new, put = object.__new__, object.__setattr__
-        examples = []
-        for i, (row, label) in enumerate(zip(rows, labels.tolist())):
-            ex = new(cls)
-            put(ex, "tokens", row)
-            put(ex, "label", label)
-            put(ex, "id", i)
-            examples.append(ex)
-        return examples
+        return list(map(tuple.__new__, repeat(cls), zip(rows, labels.tolist(), range(n))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainExample):
@@ -89,6 +90,10 @@ class TrainExample:
             and self.tokens.shape == other.tokens.shape
             and np.array_equal(self.tokens, other.tokens)
         )
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 class DatasetFormatError(ValueError):

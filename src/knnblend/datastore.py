@@ -487,15 +487,22 @@ class Datastore:
         return np.divmod(flat, count)
 
     def save(self, path) -> None:
-        """Write the store in the binary format documented in the module docstring."""
-        payload = bytearray()
-        payload += MAGIC
-        payload += _HEADER.pack(FORMAT_VERSION, self.dim, self.count, self.num_labels)
-        payload += self._keys.astype("<f4", copy=False).tobytes(order="C")
-        payload += self._labels.astype("<u4").tobytes()
-        crc = zlib.crc32(payload) & 0xFFFFFFFF
-        payload += struct.pack("<I", crc)
-        Path(path).write_bytes(payload)
+        """Write the store in the binary format documented in the module docstring.
+
+        The header, the key matrix's own little-endian float32 buffer (a copy
+        only on a big-endian host) and the u32 labels are written in turn
+        after a running checksum over them, so the keys are never copied into
+        a payload. Checksumming every part before the first write was faster
+        than checksumming each part just before it is written."""
+        parts = (MAGIC + _HEADER.pack(FORMAT_VERSION, self.dim, self.count, self.num_labels),
+                 self._keys.astype("<f4", copy=False), self._labels.astype("<u4"))
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        with open(path, "wb") as file:
+            for part in parts:
+                file.write(part)
+            file.write(struct.pack("<I", crc))
 
     @classmethod
     def load(cls, path) -> "Datastore":

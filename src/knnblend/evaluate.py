@@ -135,6 +135,8 @@ def run_sweep(
     )
     if need_search:
         labels, bounds = store._labels[indices], _hit_bounds(distances)
+    # A weight-0 cell is the classifier's own prediction, the same in every (k, T).
+    classifier_predicted = np.argmax(p_cls, axis=1)
     n_temperatures, n_weights = len(sweep.temperature_values), len(sweep.knn_weight_values)
     rows = [None] * len(sweep)
     for t_at, temperature in enumerate(sweep.temperature_values):
@@ -144,9 +146,9 @@ def run_sweep(
                               else _tally(labels[:, :k], weights[:, :k], store.num_labels))
             at = (k_at * n_temperatures + t_at) * n_weights  # the cell's k-major row
             for w_at, weight in enumerate(sweep.knn_weight_values):
-                final = (p_cls if neighbor_probs is None
-                         else interpolate_batch(neighbor_probs, p_cls, weight))
-                rows[at + w_at] = _row(k, temperature, weight, np.argmax(final, axis=1), gold)
+                predicted = (classifier_predicted if weight == 0.0 else np.argmax(
+                    interpolate_batch(neighbor_probs, p_cls, weight), axis=1))
+                rows[at + w_at] = _row(k, temperature, weight, predicted, gold)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return EvalReport(rows=tuple(rows), wall_ms=wall_ms)
 

@@ -9,14 +9,18 @@ weight array; the library must reproduce them bit for bit. So must the
 per-row synthetic generator, the `np.add.at` neighbor vote and the JSONL
 writer that goes example by example, and the loader must give the datasets
 and errors of the earlier one that parses each record and then appends it
-(`per_record_load_jsonl`). The gradient check oracle perturbs a copy of the
-model array by array, one scalar at a time, and judges each entry as it goes.
+(`per_record_load_jsonl`). `Datastore.save` must write the bytes of the
+earlier writer that joins the whole file in memory (`concatenated_store_file`).
+The gradient check oracle perturbs a copy of the model array by array, one
+scalar at a time, and judges each entry as it goes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
+import zlib
 from array import array
 from pathlib import Path
 
@@ -408,6 +412,19 @@ def per_record_load_jsonl(path):
     except ValueError:
         tokens.check_finite(matrix)
         raise
+
+
+def concatenated_store_file(store) -> bytes:
+    """A store's file as one `bytes`: magic, header, the keys as
+    little-endian float32 and the labels as u32, joined, then the crc32 of
+    everything before it."""
+    body = b"".join([
+        b"KNNDS1",
+        struct.pack("<HIQI", 1, store.dim, store.count, store.num_labels),
+        store.keys.astype("<f4").tobytes(),
+        store.labels.astype("<u4").tobytes(),
+    ])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def add_at_vote(labels, distances, temperature, num_labels):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -559,6 +561,66 @@ def test_train_example_cannot_be_constructed_without_arguments():
     # An empty call must not make a row with no tokens, label or id.
     with pytest.raises(TypeError):
         TrainExample()
+
+
+def contract_rows():
+    """Two rows of one dataset, one and two tokens, and an equal copy of each."""
+    tokens = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    rows = Dataset(tokens, [1, 2], [1, 0], 2, 2).examples
+    return rows, Dataset(tokens, [1, 2], [1, 0], 2, 2).examples
+
+
+def test_train_example_copies_and_pickles_to_equal_rows():
+    rows, _ = contract_rows()
+    for row in rows:
+        for twin in (copy.copy(row), copy.deepcopy(row),
+                     *(pickle.loads(pickle.dumps(row, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(twin) is TrainExample
+            assert twin == row and not twin != row
+            assert (twin.label, twin.id) == (row.label, row.id)
+
+
+def test_train_example_compares_by_value_and_is_unhashable():
+    (a, b), (a2, b2) = contract_rows()
+    # Multi-token rows must not reach an array's ambiguous truth value.
+    assert (b == b2) is True and (b != b2) is False
+    assert (a == b) is False and (a != b) is True
+    assert (a == a2) is True and (a != a2) is False
+    assert (a == "row") is False and (a != "row") is True
+    for row in (a, b):
+        with pytest.raises(TypeError):
+            hash(row)
+
+
+def test_train_example_is_immutable_over_read_only_views():
+    (a, b), _ = contract_rows()
+    for name in ("tokens", "label", "id"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 0)
+    for row in (a, b):
+        assert not row.tokens.flags.writeable
+        with pytest.raises(ValueError):
+            row.tokens.setflags(write=True)
+        with pytest.raises(ValueError):
+            row.tokens[0, 0] = 9.0
+
+
+def test_train_example_repr():
+    (a, b), _ = contract_rows()
+    assert repr(a) == "TrainExample(tokens=array([[1., 2.]]), label=1, id=0)"
+    assert repr(b) == ("TrainExample(tokens=array([[3., 4.],\n       [5., 6.]]), "
+                       "label=0, id=1)")
+
+
+def test_train_example_inherited_constructors_raise():
+    (a, _), _ = contract_rows()
+    for make in (lambda: TrainExample(np.zeros((1, 2)), 0, 0),
+                 lambda: TrainExample.__new__(TrainExample, np.zeros((1, 2)), 0, 0),
+                 lambda: TrainExample._make([np.zeros((1, 2)), 0, 0]),
+                 lambda: a._replace(label=0)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_a_label_must_fit_the_int64_label_array(tmp_path):

@@ -26,7 +26,7 @@ from knnblend.datastore import (
 from knnblend.model import Model, ModelConfig
 from knnblend.retrieval import build_datastore
 
-from helpers import full_sort_hits, hits_as_pairs
+from helpers import concatenated_store_file, full_sort_hits, hits_as_pairs
 
 
 def random_store(rng, count, dim, num_labels=4):
@@ -381,6 +381,27 @@ def test_save_is_deterministic(tmp_path):
     store.save(tmp_path / "a.bin")
     store.save(tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 1_600, 100_000])
+def test_save_writes_the_concatenated_file(tmp_path, count):
+    store = random_store(np.random.default_rng(count), count=count, dim=32, num_labels=8)
+    store.save(tmp_path / "store.bin")
+    assert (tmp_path / "store.bin").read_bytes() == concatenated_store_file(store)
+
+
+def test_save_holds_the_keys_once(tmp_path):
+    # The file is written piece by piece from the key matrix's own buffer, so
+    # saving a 100k x 32 store (12.8 MB of keys) allocates almost nothing.
+    store = random_store(np.random.default_rng(5), count=100_000, dim=32)
+    tracemalloc.start()
+    try:
+        store.save(tmp_path / "store.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < store.keys.nbytes / 4
+    assert Datastore.load(tmp_path / "store.bin") == store
 
 
 def test_load_rejects_corrupted_magic(tmp_path):

@@ -121,14 +121,15 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     cfg = ModelConfig(input_dim=4, hidden_dim=6, emb_dim=5, num_labels=3, pooling=pooling)
     model = Model.initialize(cfg, 93)
     store = build_datastore(model, dataset)
-    # Each cell's blend is the last `interpolate_batch` before its `_row`.
+    # Each blended cell's distributions are the last `interpolate_batch`
+    # before its `_row`; a weight-0 cell blends nothing and keeps only labels.
     blends, pending, labels = {}, [], {}
     monkeypatch.setattr(evaluate, "interpolate_batch",
                         lambda *args: pending.append(retrieval.interpolate_batch(*args))
                         or pending[-1])
 
     def recording_row(k, t, w, predicted, gold):
-        blends[k, t, w], labels[k, t, w] = pending.pop(), predicted
+        blends[k, t, w], labels[k, t, w] = pending.pop() if w > 0.0 else None, predicted
         return _row(k, t, w, predicted, gold)
 
     monkeypatch.setattr(evaluate, "_row", recording_row)
@@ -140,7 +141,8 @@ def test_run_sweep_cells_match_predict_batch_bit_for_bit(pooling, monkeypatch):
     assert pending == []
     for row, cell in zip(report.rows, cells):
         batch = predict_batch(model, store, dataset, RetrievalParams(*cell))
-        assert blends[cell].tobytes() == batch.probs.tobytes()
+        if blends[cell] is not None:
+            assert blends[cell].tobytes() == batch.probs.tobytes()
         assert labels[cell].tobytes() == batch.labels.tobytes()
         assert row.n_correct == np.count_nonzero(batch.labels == dataset.labels())
 
@@ -173,6 +175,22 @@ def test_run_sweep_weighs_once_per_temperature_and_tallies_once_per_cell(monkeyp
     calls.clear()
     run_sweep(model, store, dataset, SweepSpec(knn_weight_values=(0.0,)))
     assert calls == []
+
+
+def test_run_sweep_blends_only_the_cells_with_a_positive_weight(monkeypatch):
+    # Every weight-0 cell is the classifier's argmax, taken once per sweep;
+    # only the other cells call the blend.
+    calls = []
+    monkeypatch.setattr(evaluate, "interpolate_batch",
+                        lambda *args: calls.append(args[2]) or retrieval.interpolate_batch(*args))
+    model, dataset, store = toy_setup()
+    for weights in ((0.0, 0.3, 1.0, 0.0), (0.0,), (0.5,)):
+        spec = SweepSpec(k_values=(4, 1, 100), temperature_values=(10.0, 0.5),
+                         knn_weight_values=weights)
+        calls.clear()
+        report = run_sweep(model, store, dataset, spec)
+        assert len(calls) == sum(row.knn_weight > 0.0 for row in report.rows)
+        assert all(weight > 0.0 for weight in calls)
 
 
 @settings(max_examples=40, deadline=None)
