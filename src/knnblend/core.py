@@ -9,11 +9,13 @@ recheck), and `squared_l2` is its one-row case.
 
 Three input rules are written here once. Tokens: `as_tokens` (its shape, then
 `check_finite_tokens`), for every token sequence. Numbers: `as_number`, for
-each config dataclass's numeric fields (`coerce_fields`), `k` and every label
-count. Labels: `as_labels` (`as_int64s`, then one range check), for the
-labels of `Dataset`, `Datastore` (`build_datastore` keys the model's label
-count) and the vote (`knn_distribution_batch`), and over the model's label
-count in `run_sweep` and the training adapter.
+each config dataclass's numeric fields (`coerce_fields`, each within the
+`Bound` it declares with its default), `k` and every label count; one out of
+bound reads "<name> must be positive", "must be >= <low>" or "must be in
+[<low>, <high>]", then ", got <value>". Labels: `as_labels` (`as_int64s`, then
+one range check), for the labels of `Dataset`, `Datastore` (`build_datastore`
+keys the model's label count) and the vote (`knn_distribution_batch`), and
+over the model's label count in `run_sweep` and the training adapter.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,17 +114,44 @@ def check_finite_tokens(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def as_number(value, name: str, cast=int):
-    """`cast(value)`, for `cast` int (2.5 becomes 2) or float; a string, a bool,
-    an unconvertible value or a non-finite float raises ValueError naming `name`."""
+class Bound(NamedTuple):
+    """A range, `low` to `high` inclusive, but above `low` if `open` (`POSITIVE` only)."""
+
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def field(self, default=dataclasses.MISSING):
+        """A dataclass field with `default`, whose numbers `coerce_fields` holds to the bound."""
+        return dataclasses.field(default=default, metadata={"bound": self})
+
+
+POSITIVE = Bound(0, open=True)
+
+
+def not_text(value, name: str):
+    """`value`, unless it is a string or a bool, which raise `as_number`'s ValueError."""
     if isinstance(value, (str, bool)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def as_number(value, name: str, cast=int, bound: Bound | None = None):
+    """`cast(value)`, for `cast` int (2.5 becomes 2) or float, within `bound`
+    if one is given; a string, a bool, an unconvertible value, a non-finite
+    float or a number outside the bound raises ValueError naming `name`."""
+    not_text(value, name)
     try:
         value = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
     if cast is float and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if bound is not None and not (bound.low < value <= bound.high
+                                  or value == bound.low and not bound.open):
+        rule = ("positive" if bound.open else f">= {bound.low}" if bound.high == math.inf
+                else f"in [{bound.low}, {bound.high}]")
+        raise ValueError(f"{name} must be {rule}, got {value}")
     return value
 
 
@@ -143,15 +173,17 @@ def as_labels(values, num_labels: int) -> np.ndarray:
 
 def coerce_fields(obj) -> None:
     """Store `as_number` of each `int` and `float` field of a dataclass (`int |
-    None` keeps None); a non-bool in a `bool` field raises ValueError naming
-    the field. Others stay as given."""
+    None` keeps None), within the bound the field declares with `Bound.field`; a
+    non-bool in a `bool` field raises ValueError naming the field. Others stay
+    as given."""
     for field in dataclasses.fields(obj):
         name, value = field.name, getattr(obj, field.name)
         kind = getattr(field.type, "__name__", str(field.type))  # a type or its string
         if kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name} must be true or false, got {value!r}")
         if kind in ("int", "float") or (kind == "int | None" and value is not None):
-            object.__setattr__(obj, name, as_number(value, name, float if kind == "float" else int))
+            object.__setattr__(obj, name, as_number(value, name, float if kind == "float" else int,
+                                                    field.metadata.get("bound")))
 
 
 def sq_dists(keys: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import as_int64s, as_labels, as_tokens, check_finite_tokens, coerce_fields
+from .core import (POSITIVE, Bound, as_int64s, as_labels, as_tokens, check_finite_tokens,
+                   coerce_fields)
 
 __all__ = [
     "Dataset",
@@ -52,8 +53,9 @@ class TrainExample(namedtuple("TrainExample", ["tokens", "label", "id"])):
     `Dataset.examples` makes them; the dataset has already checked the arrays
     they view, so `TrainExample(...)`, with or without arguments, `_make` and
     `_replace` raise `TypeError`; `_views` calls `tuple.__new__` itself.
-    Rows compare equal when their ids, labels and tokens are equal, and are
-    unhashable; copies and pickles rebuild them the same way."""
+    Rows compare equal when their ids, labels and tokens are equal, never
+    equal a plain tuple, have no order and are unhashable; copies and pickles
+    rebuild them the same way."""
 
     __slots__ = ()
 
@@ -82,8 +84,8 @@ class TrainExample(namedtuple("TrainExample", ["tokens", "label", "id"])):
         return list(map(tuple.__new__, repeat(cls), zip(rows, labels.tolist(), range(n))))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TrainExample):
-            return NotImplemented
+        if not isinstance(other, TrainExample):  # a plain tuple is no row
+            return False if isinstance(other, tuple) else NotImplemented
         return (
             self.id == other.id
             and self.label == other.label
@@ -91,9 +93,12 @@ class TrainExample(namedtuple("TrainExample", ["tokens", "label", "id"])):
             and np.array_equal(self.tokens, other.tokens)
         )
 
-    def __ne__(self, other) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's would compare entries
+
+    def __lt__(self, other):
+        raise TypeError("TrainExample rows have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 class DatasetFormatError(ValueError):
@@ -110,7 +115,7 @@ def _label_names(names) -> list[str]:
 
 @dataclass(init=False, eq=False)
 class Dataset:
-    """Labeled examples with a fixed label set and uniform token dimension.
+    """Labeled examples with a fixed, positive label count and token dimension.
 
     Its storage is three read-only arrays: `tokens`, one float64
     (total_tokens, input_dim) matrix with every example's token rows in
@@ -125,8 +130,8 @@ class Dataset:
     `TrainExample`s over views of `tokens` with ids 0..n-1.
     """
 
-    num_labels: int
-    input_dim: int
+    num_labels: int = POSITIVE.field()
+    input_dim: int = POSITIVE.field()
     label_names: list[str] | None = None
 
     def __init__(self, tokens, token_counts, labels, num_labels: int, input_dim: int,
@@ -150,8 +155,6 @@ class Dataset:
         label_names = None if label_names is None else _label_names(label_names)
         self.num_labels, self.input_dim, self.label_names = num_labels, input_dim, label_names
         coerce_fields(self)
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
         if self.label_names is not None and len(self.label_names) != self.num_labels:
             raise ValueError(
                 f"{len(self.label_names)} label names for {self.num_labels} labels"
@@ -421,30 +424,16 @@ def write_jsonl(dataset: Dataset, path) -> None:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Gaussian-cluster dataset recipe; every draw is derived from the seed."""
+    """Gaussian clusters, each number within its declared `Bound`; the seed fixes every draw."""
 
-    num_classes: int = 4
-    dim: int = 16
-    per_class_count: int = 125
-    class_separation: float = 6.0
-    noise_sigma: float = 1.0
-    seed: int = 7
+    num_classes: int = Bound(2).field(4)
+    dim: int = POSITIVE.field(16)
+    per_class_count: int = POSITIVE.field(125)
+    class_separation: float = POSITIVE.field(6.0)
+    noise_sigma: float = Bound(0).field(1.0)  # 0 keeps the no-noise limit testable
+    seed: int = Bound(0).field(7)
 
-    def __post_init__(self):
-        coerce_fields(self)
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.per_class_count < 1:
-            raise ValueError(f"per_class_count must be positive, got {self.per_class_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (self.class_separation > 0.0):
-            raise ValueError(f"class_separation must be positive, got {self.class_separation}")
-        # Zero is allowed so the degenerate no-noise limit stays testable.
-        if not (self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+    __post_init__ = coerce_fields
 
 
 def _random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

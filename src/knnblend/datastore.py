@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_int64s, as_labels, as_number, sq_dists
+from .core import Bound, DimensionMismatchError, as_int64s, as_labels, as_number, sq_dists
 
 __all__ = [
     "BadMagicError",
@@ -67,6 +67,8 @@ __all__ = [
 MAGIC = b"KNNDS1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<HIQI")  # version, dim, count, num_labels
+# The neighbor count's bound, which `RetrievalParams.k` declares too.
+K_BOUND = Bound(1)
 # The budget of each work array of a search, as arrays just above 256 KiB cost
 # far more. A chunk of queries shares one prefilter product: as many rows as
 # keep its (rows, count) float32 block within it, and never fewer than
@@ -327,9 +329,7 @@ class Datastore:
         """
         if self.count == 0:
             raise RetrievalUnavailableError("cannot search an empty datastore")
-        k = as_number(k, "k")
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = as_number(k, "k", int, K_BOUND)
         qs = check_queries(np.asarray(queries, dtype=np.float64))
         if qs.shape[1] != self.dim:
             raise DimensionMismatchError(

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DimensionMismatchError, as_tokens, as_vector, coerce_fields, softmax
+from .core import POSITIVE, DimensionMismatchError, as_tokens, as_vector, coerce_fields, softmax
 
 __all__ = [
     "ACTIVATIONS",
@@ -125,13 +125,13 @@ def _pool_rows(tokens: np.ndarray, token_counts: np.ndarray | None, mode: str) -
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyper-parameters and feature flags."""
+    """Architecture sizes, each within its declared `Bound`, and feature flags."""
 
-    input_dim: int = 16
-    hidden_dim: int = 32
-    emb_dim: int = 32
-    num_labels: int = 2
-    retrieval_dim: int | None = None  # None -> emb_dim
+    input_dim: int = POSITIVE.field(16)
+    hidden_dim: int = POSITIVE.field(32)
+    emb_dim: int = POSITIVE.field(32)
+    num_labels: int = POSITIVE.field(2)
+    retrieval_dim: int | None = POSITIVE.field(None)  # None -> emb_dim
     pooling: str = "cls"
     activation: str = "tanh"
     decouple_enabled: bool = True
@@ -139,9 +139,6 @@ class ModelConfig:
 
     def __post_init__(self):
         coerce_fields(self)
-        for name, value in vars(self).items():  # every integer field is a size
-            if type(value) is int and value < 1:
-                raise ValueError(f"{name} must be positive")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if self.activation not in ACTIVATIONS:

@@ -38,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DimensionMismatchError, _softmax, as_labels, as_number, as_tokens,
-                   check_logit_rows, coerce_fields, validate_distribution)
-from .datastore import Datastore, NeighborHit, RetrievalUnavailableError, check_queries
+from .core import (POSITIVE, Bound, DimensionMismatchError, _softmax, as_labels, as_number,
+                   as_tokens, check_logit_rows, coerce_fields, not_text, validate_distribution)
+from .datastore import K_BOUND, Datastore, NeighborHit, RetrievalUnavailableError, check_queries
 
 __all__ = [
     "BatchPrediction",
@@ -68,20 +68,13 @@ class NonFiniteDistanceError(ValueError):
 
 @dataclass(frozen=True)
 class RetrievalParams:
-    """Neighbor count, distance temperature, and blend weight for the kNN side."""
+    """Neighbor count, distance temperature and blend weight, each within its declared `Bound`."""
 
-    k: int = 64
-    temperature: float = 10.0
-    knn_weight: float = 0.2
+    k: int = K_BOUND.field(64)
+    temperature: float = POSITIVE.field(10.0)
+    knn_weight: float = Bound(0, 1).field(0.2)
 
-    def __post_init__(self):
-        coerce_fields(self)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (self.temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not (0.0 <= self.knn_weight <= 1.0):
-            raise ValueError(f"knn_weight must be in [0, 1], got {self.knn_weight}")
+    __post_init__ = coerce_fields
 
 
 def knn_distribution_batch(
@@ -95,7 +88,7 @@ def knn_distribution_batch(
     Each row is max-subtracted before exponentiation so large distances cannot
     underflow everything to zero at once.
     """
-    if not (float(temperature) > 0.0):
+    if not (float(not_text(temperature, "temperature")) > 0.0):
         raise ValueError(f"temperature must be positive, got {temperature}")
     num_labels = as_number(num_labels, "num_labels")
     labels = as_labels(labels, num_labels)
@@ -193,7 +186,7 @@ def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np
     if neighbor_probs.shape != classifier_probs.shape:
         raise DimensionMismatchError(f"distribution shapes differ: {neighbor_probs.shape} "
                                      f"vs {classifier_probs.shape}")
-    w = float(knn_weight)
+    w = float(not_text(knn_weight, "knn_weight"))
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
     if w == 0.0:

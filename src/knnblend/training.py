@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _softmax, as_labels, coerce_fields
+from .core import POSITIVE, Bound, _softmax, as_labels, coerce_fields
 from .data import TrainExample
 from .model import Model, ModelConfig
 
@@ -77,29 +77,16 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Optimizer and objective settings."""
+    """Optimizer and objective settings, each number within its field's declared `Bound`."""
 
-    triplet_weight: float = 0.5
-    margin: float = 1.0
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 20
-    seed: int = 0
+    triplet_weight: float = Bound(0, 1).field(0.5)
+    margin: float = POSITIVE.field(1.0)
+    learning_rate: float = POSITIVE.field(0.1)
+    batch_size: int = Bound(1).field(32)
+    epochs: int = Bound(0).field(20)
+    seed: int = Bound(0).field(0)
 
-    def __post_init__(self):
-        coerce_fields(self)
-        if not (0.0 <= self.triplet_weight <= 1.0):
-            raise ValueError(f"triplet_weight must be in [0, 1], got {self.triplet_weight}")
-        if not (self.margin > 0.0):
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if not (self.learning_rate > 0.0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = coerce_fields
 
 
 def _pair_indices(labels: np.ndarray, batch_size: int, rng: np.random.Generator):

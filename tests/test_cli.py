@@ -440,6 +440,38 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, config):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, flags, line", [
+    pytest.param("gen-data", '{"data": {"synthetic": {"num_classes": 1}}}', [],
+                 "invalid synthetic spec: num_classes must be >= 2, got 1", id="data.synthetic"),
+    pytest.param("train", '{%s, "model": {"hidden_dim": 0}}' % _SMALL, [],
+                 "invalid model config: hidden_dim must be positive, got 0", id="model"),
+    pytest.param("train", '{%s, "hyper": {"learning_rate": 0}}' % _SMALL, [],
+                 "invalid hyperparameters: learning_rate must be positive, got 0.0", id="hyper"),
+    pytest.param("evaluate", "{}", ["--knn-weight", "1.5"],
+                 "invalid retrieval parameters: knn_weight must be in [0, 1], got 1.5",
+                 id="hyper-flag"),
+    pytest.param("sweep", '{"sweep": {"k": [0]}}', [],
+                 "invalid sweep spec: k must be >= 1, got 0", id="sweep"),
+])
+def test_an_out_of_range_config_value_exits_1_with_its_rule(pipeline, tmp_path, capsys, command,
+                                                           config, flags, line):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    scoring = ["--model", str(pipeline["model"]), "--datastore", str(pipeline["store"]),
+               "--data", str(pipeline["test"])]
+    argv = {
+        "gen-data": ["--out-train", str(tmp_path / "tr.jsonl"),
+                     "--out-test", str(tmp_path / "te.jsonl")],
+        "train": ["--out", str(tmp_path / "m.json")],
+        "evaluate": scoring,
+        "sweep": [*scoring, "--out", str(tmp_path / "s.csv")],
+    }[command]
+    assert main([command, "--config", str(cfg), *argv, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.glob("*.jsonl")) and not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("m.json*"))
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_overflowing_synthetic_spec_exits_1(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

@@ -468,7 +468,7 @@ def test_dataset_validates_members():
         dataset_of(ok, [4], num_labels=2, input_dim=3)
     with pytest.raises(ValueError):
         dataset_of(ok, [0], num_labels=2, input_dim=3, label_names=["only-one"])
-    with pytest.raises(ValueError, match="^input_dim must be positive$"):
+    with pytest.raises(ValueError, match="^input_dim must be positive, got 0$"):
         Dataset(np.zeros((1, 0)), [1], [0], num_labels=1, input_dim=0)
 
 
@@ -621,6 +621,20 @@ def test_train_example_inherited_constructors_raise():
                  lambda: a._replace(label=0)):
         with pytest.raises(TypeError):
             make()
+
+
+def test_train_example_is_no_plain_tuple_and_has_no_order():
+    # A tuple with a row's entries is not that row: comparing must answer
+    # without reaching an array's truth value, in either order.
+    (a, b), (a2, b2) = contract_rows()
+    for row in (a, b):
+        for other in (tuple(row), (row.tokens.copy(), row.label, row.id), (), ("row",)):
+            assert (row == other) is False and (other == row) is False
+            assert (row != other) is True and (other != row) is True
+    for x, y in ((a, b), (b, a), (a, a2), (b, b2), (a, tuple(a)), (tuple(b), b), (a, (1,))):
+        for order in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y):
+            with pytest.raises(TypeError):
+                order()
 
 
 def test_a_label_must_fit_the_int64_label_array(tmp_path):

@@ -330,6 +330,20 @@ def test_interpolate_rejects_bad_input():
         interpolate([0.9, 0.0], [0.5, 0.5], 0.5)
 
 
+@pytest.mark.parametrize("value", ["1.0", "0.5", True, False])
+def test_vote_and_blend_refuse_a_string_or_bool_as_the_number_rule_does(value):
+    # float() would read "0.5" and True; RetrievalParams refuses both.
+    message = f"must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^temperature {message}$"):
+        knn_distribution_batch([[0]], [[1.0]], value, 2)
+    with pytest.raises(ValueError, match=f"^knn_weight {message}$"):
+        interpolate_batch(np.array([1.0, 0.0]), np.array([0.5, 0.5]), value)
+    with pytest.raises(ValueError, match=f"^knn_weight {message}$"):
+        interpolate([1.0, 0.0], [0.5, 0.5], value)
+    with pytest.raises(ValueError, match=f"^temperature {message}$"):
+        RetrievalParams(temperature=value)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end prediction
 

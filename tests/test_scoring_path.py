@@ -617,7 +617,7 @@ FAILURES = [
      "neighbor distances are not finite at temperature 1e-320"),
     ("gold label past num_labels", ("evaluate_config", "run_sweep") + MODEL_FEEDERS, ValueError,
      "example 0 label 3 out of range for 3 labels"),
-    ("k 0", SEARCHES, ValueError, "k must be at least 1"),
+    ("k 0", SEARCHES, ValueError, "k must be >= 1, got 0"),
     ("k string", SEARCHES, ValueError, "k must be a number, got '2'"),
     ("k None", SEARCHES, ValueError,
      "k: int() argument must be a string, a bytes-like object or a real number, "
