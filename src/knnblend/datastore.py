@@ -75,7 +75,8 @@ K_BOUND = Bound(1)
 # MIN_CHUNK; `_prefilter`'s np.partition copies the block it partitions, so a
 # chunk holds two blocks at its peak. The exact recheck gathers and differences
 # as many candidates at a time as keep each of its (candidates, dim) float64
-# work arrays within it: 1,024 at dim 32.
+# work arrays within it: 1,024 at dim 32. `retrieval.key_blocks` sizes the key
+# build's blocks by it too.
 WORK_BYTES = 2**18
 MIN_CHUNK = 8
 # Keys i and i + g share a strided group of the prefilter's threshold step,

@@ -28,7 +28,10 @@ exponentials, and the vote's only check); each public stage is its own
 checks plus its kernel, whose docstring names what it assumes. The blend
 is `interpolate_batch` itself.
 `build_datastore` adds no check: `Model._inputs` checks its token width, and
-the store's label rule its labels, over the model's label count.
+the store's label rule its labels, over the model's label count. It encodes
+in `key_blocks`, the fewest equal blocks whose float64 activations each stay
+within the search's `WORK_BYTES`; an equal split leaves no short tail block,
+whose few rows BLAS can round differently from the unblocked encode.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 
 from .core import (POSITIVE, Bound, DimensionMismatchError, _softmax, as_labels, as_number,
                    as_tokens, check_logit_rows, coerce_fields, not_text, validate_distribution)
-from .datastore import K_BOUND, Datastore, NeighborHit, RetrievalUnavailableError, check_queries
+from .datastore import (K_BOUND, WORK_BYTES, Datastore, NeighborHit, RetrievalUnavailableError,
+                        check_queries)
 
 __all__ = [
     "BatchPrediction",
@@ -58,8 +62,6 @@ __all__ = [
 
 
 _MAX64 = float(np.finfo(np.float64).max)
-# Rows of one block when a store is built from encoded examples.
-KEY_BLOCK = 4096
 
 
 class NonFiniteDistanceError(ValueError):
@@ -88,7 +90,11 @@ def knn_distribution_batch(
     Each row is max-subtracted before exponentiation so large distances cannot
     underflow everything to zero at once.
     """
-    if not (float(not_text(temperature, "temperature")) > 0.0):
+    try:
+        t = float(not_text(temperature, "temperature"))
+    except (TypeError, OverflowError):  # None, a list, an int beyond float
+        t = as_number(temperature, "temperature", float)  # raises the number rule's ValueError
+    if not (t > 0.0):
         raise ValueError(f"temperature must be positive, got {temperature}")
     num_labels = as_number(num_labels, "num_labels")
     labels = as_labels(labels, num_labels)
@@ -186,7 +192,10 @@ def interpolate_batch(neighbor_probs, classifier_probs, knn_weight: float) -> np
     if neighbor_probs.shape != classifier_probs.shape:
         raise DimensionMismatchError(f"distribution shapes differ: {neighbor_probs.shape} "
                                      f"vs {classifier_probs.shape}")
-    w = float(not_text(knn_weight, "knn_weight"))
+    try:
+        w = float(not_text(knn_weight, "knn_weight"))
+    except (TypeError, OverflowError):
+        w = as_number(knn_weight, "knn_weight", float)  # raises the number rule's ValueError
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"knn_weight must be in [0, 1], got {knn_weight}")
     if w == 0.0:
@@ -292,17 +301,33 @@ def predict(model, store: Datastore | None, tokens, params: RetrievalParams) -> 
     return Prediction(int(probs.argmax()), probs, p_cls, p_knn)
 
 
+def key_blocks(count: int, width: int) -> list[int]:
+    """Row bounds of `build_datastore`'s blocks over `count` examples whose
+    model's widest layer has `width` entries: as few blocks as keep each
+    (rows, width) float64 activation within the search's `WORK_BYTES` (1,024
+    rows at width 32), their sizes apart by at most one row; one block, [0, 0],
+    for no examples. An equal split leaves no short tail block: with numpy
+    2.4's OpenBLAS 0.3.31, every float64 row of a product over 32 rows or
+    fewer rounded differently from the same row in a larger product, which a
+    float32 key can show. Two or more blocks each hold at least half the most."""
+    blocks = max(1, -(-count // max(1, WORK_BYTES // (8 * width))))
+    return [count * i // blocks for i in range(blocks + 1)]
+
+
 def build_datastore(model, dataset) -> Datastore:
     """Key a store over the model's labels by each example's retrieval
-    representation, encoded KEY_BLOCK at a time. Each block goes straight
+    representation, encoded one `key_blocks` block at a time, so the build
+    holds the float32 keys plus one block's float64 activations (pooled
+    input, a1, h0, d1, r), each within `WORK_BYTES`. Each block goes straight
     from the dataset's token matrix, which its construction checked, through
     `Model._inputs` into `Model.features`, and never reads `examples`. The
     loop runs at least once, so the width rule sees an empty dataset too."""
-    keys = np.empty((len(dataset), model.config.key_dim), dtype=np.float32)
+    cfg = model.config
+    keys = np.empty((len(dataset), cfg.key_dim), dtype=np.float32)
     counts = dataset.token_counts
     bounds = np.concatenate(([0], np.cumsum(counts)))  # example i's rows: bounds[i]:bounds[i + 1]
-    for start in range(0, len(dataset) or 1, KEY_BLOCK):
-        stop = min(start + KEY_BLOCK, len(dataset))
+    splits = key_blocks(len(dataset), max(cfg.input_dim, cfg.hidden_dim, cfg.emb_dim, cfg.key_dim))
+    for start, stop in zip(splits, splits[1:]):
         block = dataset.tokens[bounds[start] : bounds[stop]]
         keys[start:stop] = model.features(model._inputs(block, counts[start:stop])).r
-    return Datastore._adopt(keys, dataset.labels(), model.config.num_labels)
+    return Datastore._adopt(keys, dataset.labels(), cfg.num_labels)

@@ -1,12 +1,12 @@
 """Exactness of the batched scoring path against independent oracles.
 
-The search tests use stores of more than two `KEY_BLOCK`s and query batches
-of more than one chunk (`CHUNK` queries on such a store), so every case
-crosses the query chunking of `Datastore.search_batch`. A recheck of every
-key (large k, or when the float32 prefilter cannot narrow them) runs in
-blocks of `WORK_BYTES // (8 dim)` candidates; at dim 4 and 8 their
-boundaries, for a chunk's first query, include `KEY_BLOCK` multiples where
-ties are planted.
+The search tests use stores of two `key_blocks` build blocks at width 8 plus
+17 keys, and query batches of more than one chunk (`CHUNK` queries on such a
+store), so every case crosses the query chunking of `Datastore.search_batch`.
+A recheck of every key (large k, or when the float32 prefilter cannot narrow
+them) runs in blocks of `WORK_BYTES // (8 dim)` candidates, the build's most
+rows at width dim; at dim 4 and 8 their boundaries, for a chunk's first
+query, include the build blocks' boundaries, where ties are planted.
 """
 
 import json
@@ -26,9 +26,9 @@ from knnblend.datastore import (GROUP_SIZE, Datastore, NeighborHit,
 from knnblend.evaluate import SweepSpec, evaluate_config, run_sweep
 from knnblend.model import POOLING_MODES, Model, ModelConfig, pool
 from knnblend.retrieval import (
-    KEY_BLOCK,
     RetrievalParams,
     build_datastore,
+    key_blocks,
     knn_distribution,
     knn_distribution_batch,
     predict,
@@ -38,10 +38,11 @@ from knnblend.training import Hyperparams, grad_check, train
 
 from helpers import add_at_vote, dataset_of, full_sort_hits, hits_as_pairs, oracle_cell_labels
 
-COUNT = 2 * KEY_BLOCK + 17
+BLOCKS = key_blocks(8192, 8)  # [0, 4096, 8192]
+COUNT = BLOCKS[-1] + 17
 CHUNK = chunk_rows(COUNT)  # queries per chunk on a COUNT-key store
 # Keys that receive copies of one key: both sides of both block boundaries.
-PLANTED = np.array([KEY_BLOCK - 2, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK - 1, 2 * KEY_BLOCK])
+PLANTED = np.array([BLOCKS[1] - 2, BLOCKS[1] - 1, BLOCKS[1], BLOCKS[2] - 1, BLOCKS[2]])
 
 
 def planted_store(seed, dim, grid, k):
@@ -87,9 +88,9 @@ def test_search_batch_equals_search_and_full_sort_across_blocks(seed, dim, grid,
 def prefilter_case(name):
     """(store, queries, k) where the float32 prefilter is at its limits.
 
-    Every store has COUNT keys and every batch more than one CHUNK, so
-    a recheck of all keys crosses KEY_BLOCK boundaries. The cases that set
-    queries set rows 0, 1 and -1, the rows the test checks.
+    Every store has COUNT keys and every batch more than one CHUNK, so a
+    recheck of all keys crosses recheck blocks. The cases that set queries
+    set rows 0, 1 and -1, the rows the test checks.
     """
     if name == "planted-grid":
         store, queries = planted_store(5, 6, grid=True, k=64)
